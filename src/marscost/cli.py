@@ -16,11 +16,9 @@ from . import __version__
 from . import io as mio
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, load_config
-from .dataset import build_samples, split_samples
-from .evaluation import AblationSpec, export_costmap, import_costmap, run_ablation_suite
+from .dataset import build_samples, label_runs, simulate_run, split_samples
+from .evaluation import AblationSpec, export_costmap, import_costmap, predict, run_ablation_suite
 from .heightfield import generate_heightfield, load_heightfield
-from .labeling import build_labels, normalize_labels
-from .simulate import generate_trajectory, render_camera, simulate_lidar, synthesize_imu
 from .train import fit
 from .types import FormatError
 
@@ -32,43 +30,32 @@ def _terrain_for(cfg):
     return generate_heightfield(cfg.seed, t["rows"], t["cols"], t["cell_size"], t["roughness"])
 
 
+def _run_seeds(seed: int, run: int):
+    """IMU seed and per-pose LiDAR seed function of run ``run`` under the config seed."""
+
+    def derive(*key):
+        return int(np.random.SeedSequence([seed, *key]).generate_state(1)[0])
+
+    return derive(1, run), lambda k: derive(2, run, k)
+
+
 def _run_dirs(cfg):
     return sorted(p for p in cfg.data_dir.glob("run_*") if p.is_dir())
 
 
 def cmd_simulate(cfg) -> int:
     hf = _terrain_for(cfg)
-    sim = cfg.sim
+    sim = cfg.sim_config()
+    paths = cfg.trajectories()
     n_clouds = 0
     n_images = 0
-    for r, waypoints in enumerate(cfg.trajectories()):
-        traj = generate_trajectory(
-            hf, waypoints, sim["speed"], sim["dt"], sim["chassis_height"]
-        )
-        imu = synthesize_imu(
-            traj,
-            hf,
-            gravity=sim["gravity"],
-            noise_scale=sim["imu_noise_scale"],
-            seed=int(np.random.SeedSequence([cfg.seed, 1, r]).generate_state(1)[0]),
-        )
-        clouds = {}
-        images = {}
-        for k in range(0, len(traj), sim["sensor_stride"]):
-            clouds[k] = simulate_lidar(
-                hf,
-                traj[k],
-                sim["lidar_rays"],
-                sim["lidar_max_range"],
-                seed=int(np.random.SeedSequence([cfg.seed, 2, r, k]).generate_state(1)[0]),
-            )
-            images[k] = render_camera(hf, traj[k], sim["camera_h_px"], sim["camera_w_px"])
-        run_dir = cfg.data_dir / f"run_{r:03d}"
-        mio.write_run_dir(run_dir, traj, imu, clouds, images)
+    for r, waypoints in enumerate(paths):
+        traj, imu, clouds, images = simulate_run(hf, waypoints, sim, *_run_seeds(cfg.seed, r))
+        mio.write_run_dir(cfg.data_dir / f"run_{r:03d}", traj, imu, clouds, images)
         n_clouds += len(clouds)
         n_images += len(images)
         print(f"run_{r:03d}: {len(traj)} poses, {len(clouds)} clouds, {len(images)} images")
-    print(f"simulated {len(cfg.trajectories())} runs -> {cfg.data_dir} "
+    print(f"simulated {len(paths)} runs -> {cfg.data_dir} "
           f"({n_clouds} clouds, {n_images} images)")
     return 0
 
@@ -79,25 +66,21 @@ def cmd_label(cfg) -> int:
         print(f"error: no simulation runs under {cfg.data_dir}; run 'simulate' first",
               file=sys.stderr)
         return 2
-    lab = cfg.labeling_config()
-    raw = []
-    names = []
-    for run_dir in runs:
-        traj = mio.read_trajectory_csv(run_dir / "trajectory.csv")
-        imu = mio.read_imu_csv(run_dir / "imu.csv")
-        sparse, dense = build_labels(traj, imu, lab)
-        mio.write_sparse_csv(sparse.xy, sparse.tc, cfg.labels_dir / f"{run_dir.name}.sparse.csv")
-        raw.append(dense)
-        names.append(run_dir.name)
-    norm = normalize_labels(raw)
-    for name, dense in zip(names, norm.maps):
-        mio.write_costmap_pgm(dense, cfg.labels_dir / f"{name}.pgm")
-        print(f"{name}: {int(dense.valid.sum())} labeled fine cells")
+    drives = [
+        (mio.read_trajectory_csv(d / "trajectory.csv"), mio.read_imu_csv(d / "imu.csv"))
+        for d in runs
+    ]
+    sparse, norm = label_runs(drives, cfg.labeling_config())
+    for run_dir, labels in zip(runs, sparse):
+        mio.write_sparse_csv(labels.xy, labels.tc, cfg.labels_dir / f"{run_dir.name}.sparse.csv")
+    for run_dir, dense in zip(runs, norm.maps):
+        mio.write_costmap_pgm(dense, cfg.labels_dir / f"{run_dir.name}.pgm")
+        print(f"{run_dir.name}: {int(dense.valid.sum())} labeled fine cells")
     meta = {"low": norm.low, "high": norm.high, "degenerate": norm.degenerate}
     mio.atomic_write_text(cfg.labels_dir / "normalization.json", json.dumps(meta, indent=2) + "\n")
     if norm.degenerate:
         print("warning: degenerate labels (all valid cells equal); everything mapped to 0")
-    print(f"labeled {len(names)} runs -> {cfg.labels_dir}")
+    print(f"labeled {len(runs)} runs -> {cfg.labels_dir}")
     return 0
 
 
@@ -113,20 +96,25 @@ def _load_samples(cfg):
             raise FileNotFoundError(f"missing label raster {label_path}")
         labels = mio.read_costmap_pgm(label_path)
         traj, _, clouds, images = mio.read_run_dir(run_dir)
-        samples.extend(build_samples(traj, labels, clouds, images, layout, min_valid_cells=8))
+        samples.extend(build_samples(traj, labels, clouds, images, layout))
     if not samples:
         raise RuntimeError("no usable samples (label coverage too sparse for the BEV windows)")
     return samples
 
 
-def cmd_train(cfg) -> int:
+def _split(cfg):
+    """(train, held-out) samples; the held-out side falls back to every sample if empty."""
     samples = _load_samples(cfg)
-    tc = cfg.train_config()
-    train_set, _ = split_samples(samples, cfg.raw["train"]["holdout_fraction"], cfg.seed)
+    train_set, heldout = split_samples(samples, cfg.raw["train"]["holdout_fraction"], cfg.seed)
+    return train_set, heldout or samples
+
+
+def cmd_train(cfg) -> int:
+    train_set, _ = _split(cfg)
     if not train_set:
         print("error: training split is empty", file=sys.stderr)
         return 2
-    params, history = fit(train_set, tc, cfg.net_config())
+    params, history = fit(train_set, cfg.train_config(), cfg.net_config())
     save_checkpoint(params, cfg.checkpoint_path)
     lines = ["step,huber,smooth,total"]
     for rec in history:
@@ -138,24 +126,19 @@ def cmd_train(cfg) -> int:
     return 0
 
 
-def _checkpoint_or_fail(cfg):
+def _model_and_heldout(cfg):
+    """The trained checkpoint and the held-out samples it is evaluated on."""
     if not cfg.checkpoint_path.exists():
         raise FileNotFoundError(f"missing checkpoint {cfg.checkpoint_path}; run 'train' first")
-    return load_checkpoint(cfg.checkpoint_path)
+    params = load_checkpoint(cfg.checkpoint_path)
+    return params, _split(cfg)[1]
 
 
 def cmd_eval(cfg) -> int:
-    params = _checkpoint_or_fail(cfg)
-    samples = _load_samples(cfg)
-    _, heldout = split_samples(samples, cfg.raw["train"]["holdout_fraction"], cfg.seed)
-    if not heldout:
-        heldout = samples
-    spec = AblationSpec("baseline", seed=cfg.raw["eval"]["seed"])
-    report = run_ablation_suite(params, heldout, [spec])
+    params, heldout = _model_and_heldout(cfg)
+    report = run_ablation_suite(params, heldout, [cfg.build(AblationSpec, mode="baseline")])
     cfg.report_dir.mkdir(parents=True, exist_ok=True)
     mio.atomic_write_text(cfg.report_dir / "eval.csv", report.to_csv_text())
-    from .evaluation import predict
-
     first = heldout[0]
     pred = predict(params, first)
     export_costmap(pred, cfg.report_dir / "prediction_0.pgm", "pgm")
@@ -167,11 +150,7 @@ def cmd_eval(cfg) -> int:
 
 
 def cmd_ablate(cfg) -> int:
-    params = _checkpoint_or_fail(cfg)
-    samples = _load_samples(cfg)
-    _, heldout = split_samples(samples, cfg.raw["train"]["holdout_fraction"], cfg.seed)
-    if not heldout:
-        heldout = samples
+    params, heldout = _model_and_heldout(cfg)
     report = run_ablation_suite(params, heldout, cfg.ablation_specs())
     cfg.report_dir.mkdir(parents=True, exist_ok=True)
     mio.atomic_write_text(cfg.report_dir / "ablation.csv", report.to_csv_text())

@@ -6,16 +6,16 @@ reads the same file, so a run is reproducible from the config plus the seed.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import BevLayout
+from .dataset import BevLayout, SimConfig, _cells_per_bev
 from .evaluation import ABLATION_MODES, AblationSpec
 from .labeling import LabelingConfig
 from .net import NetConfig
-from .train import AugmentConfig, TrainConfig
+from .train import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -23,9 +23,32 @@ class ConfigError(ValueError):
 
 
 _NUMBER = (int, float)
+_FIELD_TYPES = {int: int, float: _NUMBER, bool: bool}
 
 # schema: key -> (type, default) where default=_REQUIRED means the key must be present
 _REQUIRED = object()
+
+
+def _fields_schema(cls, prefix: str = "") -> dict:
+    """Schema of a dataclass's defaulted fields; nested dataclasses become subsections."""
+    out = {}
+    for f in fields(cls):
+        if is_dataclass(f.type):
+            out[prefix + f.name] = _fields_schema(f.type)
+        elif f.default is not MISSING:
+            out[prefix + f.name] = (_FIELD_TYPES[f.type], f.default)
+    return out
+
+
+# dataclass -> (config section, key prefix) it is built from
+_SECTIONS = {
+    SimConfig: ("sim", ""),
+    LabelingConfig: ("labeling", ""),
+    NetConfig: ("model", ""),
+    BevLayout: ("model", "bev_"),
+    TrainConfig: ("train", ""),
+    AblationSpec: ("eval", ""),
+}
 
 _SCHEMA = {
     "seed": (int, 7),
@@ -38,62 +61,25 @@ _SCHEMA = {
             "roughness": (_NUMBER, 0.6),
             "heightmap_path": ((str, type(None)), None),
         },
-        "chassis_height": (_NUMBER, 0.35),
-        "speed": (_NUMBER, 1.0),
-        "dt": (_NUMBER, 0.1),
-        "gravity": (_NUMBER, 9.81),
-        "imu_noise_scale": (_NUMBER, 3.0),
         "trajectories": (list, _REQUIRED),
-        "lidar_rays": (int, 900),
-        "lidar_max_range": (_NUMBER, 18.0),
-        "camera_h_px": (int, 32),
-        "camera_w_px": (int, 48),
-        "sensor_stride": (int, 8),
     },
-    "labeling": {
-        "w1": (_NUMBER, 1.0),
-        "w2": (_NUMBER, 1.0),
-        "w3": (_NUMBER, 1.0),
-        "epsilon": (_NUMBER, 1e-3),
-        "kernel_radius": (_NUMBER, 1.0),
-        "coarse_res": (_NUMBER, 0.2),
-        "fine_res": (_NUMBER, 0.05),
-    },
-    "model": {
-        "channels": (int, 12),
-        "stage2_channels": (int, 16),
-        "stage3_channels": (int, 24),
-        "film_hidden": (int, 16),
-        "head_channels": (int, 32),
-        "max_points_per_pillar": (int, 32),
-        "bev_size": (int, 32),
-        "bev_resolution": (_NUMBER, 0.2),
-    },
-    "train": {
-        "lr": (_NUMBER, 1e-4),
-        "batch_size": (int, 8),
-        "huber_delta": (_NUMBER, 0.1),
-        "smooth_lambda": (_NUMBER, 0.1),
-        "epochs": (int, 60),
-        "seed": (int, 1),
-        "holdout_fraction": (_NUMBER, 0.25),
-        "film_identity": (bool, False),
-        "augment": {
-            "rotate": (bool, True),
-            "translate": (bool, True),
-            "max_shift_cells": (int, 2),
-            "noise_sigma": (_NUMBER, 0.0),
-        },
-    },
-    "eval": {
-        "modes": (list, list(ABLATION_MODES)),
-        "occlusion_fraction": (_NUMBER, 0.3),
-        "drop_fraction": (_NUMBER, 0.3),
-        "noise_sigma_image": (_NUMBER, 0.02),
-        "noise_sigma_points": (_NUMBER, 0.02),
-        "seed": (int, 3),
-    },
+    "labeling": {},
+    "model": {},
+    "train": {"holdout_fraction": (_NUMBER, 0.25)},
+    "eval": {"modes": (list, list(ABLATION_MODES))},
 }
+# every other key and default comes from the dataclass the section builds
+for _cls, (_section, _prefix) in _SECTIONS.items():
+    _SCHEMA[_section].update(_fields_schema(_cls, _prefix))
+
+
+def _build(cls, values: dict, prefix: str = "", **given):
+    kwargs = dict(given)
+    for f in fields(cls):
+        if f.name not in given:
+            value = values[prefix + f.name]
+            kwargs[f.name] = _build(f.type, value) if is_dataclass(f.type) else value
+    return cls(**kwargs)
 
 
 def _validate(node, schema, path=""):
@@ -164,68 +150,31 @@ class RunConfig:
             out.append(arr)
         return out
 
-    def labeling_config(self) -> LabelingConfig:
-        s = self.raw["labeling"]
+    def build(self, cls, **given):
+        """One section's dataclass from the validated values; ``given`` fills the rest."""
+        section, prefix = _SECTIONS[cls]
         try:
-            return LabelingConfig(**s)
+            return _build(cls, self.raw[section], prefix, **given)
         except ValueError as e:
-            raise ConfigError(f"labeling section: {e}") from e
+            raise ConfigError(f"{section} section: {e}") from e
+
+    def sim_config(self) -> SimConfig:
+        return self.build(SimConfig)
+
+    def labeling_config(self) -> LabelingConfig:
+        return self.build(LabelingConfig)
 
     def net_config(self) -> NetConfig:
-        s = self.raw["model"]
-        try:
-            return NetConfig(
-                channels=s["channels"],
-                stage2_channels=s["stage2_channels"],
-                stage3_channels=s["stage3_channels"],
-                film_hidden=s["film_hidden"],
-                head_channels=s["head_channels"],
-                max_points_per_pillar=s["max_points_per_pillar"],
-            )
-        except ValueError as e:
-            raise ConfigError(f"model section: {e}") from e
+        return self.build(NetConfig)
 
     def bev_layout(self) -> BevLayout:
-        s = self.raw["model"]
-        try:
-            return BevLayout(s["bev_size"], s["bev_resolution"])
-        except ValueError as e:
-            raise ConfigError(f"model section: {e}") from e
+        return self.build(BevLayout)
 
     def train_config(self) -> TrainConfig:
-        s = self.raw["train"]
-        try:
-            return TrainConfig(
-                lr=s["lr"],
-                batch_size=s["batch_size"],
-                huber_delta=s["huber_delta"],
-                smooth_lambda=s["smooth_lambda"],
-                epochs=s["epochs"],
-                seed=s["seed"],
-                augment=AugmentConfig(**s["augment"]),
-                film_identity=s["film_identity"],
-            )
-        except ValueError as e:
-            raise ConfigError(f"train section: {e}") from e
+        return self.build(TrainConfig)
 
     def ablation_specs(self):
-        s = self.raw["eval"]
-        specs = []
-        for mode in s["modes"]:
-            try:
-                specs.append(
-                    AblationSpec(
-                        mode,
-                        occlusion_fraction=s["occlusion_fraction"],
-                        drop_fraction=s["drop_fraction"],
-                        noise_sigma_image=s["noise_sigma_image"],
-                        noise_sigma_points=s["noise_sigma_points"],
-                        seed=s["seed"],
-                    )
-                )
-            except ValueError as e:
-                raise ConfigError(f"eval section: {e}") from e
-        return specs
+        return [self.build(AblationSpec, mode=mode) for mode in self.raw["eval"]["modes"]]
 
     # artifact locations under the workdir
     @property
@@ -264,12 +213,10 @@ def validate_config(data: dict, source: str = "<dict>") -> RunConfig:
     layout = cfg.bev_layout()
     cfg.train_config()
     cfg.ablation_specs()
-    ratio = layout.resolution / lab.fine_res
-    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-        raise ConfigError(
-            "model.bev_resolution must be an integer multiple of labeling.fine_res "
-            f"(got {layout.resolution} vs {lab.fine_res})"
-        )
+    try:
+        _cells_per_bev(layout, lab.fine_res)
+    except ValueError as e:
+        raise ConfigError(f"model.bev_resolution: {e}") from e
     return cfg
 
 

@@ -1,4 +1,8 @@
-"""Assemble training samples from simulation runs and label rasters.
+"""The simulate and label stages, and training samples cut from their output.
+
+``simulate_run`` and ``label_runs`` are the only implementation of the first
+two pipeline stages; the in-memory ``synthesize_dataset`` and the CLI both
+call them.
 
 A sample's BEV window is world-axis aligned, centered on the rover pose and
 snapped to the fine label grid, so the label patch is an exact nearest-cell
@@ -14,7 +18,7 @@ import numpy as np
 from .geometry import quat_to_matrix
 from .heightfield import generate_heightfield
 from .labeling import LabelingConfig, build_labels, normalize_labels
-from .simulate import generate_trajectory, render_camera, simulate_lidar, synthesize_imu
+from .simulate import CHASSIS_HEIGHT_M, generate_trajectory, render_camera, simulate_lidar, synthesize_imu
 from .types import DenseCostmap, GridSpec, PointCloud, Pose, Sample
 
 
@@ -30,6 +34,22 @@ class BevLayout:
             raise ValueError("BEV window needs at least 4 cells per side")
         if self.resolution <= 0:
             raise ValueError("resolution must be positive")
+
+
+@dataclass
+class SimConfig:
+    """Drive and sensor settings of a simulated run."""
+
+    chassis_height: float = CHASSIS_HEIGHT_M  # meters above the surface
+    speed: float = 1.0  # m/s
+    dt: float = 0.1  # seconds between poses
+    gravity: float = 9.81  # m/s^2
+    imu_noise_scale: float = 3.0  # IMU noise std per unit of local slope
+    lidar_rays: int = 900
+    lidar_max_range: float = 18.0  # meters
+    camera_h_px: int = 32
+    camera_w_px: int = 48
+    sensor_stride: int = 8  # poses between sensed frames
 
 
 def _cells_per_bev(layout: BevLayout, label_res: float) -> int:
@@ -88,7 +108,7 @@ def localize_cloud(cloud: PointCloud, pose: Pose, window_origin) -> PointCloud:
 
 
 def build_samples(traj, labels: DenseCostmap, clouds: dict, images: dict,
-                  layout: BevLayout, min_valid_cells: int = 1):
+                  layout: BevLayout, min_valid_cells: int = 8):
     """Pair each sensed frame with its label window; skip windows with too few labels."""
     samples = []
     for k in sorted(clouds.keys() & images.keys()):
@@ -117,6 +137,37 @@ def split_samples(samples, holdout_fraction: float, seed: int):
     return train, hold
 
 
+def simulate_run(hf, waypoints, sim: SimConfig, imu_seed: int, lidar_seed):
+    """One drive: trajectory, IMU, and LiDAR plus camera every ``sim.sensor_stride`` poses.
+
+    ``lidar_seed`` maps a pose index to the seed of its LiDAR sweep, so each
+    caller keeps its own seed scheme. Returns ``(traj, imu, clouds, images)``
+    with the frames keyed by pose index, as :func:`io.read_run_dir` does.
+    """
+    traj = generate_trajectory(hf, waypoints, sim.speed, sim.dt, sim.chassis_height)
+    imu = synthesize_imu(
+        traj, hf, gravity=sim.gravity, noise_scale=sim.imu_noise_scale, seed=imu_seed
+    )
+    clouds = {}
+    images = {}
+    for k in range(0, len(traj), sim.sensor_stride):
+        clouds[k] = simulate_lidar(
+            hf, traj[k], sim.lidar_rays, sim.lidar_max_range, seed=lidar_seed(k)
+        )
+        images[k] = render_camera(hf, traj[k], sim.camera_h_px, sim.camera_w_px)
+    return traj, imu, clouds, images
+
+
+def label_runs(drives, labeling: LabelingConfig):
+    """Label each drive and normalize all runs jointly.
+
+    ``drives`` holds ``(traj, imu, ...)`` tuples. Returns the sparse labels
+    of each run and the joint :class:`LabelNormalization` of their rasters.
+    """
+    labeled = [build_labels(d[0], d[1], labeling) for d in drives]
+    return [sparse for sparse, _ in labeled], normalize_labels([dense for _, dense in labeled])
+
+
 def synthesize_dataset(
     seed: int,
     n_runs: int = 4,
@@ -140,6 +191,15 @@ def synthesize_dataset(
     """
     if labeling is None:
         labeling = LabelingConfig(fine_res=0.1)
+    sim = SimConfig(
+        speed=speed,
+        dt=dt,
+        imu_noise_scale=imu_noise_scale,
+        lidar_rays=lidar_rays,
+        camera_h_px=camera_px[0],
+        camera_w_px=camera_px[1],
+        sensor_stride=sensor_stride,
+    )
     hf = generate_heightfield(seed, terrain_size, terrain_size, cell_size, roughness)
     x0, x1, y0, y1 = hf.extent
     margin = 2.5
@@ -147,7 +207,7 @@ def synthesize_dataset(
     lo_y, hi_y = y0 + margin, y1 - margin
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
 
-    runs = []
+    drives = []
     for r in range(n_runs):
         corners = [
             [lo_x + 0.3 * r, lo_y + 0.2 * r],
@@ -157,28 +217,12 @@ def synthesize_dataset(
             corners = [[lo_x + 0.3 * r, hi_y - 0.2 * r], [hi_x - 0.3 * r, lo_y + 0.2 * r]]
         jitter = rng.uniform(-0.5, 0.5, (2, 2))
         waypoints = np.asarray(corners) + jitter
-        traj = generate_trajectory(hf, waypoints, speed, dt)
-        imu = synthesize_imu(hf=hf, traj=traj, noise_scale=imu_noise_scale, seed=seed + 101 * r)
-        runs.append((traj, imu))
-
-    raw_maps = []
-    for traj, imu in runs:
-        _, dense = build_labels(traj, imu, labeling)
-        raw_maps.append(dense)
-    norm = normalize_labels(raw_maps)
+        drives.append(
+            simulate_run(hf, waypoints, sim, seed + 101 * r, lambda k: seed + 7 * r + k)
+        )
+    _, norm = label_runs(drives, labeling)
 
     samples = []
-    for run_idx, (traj, imu) in enumerate(runs):
-        labels = norm.maps[run_idx]
-        frames = range(0, len(traj), sensor_stride)
-        clouds = {}
-        images = {}
-        for k in frames:
-            clouds[k] = simulate_lidar(
-                hf, traj[k], lidar_rays, max_range=18.0, seed=seed + 7 * run_idx + k
-            )
-            images[k] = render_camera(hf, traj[k], camera_px[0], camera_px[1])
-        samples.extend(
-            build_samples(traj, labels, clouds, images, layout, min_valid_cells=8)
-        )
+    for (traj, _, clouds, images), labels in zip(drives, norm.maps):
+        samples.extend(build_samples(traj, labels, clouds, images, layout))
     return samples

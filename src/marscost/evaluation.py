@@ -6,7 +6,7 @@ noise) while the label raster is never touched. One shared set of weights is
 used for every mode.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ class AblationSpec:
     drop_fraction: float = 0.3
     noise_sigma_image: float = 0.02
     noise_sigma_points: float = 0.02  # meters
-    seed: int = 0
+    seed: int = 3
 
     def __post_init__(self):
         if self.mode not in ABLATION_MODES:
@@ -163,13 +163,8 @@ def run_ablation_suite(params: ModelParams, dataset, specs) -> MetricsReport:
         sq_sum = 0.0
         n_cells = 0
         for idx, sample in enumerate(dataset):
-            per_sample = AblationSpec(
-                spec.mode,
-                spec.occlusion_fraction,
-                spec.drop_fraction,
-                spec.noise_sigma_image,
-                spec.noise_sigma_points,
-                seed=np.random.SeedSequence([spec.seed, idx]).generate_state(1)[0],
+            per_sample = replace(
+                spec, seed=np.random.SeedSequence([spec.seed, idx]).generate_state(1)[0]
             )
             ablated = apply_ablation(sample, per_sample)
             pred = predict(params, ablated, spec.mode)

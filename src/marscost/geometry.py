@@ -82,12 +82,6 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v @ r.T
 
 
-def quat_from_axes(x_axis: np.ndarray, y_axis: np.ndarray, z_axis: np.ndarray) -> np.ndarray:
-    """Quaternion for the frame whose body axes are the given world-frame unit vectors."""
-    r = np.column_stack([x_axis, y_axis, z_axis])
-    return matrix_to_quat(r)
-
-
 def quat_rotation_vector(q: np.ndarray) -> np.ndarray:
     """Axis-angle vector (radians) of the shortest rotation encoded by ``q``."""
     q = quat_normalize(q)

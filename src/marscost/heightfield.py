@@ -188,14 +188,18 @@ def surface_heights(hf: Heightfield, x: np.ndarray, y: np.ndarray) -> np.ndarray
     return _node_bilinear(hf, hf.elevations, x, y)
 
 
-def surface_normals(hf: Heightfield, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Unit surface normals from interpolated central-difference node gradients."""
+def _surface_gradient(hf: Heightfield, x, y):
+    """(dz/dx, dz/dy) at world points, interpolated from central-difference node gradients."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _require_inside(hf, x, y)
     gy, gx = np.gradient(hf.elevations, hf.cell_size)
-    dzdx = _node_bilinear(hf, gx, x, y)
-    dzdy = _node_bilinear(hf, gy, x, y)
+    return _node_bilinear(hf, gx, x, y), _node_bilinear(hf, gy, x, y)
+
+
+def surface_normals(hf: Heightfield, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Unit surface normals from interpolated central-difference node gradients."""
+    dzdx, dzdy = _surface_gradient(hf, x, y)
     n = np.stack([-dzdx, -dzdy, np.ones_like(dzdx)], axis=-1)
     return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
@@ -209,13 +213,7 @@ def surface_colors(hf: Heightfield, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def slope_magnitudes(hf: Heightfield, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """|grad h| at world points; used to couple IMU noise to local terrain."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _require_inside(hf, x, y)
-    gy, gx = np.gradient(hf.elevations, hf.cell_size)
-    dzdx = _node_bilinear(hf, gx, x, y)
-    dzdy = _node_bilinear(hf, gy, x, y)
-    return np.hypot(dzdx, dzdy)
+    return np.hypot(*_surface_gradient(hf, x, y))
 
 
 def sample_surface(hf: Heightfield, x: float, y: float):

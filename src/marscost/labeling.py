@@ -200,12 +200,6 @@ class LabelNormalization:
     high: float
     degenerate: bool  # True when all valid cells shared one value
 
-    def apply(self, value):
-        """Map raw costs through the same affine transform."""
-        if self.degenerate:
-            return np.zeros_like(np.asarray(value, dtype=np.float64))
-        return (np.asarray(value, dtype=np.float64) - self.low) / (self.high - self.low)
-
 
 def normalize_labels(maps) -> LabelNormalization:
     """Affine min-max of all valid cells across the dataset onto [0, 1].

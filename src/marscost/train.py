@@ -181,8 +181,8 @@ class TrainConfig:
     batch_size: int = 8
     huber_delta: float = 0.1
     smooth_lambda: float = 0.1
-    epochs: int = 1
-    seed: int = 0
+    epochs: int = 60
+    seed: int = 1
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     film_identity: bool = False  # train without image conditioning
 

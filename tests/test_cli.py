@@ -4,7 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from marscost import cli
 from marscost.cli import main
+from marscost.config import load_config, validate_config
+from marscost.dataset import BevLayout, SimConfig, build_samples, label_runs, simulate_run
+from marscost.evaluation import ABLATION_MODES, AblationSpec
+from marscost.io import COSTMAP_MAXVAL
+from marscost.labeling import LabelingConfig
+from marscost.net import NetConfig
+from marscost.train import TrainConfig
 
 TINY = Path(__file__).resolve().parent.parent / "configs" / "tiny.json"
 
@@ -144,3 +152,45 @@ def test_reports_reproducible(tmp_path):
     first = (workdir / "report" / "ablation.csv").read_bytes()
     assert main(["ablate", "--config", str(cfg)]) == 0
     assert (workdir / "report" / "ablation.csv").read_bytes() == first
+
+
+def test_cli_dataset_matches_in_memory_stages(tmp_path):
+    # the on-disk pipeline differs from the in-memory stages only by storage quantization
+    cfg_path, _ = _tiny_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    assert main(["label", "--config", str(cfg_path)]) == 0
+    cfg = load_config(cfg_path)
+    on_disk = cli._load_samples(cfg)
+
+    hf = cli._terrain_for(cfg)
+    drives = [
+        simulate_run(hf, waypoints, cfg.sim_config(), *cli._run_seeds(cfg.seed, r))
+        for r, waypoints in enumerate(cfg.trajectories())
+    ]
+    _, norm = label_runs(drives, cfg.labeling_config())
+    in_memory = []
+    spans = []
+    for (traj, _, clouds, images), labels in zip(drives, norm.maps):
+        run = build_samples(traj, labels, clouds, images, cfg.bev_layout())
+        in_memory.extend(run)
+        vals = labels.values[labels.valid]
+        spans.extend([vals.max() - vals.min()] * len(run))
+
+    assert len(on_disk) == len(in_memory) > 0
+    for disk, mem, span in zip(on_disk, in_memory, spans):
+        assert np.array_equal(disk.cloud.xyz, mem.cloud.xyz)
+        assert np.array_equal(disk.cloud.rgb, mem.cloud.rgb)
+        assert np.max(np.abs(disk.image.pixels - mem.image.pixels)) <= 0.5 / 255 + 1e-12
+        assert np.array_equal(disk.target.valid, mem.target.valid)
+        err = np.abs(disk.target.values - mem.target.values)[mem.target.valid]
+        assert np.max(err) <= 0.5 * span / COSTMAP_MAXVAL + 1e-12
+
+
+def test_config_defaults_are_dataclass_defaults():
+    cfg = validate_config({"sim": {"trajectories": [[[2.0, 2.0], [7.0, 7.0]]]}})
+    assert cfg.train_config() == TrainConfig()
+    assert cfg.labeling_config() == LabelingConfig()
+    assert cfg.net_config() == NetConfig()
+    assert cfg.bev_layout() == BevLayout()
+    assert cfg.sim_config() == SimConfig()
+    assert cfg.ablation_specs()[0] == AblationSpec(ABLATION_MODES[0])
