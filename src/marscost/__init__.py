@@ -47,7 +47,7 @@ from .types import (
     DenseCostmap,
     GridSpec,
     Image,
-    ImuSample,
+    ImuLog,
     PointCloud,
     Pose,
     Sample,

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .types import DenseCostmap, FormatError, GridSpec, Image, ImuSample, PointCloud, Trajectory
+from .types import (
+    DenseCostmap, FormatError, GridSpec, Image, ImuLog, PointCloud, SparseCostmap, Trajectory,
+)
 
 COSTMAP_MAXVAL = 65535
 
@@ -252,24 +254,84 @@ def read_costmap_csv(path) -> DenseCostmap:
 
 
 # ---------------------------------------------------------------------------
-# Sparse labels
+# Float tables: sparse labels, trajectory, IMU, point cloud
 # ---------------------------------------------------------------------------
 
+SPARSE_HEADER = "x_m,y_m,tc"
+TRAJECTORY_HEADER = "t,x,y,z,qw,qx,qy,qz"
+IMU_HEADER = "t,ax,ay,az,wx,wy,wz"
+CLOUD_HEADER = "x,y,z,r,g,b"
 
-def write_sparse_csv(xy: np.ndarray, tc: np.ndarray, path):
-    lines = ["x_m,y_m,tc"]
-    for k in range(len(tc)):
-        lines.append(f"{_fmt(xy[k, 0])},{_fmt(xy[k, 1])},{_fmt(tc[k])}")
+
+def _write_table(path, header: str, *columns):
+    """One header row, then one row of %.17g floats per entry of the columns."""
+    lines = [header] + [",".join(map(_fmt, row)) for row in np.column_stack(columns).tolist()]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _read_table(path, header: str) -> np.ndarray:
+    """The (n, columns) float array of a table written by :func:`_write_table`."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != header:
+        raise FormatError(f"{path}: missing header {header!r}")
+    width = header.count(",") + 1
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            raise FormatError(f"{path}:{number}: expected {width} values, found {len(cells)}")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as e:
+            raise FormatError(f"{path}:{number}: {e}") from None
+    return np.array(rows, dtype=np.float64).reshape(-1, width)
+
+
+def _build(path, cls, *columns):
+    """``cls(*columns)``, with a rejected value reported as a FormatError naming the file."""
+    try:
+        return cls(*columns)
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from None
+
+
+def write_sparse_csv(xy: np.ndarray, tc: np.ndarray, path):
+    _write_table(path, SPARSE_HEADER, xy, tc)
+
+
 def read_sparse_csv(path):
-    rows = Path(path).read_text().splitlines()
-    if not rows or rows[0] != "x_m,y_m,tc":
-        raise FormatError(f"{path}: missing sparse label header")
-    data = np.array([[float(v) for v in r.split(",")] for r in rows[1:] if r.strip()])
-    data = data.reshape(-1, 3)
-    return data[:, :2], data[:, 2]
+    data = _read_table(path, SPARSE_HEADER)
+    labels = _build(path, SparseCostmap, data[:, :2], data[:, 2])
+    return labels.xy, labels.tc
+
+
+def write_trajectory_csv(traj: Trajectory, path):
+    _write_table(path, TRAJECTORY_HEADER, traj.times, traj.positions, traj.quaternions)
+
+
+def read_trajectory_csv(path) -> Trajectory:
+    data = _read_table(path, TRAJECTORY_HEADER)
+    return _build(path, Trajectory, data[:, 0], data[:, 1:4], data[:, 4:8])
+
+
+def write_imu_csv(imu: ImuLog, path):
+    _write_table(path, IMU_HEADER, imu.times, imu.accel, imu.gyro)
+
+
+def read_imu_csv(path) -> ImuLog:
+    data = _read_table(path, IMU_HEADER)
+    return _build(path, ImuLog, data[:, 0], data[:, 1:4], data[:, 4:7])
+
+
+def write_cloud_csv(cloud: PointCloud, path):
+    _write_table(path, CLOUD_HEADER, cloud.xyz, cloud.rgb)
+
+
+def read_cloud_csv(path) -> PointCloud:
+    data = _read_table(path, CLOUD_HEADER)
+    return _build(path, PointCloud, data[:, :3], data[:, 3:6])
 
 
 # ---------------------------------------------------------------------------
@@ -277,59 +339,7 @@ def read_sparse_csv(path):
 # ---------------------------------------------------------------------------
 
 
-def write_trajectory_csv(traj: Trajectory, path):
-    lines = ["t,x,y,z,qw,qx,qy,qz"]
-    for p in traj:
-        vals = [p.t, *p.position, *p.orientation]
-        lines.append(",".join(_fmt(v) for v in vals))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_trajectory_csv(path) -> Trajectory:
-    rows = Path(path).read_text().splitlines()
-    if not rows or rows[0] != "t,x,y,z,qw,qx,qy,qz":
-        raise FormatError(f"{path}: missing trajectory header")
-    data = np.array([[float(v) for v in r.split(",")] for r in rows[1:] if r.strip()])
-    return Trajectory.from_arrays(data[:, 0], data[:, 1:4], data[:, 4:8])
-
-
-def write_imu_csv(samples, path):
-    lines = ["t,ax,ay,az,wx,wy,wz"]
-    for s in samples:
-        lines.append(",".join(_fmt(v) for v in [s.t, *s.accel, *s.gyro]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_imu_csv(path):
-    rows = Path(path).read_text().splitlines()
-    if not rows or rows[0] != "t,ax,ay,az,wx,wy,wz":
-        raise FormatError(f"{path}: missing IMU header")
-    out = []
-    for r in rows[1:]:
-        if not r.strip():
-            continue
-        v = [float(x) for x in r.split(",")]
-        out.append(ImuSample(v[0], v[1:4], v[4:7]))
-    return out
-
-
-def write_cloud_csv(cloud: PointCloud, path):
-    lines = ["x,y,z,r,g,b"]
-    for k in range(len(cloud)):
-        lines.append(",".join(_fmt(v) for v in [*cloud.xyz[k], *cloud.rgb[k]]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_cloud_csv(path) -> PointCloud:
-    rows = Path(path).read_text().splitlines()
-    if not rows or rows[0] != "x,y,z,r,g,b":
-        raise FormatError(f"{path}: missing cloud header")
-    data = np.array([[float(v) for v in r.split(",")] for r in rows[1:] if r.strip()])
-    data = data.reshape(-1, 6)
-    return PointCloud(data[:, :3], data[:, 3:6])
-
-
-def write_run_dir(run_dir, traj: Trajectory, imu, clouds: dict, images: dict):
+def write_run_dir(run_dir, traj: Trajectory, imu: ImuLog, clouds: dict, images: dict):
     """Write one simulation run: trajectory, IMU stream and per-frame sensing.
 
     ``clouds`` and ``images`` map frame index k (a pose index) to the data

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import DenseCostmap, GridSpec, SparseCostmap, Trajectory
+from .types import DenseCostmap, GridSpec, ImuLog, SparseCostmap, Trajectory
 
 WEIGHT_FLOOR = 1e-12  # kernel mass below which an interpolated cell stays invalid
 
@@ -58,21 +58,17 @@ class CellSamples:
         return self.positions.shape[0]
 
 
-def bin_trajectory(traj: Trajectory, imu, grid: GridSpec):
+def bin_trajectory(traj: Trajectory, imu: ImuLog, grid: GridSpec):
     """Assign pose/IMU pairs to the grid cells containing their (x, y).
 
     IMU samples are associated to poses by nearest timestamp (max skew half
     the median pose spacing). Returns one :class:`CellSamples` per visited
     cell; untouched cells are absent.
     """
-    imu = list(imu)
-    if not imu:
-        raise ValueError("no IMU samples")
     pos = traj.positions
     t_pose = traj.times
-    t_imu = np.array([s.t for s in imu])
-    order = np.argsort(t_imu, kind="stable")
-    t_sorted = t_imu[order]
+    order = np.argsort(imu.times, kind="stable")
+    t_sorted = imu.times[order]
 
     max_skew = float(np.median(np.diff(t_pose))) / 2.0
     k = np.searchsorted(t_sorted, t_pose)
@@ -85,7 +81,8 @@ def bin_trajectory(traj: Trajectory, imu, grid: GridSpec):
         raise ValueError(
             f"pose {bad}: nearest IMU sample is {skew[bad]:.6g}s away (max skew {max_skew:.6g}s)"
         )
-    matched = [imu[order[p]] for p in pick]
+    accel = imu.accel[order[pick]]
+    gyro = imu.gyro[order[pick]]
 
     rows_i, cols_j = grid.cell_of(pos[:, 0], pos[:, 1])
     ok = (rows_i >= 0) & (rows_i < grid.rows) & (cols_j >= 0) & (cols_j < grid.cols)
@@ -96,17 +93,7 @@ def bin_trajectory(traj: Trajectory, imu, grid: GridSpec):
     groups = {}
     for n in range(len(traj)):
         groups.setdefault((int(rows_i[n]), int(cols_j[n])), []).append(n)
-    out = []
-    for key, idx in groups.items():
-        out.append(
-            CellSamples(
-                key,
-                pos[idx],
-                np.stack([matched[n].accel for n in idx]),
-                np.stack([matched[n].gyro for n in idx]),
-            )
-        )
-    return out
+    return [CellSamples(key, pos[idx], accel[idx], gyro[idx]) for key, idx in groups.items()]
 
 
 def cell_cost(samples: CellSamples, cfg: LabelingConfig) -> float:
@@ -249,7 +236,7 @@ def label_grids_for(traj: Trajectory, cfg: LabelingConfig):
     return coarse, fine
 
 
-def build_labels(traj: Trajectory, imu, cfg: LabelingConfig):
+def build_labels(traj: Trajectory, imu: ImuLog, cfg: LabelingConfig):
     """Full labeling pass: bin, score, densify.
 
     Returns ``(sparse, dense)`` where the sparse map holds one entry per

@@ -17,7 +17,7 @@ from .heightfield import (
     surface_heights,
     surface_normals,
 )
-from .types import Image, ImuSample, PointCloud, Pose, Trajectory
+from .types import Image, ImuLog, PointCloud, Pose, Trajectory
 
 CHASSIS_HEIGHT_M = 0.35  # chassis origin above the surface; free design constant
 
@@ -88,7 +88,7 @@ def generate_trajectory(
 
     t = np.arange(n) * dt
     positions = np.column_stack([xy, z])
-    return Trajectory.from_arrays(t, positions, quats)
+    return Trajectory(t, positions, quats)
 
 
 def synthesize_imu(
@@ -97,7 +97,7 @@ def synthesize_imu(
     gravity: float = 9.81,
     noise_scale: float = 0.0,
     seed: int = 0,
-):
+) -> ImuLog:
     """Derive one IMU sample per pose from the trajectory kinematics.
 
     Specific force is the second difference of position plus gravity, rotated
@@ -135,12 +135,10 @@ def synthesize_imu(
     sigma = noise_scale * slope_magnitudes(hf, pos[:, 0], pos[:, 1])
     noise = rng.standard_normal((n, 3)) * sigma[:, None]
 
-    samples = []
+    accel_b = np.empty((n, 3))
     for k in range(n):
-        r = quat_to_matrix(quats[k])
-        accel_b = r.T @ specific_w[k] + noise[k]
-        samples.append(ImuSample(float(t[k]), accel_b, gyro_b[k]))
-    return samples
+        accel_b[k] = quat_to_matrix(quats[k]).T @ specific_w[k] + noise[k]
+    return ImuLog(t, accel_b, gyro_b)
 
 
 def march_rays(

@@ -23,6 +23,15 @@ def _as_float_array(a, shape=None, name="array") -> np.ndarray:
     return out
 
 
+def _frozen(a, shape, name) -> np.ndarray:
+    """Read-only float64 copy of ``a``, which must be finite."""
+    out = _as_float_array(a, shape, name).copy()
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{name} must be finite")
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class Pose:
     """Time-stamped rigid transform: world position and world-from-body quaternion."""
@@ -46,62 +55,45 @@ class Pose:
 
 
 class Trajectory:
-    """Ordered pose sequence with strictly increasing timestamps."""
+    """Drive record: pose times (n,), positions (n, 3) and world-from-body quaternions (n, 4).
 
-    def __init__(self, poses):
-        poses = list(poses)
-        if len(poses) < 2:
+    Validated once on construction (n >= 2, finite values, strictly
+    increasing times, unit quaternions within 1e-9); the stored arrays are
+    read-only. ``traj[k]`` is the :class:`Pose` at index ``k``.
+    """
+
+    def __init__(self, times, positions, quaternions):
+        self.times = _frozen(times, (np.size(times),), "times")
+        n = self.times.shape[0]
+        self.positions = _frozen(positions, (n, 3), "positions")
+        self.quaternions = _frozen(quaternions, (n, 4), "quaternions")
+        if n < 2:
             raise ValueError("trajectory needs at least 2 poses")
-        t = np.array([p.t for p in poses])
-        if not np.all(np.diff(t) > 0):
+        if not np.all(np.diff(self.times) > 0):
             raise ValueError("trajectory timestamps must be strictly increasing")
-        self.poses = poses
+        if np.any(np.abs(np.linalg.norm(self.quaternions, axis=1) - 1.0) > 1e-9):
+            raise ValueError("orientation quaternions must have unit norm within 1e-9")
 
     def __len__(self):
-        return len(self.poses)
+        return self.times.shape[0]
 
-    def __iter__(self):
-        return iter(self.poses)
-
-    def __getitem__(self, k):
-        return self.poses[k]
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([p.t for p in self.poses])
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.stack([p.position for p in self.poses])
-
-    @property
-    def quaternions(self) -> np.ndarray:
-        return np.stack([p.orientation for p in self.poses])
-
-    @classmethod
-    def from_arrays(cls, t: np.ndarray, positions: np.ndarray, quaternions: np.ndarray):
-        return cls(
-            Pose(float(tk), positions[k], quaternions[k]) for k, tk in enumerate(np.asarray(t))
-        )
+    def __getitem__(self, k) -> Pose:
+        return Pose(float(self.times[k]), self.positions[k], self.quaternions[k])
 
 
-@dataclass(frozen=True)
-class ImuSample:
-    """One inertial reading: specific force (gravity included) and angular rate, ego frame."""
+class ImuLog:
+    """Ego-frame inertial stream: times (n,), specific force (gravity included), angular rate."""
 
-    t: float
-    accel: np.ndarray  # (3,) m/s^2
-    gyro: np.ndarray  # (3,) rad/s
+    def __init__(self, times, accel, gyro):
+        self.times = _frozen(times, (np.size(times),), "times")
+        n = self.times.shape[0]
+        self.accel = _frozen(accel, (n, 3), "accel")  # m/s^2
+        self.gyro = _frozen(gyro, (n, 3), "gyro")  # rad/s
+        if n < 1:
+            raise ValueError("IMU log needs at least 1 reading")
 
-    def __post_init__(self):
-        object.__setattr__(self, "accel", _as_float_array(self.accel, (3,), "accel"))
-        object.__setattr__(self, "gyro", _as_float_array(self.gyro, (3,), "gyro"))
-        if not (
-            np.isfinite(self.t)
-            and np.all(np.isfinite(self.accel))
-            and np.all(np.isfinite(self.gyro))
-        ):
-            raise ValueError("IMU sample components must be finite")
+    def __len__(self):
+        return self.times.shape[0]
 
 
 @dataclass

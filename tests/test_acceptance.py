@@ -139,10 +139,10 @@ def test_criterion_3_labeling_oracle(rough_field):
         rng = np.random.default_rng(0)
         # independently re-bin: scalar floor arithmetic over the raw streams
         by_cell = {}
-        for pose, s in zip(traj, imu):
-            i = math.floor((pose.position[1] - coarse.origin[1]) / coarse.resolution)
-            j = math.floor((pose.position[0] - coarse.origin[0]) / coarse.resolution)
-            by_cell.setdefault((i, j), []).append((list(pose.position), list(s.accel), list(s.gyro)))
+        for p, a, g in zip(traj.positions, imu.accel, imu.gyro):
+            i = math.floor((p[1] - coarse.origin[1]) / coarse.resolution)
+            j = math.floor((p[0] - coarse.origin[0]) / coarse.resolution)
+            by_cell.setdefault((i, j), []).append((list(p), list(a), list(g)))
         for idx in rng.choice(len(cells), size=10, replace=False):
             cell = cells[idx]
             raw = by_cell[cell.index]
@@ -311,9 +311,9 @@ def test_criterion_7_invariances(flat_field):
         traj_a = generate_trajectory(flat_field, [(1.0, 1.0), (5.0, 1.0)], speed=1.0, dt=0.1)
         traj_b = generate_trajectory(flat_field, [(1.0, 1.0), (5.0, 1.0)], speed=0.5, dt=0.2)
         imu_a = synthesize_imu(traj_a, flat_field, seed=0)
-        from marscost.types import ImuSample
+        from marscost.types import ImuLog
 
-        imu_b = [ImuSample(tb, sa.accel, sa.gyro) for tb, sa in zip(traj_b.times, imu_a)]
+        imu_b = ImuLog(traj_b.times, imu_a.accel, imu_a.gyro)
         label_grid = GridSpec((0.0, 0.0), 0.2, 12, 32)
         costs_a = {c.index: cell_cost(c, cfg) for c in bin_trajectory(traj_a, imu_a, label_grid)}
         costs_b = {c.index: cell_cost(c, cfg) for c in bin_trajectory(traj_b, imu_b, label_grid)}

@@ -118,6 +118,15 @@ def test_label_without_runs_exits_2(tmp_path):
     assert main(["label", "--config", str(cfg)]) == 2
 
 
+def test_label_header_only_trajectory_exits_2(tmp_path, capsys):
+    cfg, workdir = _tiny_config(tmp_path)
+    run0 = workdir / "data" / "run_000"
+    run0.mkdir(parents=True)
+    (run0 / "trajectory.csv").write_text("t,x,y,z,qw,qx,qy,qz\n")
+    assert main(["label", "--config", str(cfg)]) == 2
+    assert "trajectory.csv" in capsys.readouterr().err
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
     assert "not found" in capsys.readouterr().err

@@ -114,6 +114,38 @@ def test_sparse_csv_round_trip(tmp_path):
     assert np.array_equal(btc, tc)
 
 
+# reader, header and one valid row of each float table
+FLOAT_TABLES = {
+    "sparse": (mio.read_sparse_csv, "x_m,y_m,tc", "0.5,1.5,2"),
+    "trajectory": (mio.read_trajectory_csv, "t,x,y,z,qw,qx,qy,qz", "0,1,2,3,1,0,0,0"),
+    "imu": (mio.read_imu_csv, "t,ax,ay,az,wx,wy,wz", "0,0,0,9.81,0,0,0"),
+    "cloud": (mio.read_cloud_csv, "x,y,z,r,g,b", "1,2,3,0.5,0.5,0.5"),
+}
+
+
+@pytest.mark.parametrize("table", sorted(FLOAT_TABLES))
+def test_float_table_errors_name_the_file(tmp_path, table):
+    read, header, row = FLOAT_TABLES[table]
+    path = tmp_path / f"{table}.csv"
+    rest = row.split(",", 1)[1]
+    for bad_row, where in [
+        (row + ",7", ":2"),  # ragged: one value too many
+        (row.rsplit(",", 1)[0], ":2"),  # ragged: one value short
+        ("abc," + rest, ":2"),  # non-numeric cell
+        ("nan," + rest, ""),  # rejected by the record's own validation
+    ]:
+        path.write_text(f"{header}\n{bad_row}\n")
+        with pytest.raises(FormatError, match=rf"{table}\.csv{where}"):
+            read(path)
+    path.write_text(header + "\n")
+    if table in ("trajectory", "imu"):
+        with pytest.raises(FormatError, match=rf"{table}\.csv"):
+            read(path)
+    else:  # no labels, or a LiDAR sweep with no hits
+        out = read(path)
+        assert len(out[1] if table == "sparse" else out) == 0
+
+
 def test_run_dir_round_trip(tmp_path, flat_field):
     from marscost.simulate import generate_trajectory, render_camera, simulate_lidar, synthesize_imu
 
@@ -127,7 +159,7 @@ def test_run_dir_round_trip(tmp_path, flat_field):
     assert np.array_equal(t2.quaternions, traj.quaternions)
     assert np.array_equal(t2.times, traj.times)
     assert len(imu2) == len(imu)
-    assert all(np.array_equal(a.accel, b.accel) for a, b in zip(imu, imu2))
+    assert np.array_equal(imu2.accel, imu.accel)
     assert np.array_equal(c2[0].xyz, clouds[0].xyz)
     assert i2[0].pixels.shape == images[0].pixels.shape
 

@@ -14,7 +14,7 @@ from marscost.labeling import (
     sparse_kernel,
 )
 from marscost.simulate import generate_trajectory, synthesize_imu
-from marscost.types import DenseCostmap, GridSpec, ImuSample, SparseCostmap, Trajectory
+from marscost.types import DenseCostmap, GridSpec, ImuLog, SparseCostmap, Trajectory
 
 CFG = LabelingConfig()
 
@@ -23,8 +23,8 @@ def _straight_traj_imu(n=21, spacing=0.1, accel=(0.0, 0.0, 9.81), gyro=(0.0, 0.0
     t = np.arange(n) * 0.1
     pos = np.column_stack([0.05 + np.arange(n) * spacing, np.full(n, 0.05), np.zeros(n)])
     quat = np.tile([1.0, 0, 0, 0], (n, 1))
-    traj = Trajectory.from_arrays(t, pos, quat)
-    imu = [ImuSample(float(tk), accel, gyro) for tk in t]
+    traj = Trajectory(t, pos, quat)
+    imu = ImuLog(t, np.tile(accel, (n, 1)), np.tile(gyro, (n, 1)))
     return traj, imu
 
 
@@ -45,8 +45,8 @@ def test_bin_floor_arithmetic():
     t = np.array([0.0, 0.1])
     pos = np.array([[0.3, 0.5, 0.0], [0.31, 0.5, 0.0]])
     quat = np.tile([1.0, 0, 0, 0], (2, 1))
-    traj = Trajectory.from_arrays(t, pos, quat)
-    imu = [ImuSample(0.0, (0, 0, 1), (0, 0, 0)), ImuSample(0.1, (0, 0, 1), (0, 0, 0))]
+    traj = Trajectory(t, pos, quat)
+    imu = ImuLog([0.0, 0.1], [(0, 0, 1), (0, 0, 1)], [(0, 0, 0), (0, 0, 0)])
     cells = bin_trajectory(traj, imu, GridSpec((0.0, 0.0), 0.2, 8, 8))
     assert len(cells) == 1
     assert cells[0].index == (2, 1)  # row = floor(y / res), col = floor(x / res)
@@ -62,7 +62,7 @@ def test_bin_pose_outside_grid_names_index():
 def test_bin_rejects_misaligned_imu():
     traj, _ = _straight_traj_imu(n=10)
     # IMU clock offset far beyond half the pose spacing
-    imu = [ImuSample(t + 0.4, (0, 0, 1), (0, 0, 0)) for t in traj.times]
+    imu = ImuLog(traj.times + 0.4, np.tile((0, 0, 1), (len(traj), 1)), np.zeros((len(traj), 3)))
     with pytest.raises(ValueError, match="IMU"):
         bin_trajectory(traj, imu, GridSpec((0.0, 0.0), 0.2, 8, 8))
 
@@ -167,10 +167,7 @@ def test_cell_cost_time_reparameterization_invariance(flat_field):
     traj_b = generate_trajectory(flat_field, [(1.0, 1.0), (5.0, 1.0)], speed=0.5, dt=0.2)
     assert np.allclose(traj_a.positions, traj_b.positions, atol=1e-12)
     imu_a = synthesize_imu(traj_a, flat_field, seed=0)
-    imu_b = [
-        ImuSample(sb.t, sa.accel, sa.gyro)
-        for sa, sb in zip(imu_a, synthesize_imu(traj_b, flat_field, seed=0))
-    ]
+    imu_b = ImuLog(synthesize_imu(traj_b, flat_field, seed=0).times, imu_a.accel, imu_a.gyro)
     grid = GridSpec((0.0, 0.0), 0.2, 12, 32)
     cells_a = bin_trajectory(traj_a, imu_a, grid)
     cells_b = bin_trajectory(traj_b, imu_b, grid)

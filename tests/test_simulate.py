@@ -55,17 +55,16 @@ def test_imu_flat_straight_run(flat_field):
     traj = generate_trajectory(flat_field, [(1.0, 2.0), (6.0, 2.0)], speed=1.0, dt=0.1)
     imu = synthesize_imu(traj, flat_field, gravity=9.81, noise_scale=0.0, seed=0)
     assert len(imu) == len(traj)
-    for s in imu[1:-1]:
-        assert np.allclose(s.accel, [0.0, 0.0, 9.81], atol=1e-9)
-        assert np.allclose(s.gyro, 0.0, atol=1e-9)
+    assert np.allclose(imu.accel[1:-1], [0.0, 0.0, 9.81], atol=1e-9)
+    assert np.allclose(imu.gyro[1:-1], 0.0, atol=1e-9)
 
 
 def test_imu_deterministic(rough_field):
     traj = generate_trajectory(rough_field, [(1.5, 1.5), (8.0, 7.0)], speed=1.0, dt=0.1)
     a = synthesize_imu(traj, rough_field, noise_scale=2.0, seed=5)
     b = synthesize_imu(traj, rough_field, noise_scale=2.0, seed=5)
-    assert all(np.array_equal(x.accel, y.accel) for x, y in zip(a, b))
-    assert all(np.array_equal(x.gyro, y.gyro) for x, y in zip(a, b))
+    assert np.array_equal(a.accel, b.accel)
+    assert np.array_equal(a.gyro, b.gyro)
 
 
 def test_imu_rough_segment_has_larger_accel_variance():
@@ -78,7 +77,7 @@ def test_imu_rough_segment_has_larger_accel_variance():
     hf = Heightfield(z, 0.2)
     traj = generate_trajectory(hf, [(1.0, 6.0), (22.0, 6.0)], speed=1.0, dt=0.1)
     imu = synthesize_imu(traj, hf, noise_scale=2.0, seed=3)
-    accel = np.stack([s.accel for s in imu])
+    accel = imu.accel
     xs = traj.positions[:, 0]
     flat_var = np.var(accel[xs < 10.0], axis=0).sum()
     rough_var = np.var(accel[xs > 14.0], axis=0).sum()
