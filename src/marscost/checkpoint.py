@@ -10,6 +10,7 @@ Layout (all integers little-endian):
 Tensor data round-trips bit-exactly.
 """
 
+import math
 import struct
 from pathlib import Path
 
@@ -42,27 +43,37 @@ def save_checkpoint(params: ModelParams, path):
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Read a checkpoint; any damage raises a FormatError naming the file (and tensor)."""
     data = Path(path).read_bytes()
     if data[: len(MAGIC)] != MAGIC:
         raise FormatError(f"{path}: not a model checkpoint (bad magic)")
     off = len(MAGIC)
-    (count,) = struct.unpack_from("<I", data, off)
-    off += 4
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal off
+        if off + size > len(data):
+            raise FormatError(f"{path}: truncated in {what}")
+        off += size
+        return data[off - size : off]
+
+    (count,) = struct.unpack("<I", take(4, "the tensor count"))
     tensors = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off : off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<B", data, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", data, off) if ndim else ()
-        off += 4 * ndim
-        n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(data[off : off + 8 * n], dtype="<f8").reshape(shape).copy()
-        if arr.size != n:
-            raise FormatError(f"{path}: truncated tensor {name!r}")
-        off += 8 * n
-        tensors[name] = arr
-    max_points = int(np.asarray(tensors.pop(_MAX_POINTS_KEY, 32.0)).reshape(-1)[0])
-    return ModelParams.from_named(tensors, max_points_per_pillar=max_points)
+        (name_len,) = struct.unpack("<H", take(2, "a tensor name"))
+        # a name that is not UTF-8 keeps its bytes escaped and fails as an unknown tensor
+        name = take(name_len, "a tensor name").decode("utf-8", "backslashreplace")
+        if name in tensors:
+            raise FormatError(f"{path}: repeated tensor {name!r}")
+        (ndim,) = struct.unpack("<B", take(1, f"tensor {name!r}"))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"tensor {name!r}"))
+        raw = take(8 * math.prod(shape), f"tensor {name!r}")
+        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    if off != len(data):
+        raise FormatError(f"{path}: {len(data) - off} byte(s) after the last tensor")
+    max_points = tensors.pop(_MAX_POINTS_KEY, np.array([32.0])).reshape(-1)
+    if max_points.size != 1 or not float(max_points[0]).is_integer():
+        raise FormatError(f"{path}: tensor {_MAX_POINTS_KEY!r} is not one whole number")
+    try:
+        return ModelParams.from_named(tensors, max_points_per_pillar=int(max_points[0]))
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from None

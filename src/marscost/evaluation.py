@@ -108,14 +108,10 @@ def apply_ablation(sample: Sample, spec: AblationSpec) -> Sample:
 
 
 def predict(params: ModelParams, sample: Sample, mode: str = "baseline") -> DenseCostmap:
-    """Run the model on a (possibly ablated) sample with the mode's forward variant."""
-    return forward(
-        params,
-        sample.cloud,
-        sample.image,
-        sample.target.grid,
-        film_identity=(mode == "no_image_encoder"),
-    )
+    """Run the model on a (possibly ablated) sample; ``no_image_encoder`` uses identity FiLM."""
+    if mode == "no_image_encoder":
+        params = params.without_image()
+    return forward(params, sample.cloud, sample.image, sample.target.grid)
 
 
 @dataclass

@@ -17,6 +17,7 @@ from .types import (
 )
 
 COSTMAP_MAXVAL = 65535
+COSTMAP_HEADER = "i,j,value,valid"
 
 
 def atomic_write_bytes(path, data: bytes):
@@ -223,7 +224,7 @@ def write_costmap_csv(cmap: DenseCostmap, path):
     lines = [
         f"# grid origin_x={_fmt(g.origin[0])} origin_y={_fmt(g.origin[1])} "
         f"resolution={_fmt(g.resolution)} rows={g.rows} cols={g.cols}",
-        "i,j,value,valid",
+        COSTMAP_HEADER,
     ]
     for i in range(g.rows):
         for j in range(g.cols):
@@ -232,25 +233,35 @@ def write_costmap_csv(cmap: DenseCostmap, path):
 
 
 def read_costmap_csv(path) -> DenseCostmap:
-    text = Path(path).read_text().splitlines()
-    if not text or not text[0].startswith("# grid "):
+    lines = Path(path).read_text().splitlines()
+    if not lines or not lines[0].startswith("# grid "):
         raise FormatError(f"{path}: missing grid header")
-    fields = dict(kv.split("=") for kv in text[0][7:].split())
-    grid = GridSpec(
-        (float(fields["origin_x"]), float(fields["origin_y"])),
-        float(fields["resolution"]),
-        int(fields["rows"]),
-        int(fields["cols"]),
-    )
+    try:
+        keys = dict(kv.split("=") for kv in lines[0][7:].split())
+        grid = GridSpec(
+            (float(keys["origin_x"]), float(keys["origin_y"])),
+            float(keys["resolution"]),
+            int(keys["rows"]),
+            int(keys["cols"]),
+        )
+    except KeyError as e:
+        raise FormatError(f"{path}:1: missing grid key {e}") from None
+    except ValueError as e:
+        raise FormatError(f"{path}:1: {e}") from None
+    numbers, rows = _table_rows(path, lines, 1, COSTMAP_HEADER)
+    i, j, value, flag = rows.T
+    whole = (i % 1 == 0) & (j % 1 == 0)
+    in_grid = whole & (i >= 0) & (i < grid.rows) & (j >= 0) & (j < grid.cols)
+    for bad, what in ((~in_grid, f"not a cell of the {grid.rows}x{grid.cols} grid"),
+                      ((flag != 0.0) & (flag != 1.0), "valid must be 0 or 1")):
+        if bad.any():
+            raise FormatError(f"{path}:{numbers[int(np.argmax(bad))]}: {what}")
     values = np.zeros((grid.rows, grid.cols))
     valid = np.zeros((grid.rows, grid.cols), dtype=bool)
-    for line in text[2:]:
-        if not line.strip():
-            continue
-        i_s, j_s, v_s, ok_s = line.split(",")
-        values[int(i_s), int(j_s)] = float(v_s)
-        valid[int(i_s), int(j_s)] = bool(int(ok_s))
-    return DenseCostmap(grid, values, valid)
+    cells = (i.astype(np.int64), j.astype(np.int64))
+    values[cells] = value
+    valid[cells] = flag == 1.0
+    return _build(path, DenseCostmap, grid, values, valid)
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +280,14 @@ def _write_table(path, header: str, *columns):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _read_table(path, header: str) -> np.ndarray:
-    """The (n, columns) float array of a table written by :func:`_write_table`."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != header:
+def _table_rows(path, lines: list, at: int, header: str):
+    """Line numbers and (n, columns) float array of the rows below the header ``lines[at]``."""
+    if len(lines) <= at or lines[at] != header:
         raise FormatError(f"{path}: missing header {header!r}")
     width = header.count(",") + 1
+    numbers = []
     rows = []
-    for number, line in enumerate(lines[1:], start=2):
+    for number, line in enumerate(lines[at + 1 :], start=at + 2):
         if not line.strip():
             continue
         cells = line.split(",")
@@ -286,7 +297,13 @@ def _read_table(path, header: str) -> np.ndarray:
             rows.append([float(c) for c in cells])
         except ValueError as e:
             raise FormatError(f"{path}:{number}: {e}") from None
-    return np.array(rows, dtype=np.float64).reshape(-1, width)
+        numbers.append(number)
+    return numbers, np.array(rows, dtype=np.float64).reshape(-1, width)
+
+
+def _read_table(path, header: str) -> np.ndarray:
+    """The (n, columns) float array of a table written by :func:`_write_table`."""
+    return _table_rows(path, Path(path).read_text().splitlines(), 0, header)[1]
 
 
 def _build(path, cls, *columns):

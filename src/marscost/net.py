@@ -50,28 +50,6 @@ class NetConfig:
                 raise ValueError(f"{f.name} must be positive")
 
 
-_TENSOR_FIELDS = (
-    "pillar_w",
-    "pillar_b",
-    "conv1_w",
-    "conv1_b",
-    "conv2_w",
-    "conv2_b",
-    "film3_w1",
-    "film3_b1",
-    "film3_w2",
-    "film3_b2",
-    "film4_w1",
-    "film4_b1",
-    "film4_w2",
-    "film4_b2",
-    "head_w1",
-    "head_b1",
-    "head_w2",
-    "head_b2",
-)
-
-
 @dataclass
 class ModelParams:
     """Every trainable tensor of the regressor."""
@@ -104,12 +82,13 @@ class ModelParams:
         return sum(t.size for _, t in self.named_tensors())
 
     def config(self) -> NetConfig:
+        """The widths, read from bias lengths (which any tensor shape allows)."""
         return NetConfig(
-            channels=self.pillar_w.shape[1],
-            stage2_channels=self.conv1_w.shape[3],
-            stage3_channels=self.conv2_w.shape[3],
-            film_hidden=self.film3_w1.shape[1],
-            head_channels=self.head_w1.shape[3],
+            channels=self.pillar_b.size,
+            stage2_channels=self.conv1_b.size,
+            stage3_channels=self.conv2_b.size,
+            film_hidden=self.film3_b1.size,
+            head_channels=self.head_b1.size,
             max_points_per_pillar=self.max_points_per_pillar,
         )
 
@@ -119,6 +98,13 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return replace(self, **{n: t.copy() for n, t in self.named_tensors()})
 
+    def without_image(self) -> "ModelParams":
+        """The same weights with identity FiLM (gamma = 1, beta = 0): the image is ignored."""
+        film = {n: np.zeros_like(t) for n, t in self.named_tensors() if n.startswith("film")}
+        for b2 in (film["film3_b2"], film["film4_b2"]):
+            b2[: b2.size // 2] = 1.0
+        return self.with_tensors(film)
+
     def film3(self) -> FilmParams:
         return FilmParams(self.film3_w1, self.film3_b1, self.film3_w2, self.film3_b2)
 
@@ -127,11 +113,47 @@ class ModelParams:
 
     @classmethod
     def from_named(cls, tensors: dict, max_points_per_pillar: int = 32) -> "ModelParams":
-        missing = [n for n in _TENSOR_FIELDS if n not in tensors]
-        if missing:
-            raise ValueError(f"missing model tensors: {missing}")
-        return cls(**{n: np.asarray(tensors[n], dtype=np.float64) for n in _TENSOR_FIELDS},
-                   max_points_per_pillar=max_points_per_pillar)
+        """Params from ``name -> array``; every shape must be the one ``init_params`` gives."""
+        missing = sorted(set(_TENSOR_FIELDS) - set(tensors))
+        unknown = sorted(set(tensors) - set(_TENSOR_FIELDS))
+        if missing or unknown:
+            raise ValueError(f"model tensors missing: {missing}, unknown: {unknown}")
+        params = cls(**{n: np.asarray(tensors[n], dtype=np.float64) for n in _TENSOR_FIELDS},
+                     max_points_per_pillar=max_points_per_pillar)
+        layout = _layout(params.config())  # the widths the tensors imply
+        for name, tensor in params.named_tensors():
+            if tensor.shape != layout[name][1]:
+                raise ValueError(f"tensor {name!r} has shape {tensor.shape}, not {layout[name][1]}")
+        return params
+
+
+_TENSOR_FIELDS = tuple(f.name for f in fields(ModelParams) if f.type is np.ndarray)
+
+
+def _layout(cfg: NetConfig) -> dict:
+    """``name -> (fan_in, shape)`` of every tensor, in field order; ``from_named`` checks it."""
+    c, c2, c3 = cfg.channels, cfg.stage2_channels, cfg.stage3_channels
+    hid, ch = cfg.film_hidden, cfg.head_channels
+    return {
+        "pillar_w": (POINT_FEATURE_DIM, (POINT_FEATURE_DIM, c)),
+        "pillar_b": (POINT_FEATURE_DIM, (c,)),
+        "conv1_w": (9 * c, (3, 3, c, c2)),
+        "conv1_b": (9 * c, (c2,)),
+        "conv2_w": (9 * c2, (3, 3, c2, c3)),
+        "conv2_b": (9 * c2, (c3,)),
+        "film3_w1": (EMBED_DIM, (EMBED_DIM, hid)),
+        "film3_b1": (EMBED_DIM, (hid,)),
+        "film3_w2": (hid, (hid, 2 * c2)),
+        "film3_b2": (hid, (2 * c2,)),
+        "film4_w1": (EMBED_DIM, (EMBED_DIM, hid)),
+        "film4_b1": (EMBED_DIM, (hid,)),
+        "film4_w2": (hid, (hid, 2 * c3)),
+        "film4_b2": (hid, (2 * c3,)),
+        "head_w1": (9 * (c2 + c3), (3, 3, c2 + c3, ch)),
+        "head_b1": (9 * (c2 + c3), (ch,)),
+        "head_w2": (ch, (1, 1, ch, 1)),
+        "head_b2": (ch, (1,)),
+    }
 
 
 def _uniform(rng, fan_in: int, shape) -> np.ndarray:
@@ -147,47 +169,17 @@ def init_params(cfg: NetConfig, seed: int) -> ModelParams:
     FiLM gamma bias is offset by +1 so modulation starts near identity.
     """
     rng = np.random.default_rng(seed)
-    c, c2, c3 = cfg.channels, cfg.stage2_channels, cfg.stage3_channels
-    hid, ch = cfg.film_hidden, cfg.head_channels
-    film3_b2 = _uniform(rng, hid, 2 * c2)
-    film3_b2[:c2] += 1.0
-    film4_b2 = _uniform(rng, hid, 2 * c3)
-    film4_b2[:c3] += 1.0
-    return ModelParams(
-        pillar_w=_uniform(rng, POINT_FEATURE_DIM, (POINT_FEATURE_DIM, c)),
-        pillar_b=_uniform(rng, POINT_FEATURE_DIM, c),
-        conv1_w=_uniform(rng, 9 * c, (3, 3, c, c2)),
-        conv1_b=_uniform(rng, 9 * c, c2),
-        conv2_w=_uniform(rng, 9 * c2, (3, 3, c2, c3)),
-        conv2_b=_uniform(rng, 9 * c2, c3),
-        film3_w1=_uniform(rng, EMBED_DIM, (EMBED_DIM, hid)),
-        film3_b1=_uniform(rng, EMBED_DIM, hid),
-        film3_w2=_uniform(rng, hid, (hid, 2 * c2)),
-        film3_b2=film3_b2,
-        film4_w1=_uniform(rng, EMBED_DIM, (EMBED_DIM, hid)),
-        film4_b1=_uniform(rng, EMBED_DIM, hid),
-        film4_w2=_uniform(rng, hid, (hid, 2 * c3)),
-        film4_b2=film4_b2,
-        head_w1=_uniform(rng, 9 * (c2 + c3), (3, 3, c2 + c3, ch)),
-        head_b1=_uniform(rng, 9 * (c2 + c3), ch),
-        head_w2=_uniform(rng, ch, (1, 1, ch, 1)),
-        head_b2=_uniform(rng, ch, 1),
-        max_points_per_pillar=cfg.max_points_per_pillar,
-    )
+    layout = _layout(cfg)
+    first = ("film3_b2", "film4_b2")  # drawn before the rest, which follow in field order
+    order = first + tuple(n for n in layout if n not in first)
+    tensors = {n: _uniform(rng, *layout[n]) for n in order}
+    tensors["film3_b2"][: cfg.stage2_channels] += 1.0
+    tensors["film4_b2"][: cfg.stage3_channels] += 1.0
+    return ModelParams(**tensors, max_points_per_pillar=cfg.max_points_per_pillar)
 
 
-def forward_cached(
-    params: ModelParams,
-    cloud: PointCloud,
-    image: Image,
-    grid: GridSpec,
-    film_identity: bool = False,
-):
-    """Full forward pass; returns ``(values (rows, cols), cache)``.
-
-    ``film_identity`` bypasses the image conditioning (gamma = 1, beta = 0),
-    used by the encoder-ablation mode.
-    """
+def forward_cached(params: ModelParams, cloud: PointCloud, image: Image, grid: GridSpec):
+    """Full forward pass; returns ``(values (rows, cols), cache)``."""
     pt = pillarize(cloud, grid, params.max_points_per_pillar)
     pseudo, pillar_cache = pillar_encode_cached(pt, params.pillar_w, params.pillar_b, grid)
 
@@ -196,17 +188,11 @@ def forward_cached(
     z2, conv2_cache = conv2d_forward(s3, params.conv2_w, params.conv2_b, stride=2, pad=1)
     s4 = np.maximum(z2, 0.0)
 
-    if film_identity:
-        m3, m4 = s3, s4
-        emb = None
-        f3_cache = f4_cache = None
-        gamma3 = gamma4 = None
-    else:
-        emb = embed_image(image)
-        gamma3, beta3, f3_cache = film_gamma_beta(emb, params.film3())
-        gamma4, beta4, f4_cache = film_gamma_beta(emb, params.film4())
-        m3 = gamma3[None, None, :] * s3 + beta3[None, None, :]
-        m4 = gamma4[None, None, :] * s4 + beta4[None, None, :]
+    emb = embed_image(image)
+    gamma3, beta3, f3_cache = film_gamma_beta(emb, params.film3())
+    gamma4, beta4, f4_cache = film_gamma_beta(emb, params.film4())
+    m3 = gamma3[None, None, :] * s3 + beta3[None, None, :]
+    m4 = gamma4[None, None, :] * s4 + beta4[None, None, :]
 
     u4 = resize_bilinear(m4, m3.shape[0], m3.shape[1])
     fused = np.concatenate([m3, u4], axis=2)
@@ -217,21 +203,15 @@ def forward_cached(
     values = resize_bilinear(p, grid.rows, grid.cols)
 
     cache = {
-        "grid": grid,
         "pillar_cache": pillar_cache,
         "conv1_cache": conv1_cache,
         "conv2_cache": conv2_cache,
-        "z1_pos": z1 > 0.0,
-        "z2_pos": z2 > 0.0,
         "s3": s3,
         "s4": s4,
-        "film_identity": film_identity,
         "f3_cache": f3_cache,
         "f4_cache": f4_cache,
         "gamma3": gamma3,
         "gamma4": gamma4,
-        "m3_shape": m3.shape,
-        "m4_shape": m4.shape,
         "head1_cache": head1_cache,
         "head2_cache": head2_cache,
         "zh_pos": zh > 0.0,
@@ -240,61 +220,35 @@ def forward_cached(
     return values, cache
 
 
-def forward(
-    params: ModelParams,
-    cloud: PointCloud,
-    image: Image,
-    grid: GridSpec,
-    film_identity: bool = False,
-) -> DenseCostmap:
+def forward(params: ModelParams, cloud: PointCloud, image: Image, grid: GridSpec) -> DenseCostmap:
     """Predict a costmap on ``grid``; every cell is marked valid, values in (0, 1)."""
-    values, _ = forward_cached(params, cloud, image, grid, film_identity)
+    values, _ = forward_cached(params, cloud, image, grid)
     return DenseCostmap(grid, values, np.ones(values.shape, dtype=bool))
 
 
-def backward(params: ModelParams, cache, d_values: np.ndarray) -> dict:
+def backward(cache, d_values: np.ndarray) -> dict:
     """Backprop ``dL/d(values)`` to every parameter tensor; returns name -> grad."""
     p = cache["p"]
     dp = resize_bilinear_backward(d_values, p.shape[0], p.shape[1])
     dlogits = (dp * p * (1.0 - p))[:, :, None]
-    dh, dhead_w2, dhead_b2 = conv2d_backward(cache["head2_cache"], dlogits)
+    dh, *dhead2 = conv2d_backward(cache["head2_cache"], dlogits)
     dzh = dh * cache["zh_pos"]
-    dfused, dhead_w1, dhead_b1 = conv2d_backward(cache["head1_cache"], dzh)
+    dfused, *dhead1 = conv2d_backward(cache["head1_cache"], dzh)
 
-    c2 = cache["m3_shape"][2]
-    dm3 = dfused[:, :, :c2]
-    du4 = dfused[:, :, c2:]
-    dm4 = resize_bilinear_backward(du4, cache["m4_shape"][0], cache["m4_shape"][1])
+    s3, s4 = cache["s3"], cache["s4"]
+    dm3 = dfused[:, :, : s3.shape[2]]
+    dm4 = resize_bilinear_backward(dfused[:, :, s3.shape[2] :], s4.shape[0], s4.shape[1])
+    ds3, *dfilm3 = film_backward(cache["f3_cache"], s3, cache["gamma3"], dm3)
+    ds4, *dfilm4 = film_backward(cache["f4_cache"], s4, cache["gamma4"], dm4)
 
-    grads = {name: np.zeros_like(t) for name, t in params.named_tensors()}
-    grads["head_w1"] = dhead_w1
-    grads["head_b1"] = dhead_b1
-    grads["head_w2"] = dhead_w2
-    grads["head_b2"] = dhead_b2
-
-    if cache["film_identity"]:
-        ds3 = dm3
-        ds4 = dm4
-    else:
-        ds3, dw1, db1, dw2, db2 = film_backward(
-            cache["f3_cache"], cache["s3"], cache["gamma3"], dm3
-        )
-        grads["film3_w1"], grads["film3_b1"] = dw1, db1
-        grads["film3_w2"], grads["film3_b2"] = dw2, db2
-        ds4, dw1, db1, dw2, db2 = film_backward(
-            cache["f4_cache"], cache["s4"], cache["gamma4"], dm4
-        )
-        grads["film4_w1"], grads["film4_b1"] = dw1, db1
-        grads["film4_w2"], grads["film4_b2"] = dw2, db2
-
-    dz2 = ds4 * cache["z2_pos"]
-    ds3_more, dconv2_w, dconv2_b = conv2d_backward(cache["conv2_cache"], dz2)
-    grads["conv2_w"], grads["conv2_b"] = dconv2_w, dconv2_b
-    dz1 = (ds3 + ds3_more) * cache["z1_pos"]
-    dpseudo, dconv1_w, dconv1_b = conv2d_backward(cache["conv1_cache"], dz1)
-    grads["conv1_w"], grads["conv1_b"] = dconv1_w, dconv1_b
-    grads["pillar_w"], grads["pillar_b"] = pillar_encode_backward(cache["pillar_cache"], dpseudo)
-    return grads
+    dz2 = ds4 * (s4 > 0.0)  # the ReLU passes gradient where its output is positive
+    ds3_more, *dconv2 = conv2d_backward(cache["conv2_cache"], dz2)
+    dz1 = (ds3 + ds3_more) * (s3 > 0.0)
+    dpseudo, *dconv1 = conv2d_backward(cache["conv1_cache"], dz1)
+    dpillar = pillar_encode_backward(cache["pillar_cache"], dpseudo)
+    # each layer's (weight, bias) gradients, in the field order of ModelParams
+    grads = (*dpillar, *dconv1, *dconv2, *dfilm3, *dfilm4, *dhead1, *dhead2)
+    return dict(zip(_TENSOR_FIELDS, grads, strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -363,19 +317,21 @@ def smoothness_loss(pred: DenseCostmap, lam: float) -> float:
     return value
 
 
-def sample_loss(params: ModelParams, sample: Sample, delta: float, lam: float,
-                film_identity: bool = False) -> float:
+def _sample_loss_grad(params: ModelParams, sample: Sample, delta: float, lam: float):
+    """Forward one sample; returns ``(huber, smooth, dL/d(values), cache)``."""
+    values, cache = forward_cached(params, sample.cloud, sample.image, sample.target.grid)
+    hub, dhub = _huber_value_grad(values, sample.target.values, sample.target.valid, delta)
+    smo, dsmo = _smoothness_value_grad(values, lam)
+    return hub, smo, dhub + dsmo, cache
+
+
+def sample_loss(params: ModelParams, sample: Sample, delta: float, lam: float) -> float:
     """Huber + smoothness of one sample (no gradients); used by the FD oracle."""
-    values, _ = forward_cached(
-        params, sample.cloud, sample.image, sample.target.grid, film_identity
-    )
-    hub, _ = _huber_value_grad(values, sample.target.values, sample.target.valid, delta)
-    smo, _ = _smoothness_value_grad(values, lam)
+    hub, smo, _, _ = _sample_loss_grad(params, sample, delta, lam)
     return hub + smo
 
 
-def loss_and_grads(params: ModelParams, batch, delta: float, lam: float,
-                   film_identity: bool = False):
+def loss_and_grads(params: ModelParams, batch, delta: float, lam: float):
     """Mean batch loss and exact gradients for every parameter tensor.
 
     Returns ``(total, huber_part, smooth_part, grads)`` where the parts are
@@ -389,14 +345,10 @@ def loss_and_grads(params: ModelParams, batch, delta: float, lam: float,
     smo_sum = 0.0
     inv_n = 1.0 / len(batch)
     for sample in batch:
-        values, cache = forward_cached(
-            params, sample.cloud, sample.image, sample.target.grid, film_identity
-        )
-        hub, dhub = _huber_value_grad(values, sample.target.values, sample.target.valid, delta)
-        smo, dsmo = _smoothness_value_grad(values, lam)
+        hub, smo, d_values, cache = _sample_loss_grad(params, sample, delta, lam)
         hub_sum += hub
         smo_sum += smo
-        grads = backward(params, cache, (dhub + dsmo) * inv_n)
+        grads = backward(cache, d_values * inv_n)
         for name in total_grads:
             total_grads[name] += grads[name]
     hub_mean = hub_sum * inv_n

@@ -184,7 +184,6 @@ class TrainConfig:
     epochs: int = 60
     seed: int = 1
     augment: AugmentConfig = field(default_factory=AugmentConfig)
-    film_identity: bool = False  # train without image conditioning
 
     def __post_init__(self):
         if self.lr <= 0 or self.huber_delta <= 0 or self.smooth_lambda <= 0:
@@ -233,7 +232,7 @@ def fit(dataset, cfg: TrainConfig, net: NetConfig = NetConfig(), params: ModelPa
                 for pos, i in enumerate(batch_idx)
             ]
             total, hub, smo, grads = loss_and_grads(
-                params, batch, cfg.huber_delta, cfg.smooth_lambda, cfg.film_identity
+                params, batch, cfg.huber_delta, cfg.smooth_lambda
             )
             params, state = adam_step(params, grads, state, cfg.lr)
             history.append(StepRecord(step, hub, smo, total))

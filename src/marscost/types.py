@@ -50,7 +50,7 @@ class Pose:
         if not np.all(np.isfinite(self.position)):
             raise ValueError("pose position must be finite")
         n = np.linalg.norm(self.orientation)
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:  # written so that a NaN norm fails
             raise ValueError(f"orientation quaternion norm {n} is not within 1e-9 of 1")
 
 
@@ -110,7 +110,7 @@ class PointCloud:
             raise ValueError("xyz and rgb must have the same number of points")
         if not np.all(np.isfinite(self.xyz)):
             raise ValueError("point coordinates must be finite")
-        if self.rgb.size and (self.rgb.min() < 0.0 or self.rgb.max() > 1.0):
+        if self.rgb.size and not (self.rgb.min() >= 0.0 and self.rgb.max() <= 1.0):
             raise ValueError("point colors must lie in [0, 1]")
 
     def __len__(self):
@@ -133,7 +133,7 @@ class Image:
             raise ValueError("image pixels must have shape (rows, cols, 3)")
         if self.pixels.shape[0] < 1 or self.pixels.shape[1] < 1:
             raise ValueError("image must have at least one pixel")
-        if self.pixels.min() < 0.0 or self.pixels.max() > 1.0:
+        if not (self.pixels.min() >= 0.0 and self.pixels.max() <= 1.0):
             raise ValueError("pixel values must lie in [0, 1]")
 
     @property

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from marscost import cli
+from marscost.checkpoint import save_checkpoint
 from marscost.cli import main
 from marscost.config import load_config, validate_config
 from marscost.dataset import BevLayout, SimConfig, build_samples, label_runs, simulate_run
 from marscost.evaluation import ABLATION_MODES, AblationSpec
 from marscost.io import COSTMAP_MAXVAL
 from marscost.labeling import LabelingConfig
-from marscost.net import NetConfig
+from marscost.net import NetConfig, init_params
 from marscost.train import TrainConfig
 
 TINY = Path(__file__).resolve().parent.parent / "configs" / "tiny.json"
@@ -125,6 +126,27 @@ def test_label_header_only_trajectory_exits_2(tmp_path, capsys):
     (run0 / "trajectory.csv").write_text("t,x,y,z,qw,qx,qy,qz\n")
     assert main(["label", "--config", str(cfg)]) == 2
     assert "trajectory.csv" in capsys.readouterr().err
+
+
+def test_export_bad_costmap_csv_exits_2(tmp_path, capsys):
+    cfg, _ = _tiny_config(tmp_path)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# grid origin_x=0 origin_y=0 resolution=1 rows=2 cols=2\n"
+                   "i,j,value,valid\n5,0,1,1\n")
+    assert main(["export", "--config", str(cfg), "--map", str(bad)]) == 2
+    assert "bad.csv:3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", [lambda b: b[:-5], lambda b: b + b"\x00"],
+                         ids=["truncated", "padded"])
+def test_eval_damaged_checkpoint_exits_2(tmp_path, capsys, damage):
+    cfg, workdir = _tiny_config(tmp_path)
+    workdir.mkdir(parents=True)
+    ckpt = workdir / "model.ckpt"
+    save_checkpoint(init_params(NetConfig(1, 1, 1, 1, 1, 1), seed=0), ckpt)
+    ckpt.write_bytes(damage(ckpt.read_bytes()))
+    assert main(["eval", "--config", str(cfg)]) == 2
+    assert "model.ckpt" in capsys.readouterr().err
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from marscost import io as mio
-from marscost.types import DenseCostmap, FormatError, GridSpec, Image
+from marscost.types import DenseCostmap, FormatError, GridSpec, Image, Pose
 
 
 def test_pgm_ascii_round_trip(tmp_path):
@@ -133,7 +133,7 @@ def test_float_table_errors_name_the_file(tmp_path, table):
         (row.rsplit(",", 1)[0], ":2"),  # ragged: one value short
         ("abc," + rest, ":2"),  # non-numeric cell
         ("nan," + rest, ""),  # rejected by the record's own validation
-    ]:
+    ] + ([("1,2,3,nan,0.5,0.5", "")] if table == "cloud" else []):  # NaN colour
         path.write_text(f"{header}\n{bad_row}\n")
         with pytest.raises(FormatError, match=rf"{table}\.csv{where}"):
             read(path)
@@ -144,6 +144,32 @@ def test_float_table_errors_name_the_file(tmp_path, table):
     else:  # no labels, or a LiDAR sweep with no hits
         out = read(path)
         assert len(out[1] if table == "sparse" else out) == 0
+
+
+def test_range_checks_reject_nan():
+    with pytest.raises(ValueError, match="quaternion"):
+        Pose(0.0, [0, 0, 0], [np.nan, 0, 0, 0])
+    with pytest.raises(ValueError, match="pixel"):
+        Image(np.full((2, 2, 3), np.nan))
+
+
+COSTMAP_CSV_HEADER = "# grid origin_x=0 origin_y=0 resolution=0.5 rows=2 cols=2\ni,j,value,valid\n"
+
+
+@pytest.mark.parametrize("text, where", [
+    (COSTMAP_CSV_HEADER + "5,0,1,1\n", ":3"),  # row outside the grid
+    (COSTMAP_CSV_HEADER + "0,0,1,1\n0,-1,1,1\n", ":4"),  # column outside the grid
+    (COSTMAP_CSV_HEADER + "0.5,0,1,1\n", ":3"),  # not a whole index
+    (COSTMAP_CSV_HEADER + "0,0,1,2\n", ":3"),  # valid neither 0 nor 1
+    (COSTMAP_CSV_HEADER + "0,0,1\n", ":3"),  # ragged
+    (COSTMAP_CSV_HEADER + "0,0,x,1\n", ":3"),  # non-numeric
+    (COSTMAP_CSV_HEADER.replace(" cols=2", ""), ":1"),  # missing grid key
+], ids=["row", "column", "fraction", "valid", "ragged", "text", "grid_key"])
+def test_costmap_csv_errors_name_the_file(tmp_path, text, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=rf"bad\.csv{where}"):
+        mio.read_costmap_csv(path)
 
 
 def test_run_dir_round_trip(tmp_path, flat_field):

@@ -5,6 +5,7 @@ from conftest import TOY_NET, make_toy_instance, random_sample
 from marscost.checkpoint import load_checkpoint, save_checkpoint
 from marscost.net import (
     ModelParams,
+    NetConfig,
     _huber_value_grad,
     forward,
     huber_loss,
@@ -13,7 +14,7 @@ from marscost.net import (
     sample_loss,
     smoothness_loss,
 )
-from marscost.types import DenseCostmap, GridSpec, Image, PointCloud
+from marscost.types import DenseCostmap, FormatError, GridSpec, Image, PointCloud
 
 DELTA = 0.1
 LAM = 0.1
@@ -53,7 +54,7 @@ def test_forward_empty_cloud_defined():
 def test_forward_film_identity_differs_but_valid():
     params, sample = make_toy_instance(5)
     a = forward(params, sample.cloud, sample.image, sample.target.grid)
-    b = forward(params, sample.cloud, sample.image, sample.target.grid, film_identity=True)
+    b = forward(params.without_image(), sample.cloud, sample.image, sample.target.grid)
     assert a.values.shape == b.values.shape
     assert not np.allclose(a.values, b.values)
 
@@ -219,12 +220,15 @@ def test_gradients_match_finite_differences_spot_check():
     assert worst < 1e-4
 
 
-def test_film_identity_gradients_skip_film_tensors():
+def test_without_image_ignores_the_image():
     params, sample = make_toy_instance(3)
-    _, _, _, grads = loss_and_grads(params, [sample], DELTA, LAM, film_identity=True)
-    for name in ("film3_w1", "film3_w2", "film4_b1", "film4_b2"):
-        assert np.all(grads[name] == 0.0)
-    assert np.any(grads["conv1_w"] != 0.0)
+    bypass = params.without_image()
+    grid = sample.target.grid
+    other = Image(np.random.default_rng(1).uniform(0, 1, sample.image.pixels.shape))
+    a = forward(bypass, sample.cloud, sample.image, grid)
+    b = forward(bypass, sample.cloud, other, grid)
+    assert not np.array_equal(forward(params, sample.cloud, other, grid).values, a.values)
+    assert np.array_equal(a.values, b.values)
 
 
 # ---------------------------------------------------------------------------
@@ -274,3 +278,26 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
     with pytest.raises(FormatError):
         load_checkpoint(bad)
+
+
+def test_checkpoint_truncated_anywhere_names_the_file(tmp_path):
+    good = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(NetConfig(1, 1, 1, 1, 1, 1), seed=0), good)
+    data = good.read_bytes()
+    bad = tmp_path / "cut.ckpt"
+    for n in range(len(data)):
+        bad.write_bytes(data[:n])
+        with pytest.raises(FormatError, match=r"cut\.ckpt"):
+            load_checkpoint(bad)
+
+
+def test_checkpoint_trailing_byte_and_wrong_shape_name_the_file(tmp_path):
+    params = init_params(TOY_NET, seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(FormatError, match=r"model\.ckpt: 1 byte\(s\) after the last tensor"):
+        load_checkpoint(path)
+    save_checkpoint(params.with_tensors({"head_w2": np.zeros((1, 1, 8, 2))}), path)
+    with pytest.raises(FormatError, match=r"model\.ckpt: tensor 'head_w2' has shape \(1, 1, 8, 2"):
+        load_checkpoint(path)
