@@ -68,6 +68,8 @@ def load_checkpoint(path) -> ModelParams:
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"tensor {name!r}"))
         raw = take(8 * math.prod(shape), f"tensor {name!r}")
         tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if not np.all(np.isfinite(tensors[name])):
+            raise FormatError(f"{path}: tensor {name!r} holds non-finite values")
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} byte(s) after the last tensor")
     max_points = tensors.pop(_MAX_POINTS_KEY, np.array([32.0])).reshape(-1)

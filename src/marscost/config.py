@@ -6,6 +6,7 @@ reads the same file, so a run is reproducible from the config plus the seed.
 """
 
 import json
+import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -111,6 +112,8 @@ def _validate(node, schema, path=""):
         elif typ is _NUMBER:
             if isinstance(val, bool) or not isinstance(val, _NUMBER):
                 raise ConfigError(f"config key {full!r} must be a number")
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ConfigError(f"config key {full!r} must be finite")
         elif not isinstance(val, typ):
             raise ConfigError(f"config key {full!r} has the wrong type")
         out[key] = val
@@ -222,8 +225,12 @@ def validate_config(data: dict, source: str = "<dict>") -> RunConfig:
 
 def load_config(path, seed_override: int = None, workdir_override=None) -> RunConfig:
     path = Path(path)
+
+    def reject_constant(name):
+        raise ConfigError(f"config file {path} holds the non-finite number {name}")
+
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(), parse_constant=reject_constant)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:

@@ -35,6 +35,7 @@ CAMERA_RANGE_M = 80.0
 SKY_RGB = np.array([0.82, 0.68, 0.52])
 
 RAY_TOL_M = 1e-3  # max |z - surface| for an accepted LiDAR hit
+_BLOCK_RAY_STEPS = 16384  # ray-steps per numpy block of the march; bounds its memory
 
 
 def generate_trajectory(
@@ -154,45 +155,76 @@ def march_rays(
     Returns ``(hit (n,) bool, points (n, 3) world)``. A ray misses when it
     leaves the terrain extent or exceeds ``max_range`` before crossing the
     surface. Accepted hits satisfy |z - surface(x, y)| <= tol.
+
+    The march visits ``t_k = min(t_{k-1} + step, max_range)`` from ``t_0 = 0``
+    and stops a ray at its first step outside the extent or at or below the
+    surface. No step above the terrain's maximum height can be below it, so
+    a falling ray starts one step before it reaches that plane, a rising one
+    ends one step after it passes it, and the steps in between are tested a
+    block at a time. The skipped steps could not have stopped the ray, so
+    hits and points are exactly those of testing every step in turn.
     """
     directions = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
     n = directions.shape[0]
     if step is None:
         step = hf.cell_size / 4.0
+    if not step > 0:
+        raise ValueError("step must be positive")
     origin = np.asarray(origin, dtype=np.float64)
-
-    lo_t = np.zeros(n)
-    hi_t = np.full(n, np.nan)
-    active = np.ones(n, dtype=bool)
-    # the origin must start above the surface and inside the extent
     if not bool(np.all(hf.contains(origin[0], origin[1]))):
         raise ValueError("ray origin is outside the terrain extent")
 
-    t = 0.0
-    prev_t = np.zeros(n)
-    while t < max_range and np.any(active):
-        t = min(t + step, max_range)
-        p = origin[None, :] + directions * t
-        inside = hf.contains(p[active, 0], p[active, 1])
-        act_idx = np.flatnonzero(active)
-        dead = act_idx[~inside]
-        active[dead] = False
-        alive = act_idx[inside]
-        if alive.size:
-            h = _heights_unchecked(hf, p[alive, 0], p[alive, 1])
-            below = p[alive, 2] <= h
-            crossed = alive[below]
-            hi_t[crossed] = t
-            lo_t[crossed] = prev_t[crossed]
-            active[crossed] = False
-        prev_t[active] = t
+    # every bilinear surface height lies within [bottom, top]
+    pad = 1e-6 * (1.0 + np.abs(hf.elevations).max())
+    top = hf.elevations.max() + pad
+    bottom = hf.elevations.min() - pad
+    ts = _march_steps(hf, origin, directions, step, max_range, top, bottom)
+    last_k = ts.size - 1
 
-    hit = np.isfinite(hi_t)
+    # candidate band [first, last] of each ray. Computed z_k is monotone in k:
+    # an edge stays only where z at the step beyond it is exactly above the
+    # plane, so every skipped step is too; elsewhere the band is reopened.
+    oz, dz = origin[2], directions[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_top = np.searchsorted(ts, (top - oz) / dz)  # first step at or past the top plane
+    first = np.where(dz < 0, np.maximum(k_top - 1, 1), 1)
+    last = np.where(dz >= 0, np.minimum(k_top + 1, last_k), last_k)
+    first[~(oz + dz * ts[first - 1] > top)] = 1
+    last[~(oz + dz * ts[last] > top)] = last_k
+
+    # first stop of each ray, tested over growing blocks of its band's steps
+    k_stop = np.zeros(n, dtype=np.int64)  # 0: no stop
+    hit = np.zeros(n, dtype=bool)
+    rays = np.flatnonzero(first <= last)
+    width = 4
+    while rays.size:
+        per_block = _BLOCK_RAY_STEPS // width
+        for s in range(0, rays.size, per_block):
+            r = rays[s : s + per_block]
+            ks = first[r, None] + np.arange(width)
+            valid = ks <= last[r, None]
+            t = ts[np.minimum(ks, last_k)]
+            x = origin[0] + directions[r, 0, None] * t
+            y = origin[1] + directions[r, 1, None] * t
+            z = origin[2] + directions[r, 2, None] * t
+            inside = hf.contains(x, y)
+            below = np.zeros_like(valid)
+            m = valid & inside
+            below[m] = z[m] <= _heights_unchecked(hf, x[m], y[m])
+            stops = valid & (below | ~inside)
+            j = stops.argmax(axis=1)
+            found = np.flatnonzero(stops[np.arange(r.size), j])
+            k_stop[r[found]] = ks[found, j[found]]
+            hit[r[found]] = below[found, j[found]]
+        rays = rays[(k_stop[rays] == 0) & (first[rays] + width <= last[rays])]
+        first[rays] += width
+        width = min(2 * width, 64)
+
     points = np.zeros((n, 3))
     idx = np.flatnonzero(hit)
     if idx.size:
-        lo = lo_t[idx]
-        hi = hi_t[idx]
+        lo = ts[k_stop[idx] - 1]
+        hi = ts[k_stop[idx]]
         for _ in range(24):  # interval shrinks to step / 2^24 << tol
             mid = 0.5 * (lo + hi)
             p = origin[None, :] + directions[idx] * mid[:, None]
@@ -205,6 +237,27 @@ def march_rays(
         ok = np.abs(points[idx, 2] - h) <= tol
         hit[idx] = ok
     return hit, points
+
+
+def _march_steps(hf, origin, directions, step, max_range, top, bottom):
+    """The march's step parameters, up to ``max_range`` or until no ray can still cross.
+
+    Accumulates ``t = min(t + step, max_range)`` from 0. Every 64, 128, 256...
+    steps it stops once each ray is settled at the last one: outside the
+    extent or below ``bottom`` (its first stop is behind it), or above
+    ``top`` and not descending (no later step can be below the surface).
+    """
+    ts = [0.0]
+    check = 64
+    while ts[-1] < max_range:
+        ts.append(min(ts[-1] + step, max_range))
+        if len(ts) == check:
+            check *= 2
+            x, y, z = (origin[None, :] + directions * ts[-1]).T
+            settled = ~hf.contains(x, y) | (z < bottom) | ((z > top) & (directions[:, 2] >= 0))
+            if settled.all():
+                break
+    return np.array(ts)
 
 
 def _heights_unchecked(hf: Heightfield, x, y):

@@ -39,7 +39,7 @@ class AdamState:
 
 def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float):
     """One bias-corrected Adam update; returns new (params, state)."""
-    if lr <= 0:
+    if not lr > 0:
         raise ValueError("learning rate must be positive")
     for name, _ in params.named_tensors():
         if not np.all(np.isfinite(grads[name])):
@@ -186,7 +186,7 @@ class TrainConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
-        if self.lr <= 0 or self.huber_delta <= 0 or self.smooth_lambda <= 0:
+        if not (self.lr > 0 and self.huber_delta > 0 and self.smooth_lambda > 0):
             raise ValueError("lr, huber_delta and smooth_lambda must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")

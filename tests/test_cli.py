@@ -149,6 +149,34 @@ def test_eval_damaged_checkpoint_exits_2(tmp_path, capsys, damage):
     assert "model.ckpt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_train_non_finite_config_literal_exits_2(tmp_path, capsys, literal):
+    cfg, workdir = _tiny_config(tmp_path, **{"train.lr": 0.125})
+    cfg.write_text(cfg.read_text().replace("0.125", literal))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert f"config file {cfg} holds the non-finite number {literal}" in capsys.readouterr().err
+    assert not workdir.exists()
+
+
+def test_overflowing_config_number_exits_2(tmp_path, capsys):
+    cfg, _ = _tiny_config(tmp_path, **{"sim.lidar_max_range": 0.125})
+    cfg.write_text(cfg.read_text().replace("0.125", "1e999"))  # parses as inf
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "'sim.lidar_max_range' must be finite" in capsys.readouterr().err
+
+
+def test_eval_non_finite_checkpoint_exits_2(tmp_path, capsys):
+    cfg, workdir = _tiny_config(tmp_path)
+    workdir.mkdir(parents=True)
+    ckpt = workdir / "model.ckpt"
+    params = init_params(NetConfig(1, 1, 1, 1, 1, 1), seed=0)
+    all_nan = {name: np.full_like(t, np.nan) for name, t in params.named_tensors()}
+    save_checkpoint(params.with_tensors(all_nan), ckpt)
+    assert main(["eval", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "non-finite" in err
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
     assert "not found" in capsys.readouterr().err

@@ -301,3 +301,13 @@ def test_checkpoint_trailing_byte_and_wrong_shape_name_the_file(tmp_path):
     save_checkpoint(params.with_tensors({"head_w2": np.zeros((1, 1, 8, 2))}), path)
     with pytest.raises(FormatError, match=r"model\.ckpt: tensor 'head_w2' has shape \(1, 1, 8, 2"):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_non_finite_values_naming_the_tensor(tmp_path):
+    params = init_params(TOY_NET, seed=0)
+    path = tmp_path / "model.ckpt"
+    conv2_w = params.conv2_w.copy()
+    conv2_w[0, 0, 0, 1] = np.inf
+    save_checkpoint(params.with_tensors({"conv2_w": conv2_w}), path)
+    with pytest.raises(FormatError, match=r"model\.ckpt: tensor 'conv2_w' holds non-finite values"):
+        load_checkpoint(path)

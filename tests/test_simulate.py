@@ -1,10 +1,17 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from marscost import simulate
+from marscost.dataset import synthesize_dataset
 from marscost.geometry import quat_rotate, quat_to_matrix
-from marscost.heightfield import generate_heightfield, surface_heights
+from marscost.heightfield import Heightfield, generate_heightfield, surface_heights
 from marscost.simulate import (
     CHASSIS_HEIGHT_M,
+    RAY_TOL_M,
+    _heights_unchecked,
     generate_trajectory,
     march_rays,
     render_camera,
@@ -139,3 +146,180 @@ def test_camera_flat_field_two_colors(flat_field):
     is_surface = np.all(np.abs(px - surface_rgb) < 1e-12, axis=1)
     assert np.all(is_sky | is_surface)
     assert is_surface.any()
+
+
+def _march_reference(
+    hf: Heightfield,
+    origin: np.ndarray,
+    directions: np.ndarray,
+    max_range: float,
+    step: float = None,
+    tol: float = RAY_TOL_M,
+):
+    """Oracle: the step-by-step march that ``march_rays`` reproduces bit for bit."""
+    directions = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
+    n = directions.shape[0]
+    if step is None:
+        step = hf.cell_size / 4.0
+    origin = np.asarray(origin, dtype=np.float64)
+
+    lo_t = np.zeros(n)
+    hi_t = np.full(n, np.nan)
+    active = np.ones(n, dtype=bool)
+    # the origin must start above the surface and inside the extent
+    if not bool(np.all(hf.contains(origin[0], origin[1]))):
+        raise ValueError("ray origin is outside the terrain extent")
+
+    t = 0.0
+    prev_t = np.zeros(n)
+    while t < max_range and np.any(active):
+        t = min(t + step, max_range)
+        p = origin[None, :] + directions * t
+        inside = hf.contains(p[active, 0], p[active, 1])
+        act_idx = np.flatnonzero(active)
+        dead = act_idx[~inside]
+        active[dead] = False
+        alive = act_idx[inside]
+        if alive.size:
+            h = _heights_unchecked(hf, p[alive, 0], p[alive, 1])
+            below = p[alive, 2] <= h
+            crossed = alive[below]
+            hi_t[crossed] = t
+            lo_t[crossed] = prev_t[crossed]
+            active[crossed] = False
+        prev_t[active] = t
+
+    hit = np.isfinite(hi_t)
+    points = np.zeros((n, 3))
+    idx = np.flatnonzero(hit)
+    if idx.size:
+        lo = lo_t[idx]
+        hi = hi_t[idx]
+        for _ in range(24):  # interval shrinks to step / 2^24 << tol
+            mid = 0.5 * (lo + hi)
+            p = origin[None, :] + directions[idx] * mid[:, None]
+            below = p[:, 2] <= _heights_unchecked(hf, p[:, 0], p[:, 1])
+            hi = np.where(below, mid, hi)
+            lo = np.where(below, lo, mid)
+        tm = 0.5 * (lo + hi)
+        points[idx] = origin[None, :] + directions[idx] * tm[:, None]
+        h = _heights_unchecked(hf, points[idx, 0], points[idx, 1])
+        ok = np.abs(points[idx, 2] - h) <= tol
+        hit[idx] = ok
+    return hit, points
+
+
+def _ray_set(seed: int, n: int = 300) -> np.ndarray:
+    """Random unit rays plus horizontal, grazing, vertical, zero and NaN ones."""
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=(n, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    special = [
+        [1.0, 0.0, 0.0], [0.6, -0.8, 0.0], [-0.6, 0.8, -0.0],  # horizontal
+        [1.0, 0.0, 1e-17], [0.0, -1.0, -1e-17], [0.7, 0.7, 1e-13], [-0.7, 0.7, -1e-13],
+        [0.99, 0.0, -0.02], [0.0, 0.99, 0.02], [-0.7, -0.7, -0.05],  # grazing
+        [0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [np.nan, 0.0, -1.0],
+    ]
+    return np.vstack([d, special])
+
+
+def _bumps(seed: int) -> Heightfield:
+    """Rough field with a deep basin in the middle, walled by terrain above its floor."""
+    hf = generate_heightfield(seed, 40, 40, 0.25, 0.9)
+    ii, jj = np.mgrid[0:40, 0:40]
+    basin = 1.5 * np.exp(-((ii - 20) ** 2 + (jj - 20) ** 2) / 60.0)
+    return Heightfield(hf.elevations - basin, hf.cell_size, hf.origin, hf.colors)
+
+
+_FLAT = Heightfield(np.full((32, 32), 1.5), 0.25)
+_ROUGH = generate_heightfield(seed=7, rows=48, cols=48, cell_size=0.2, roughness=0.7)
+_BASIN = _bumps(5)
+
+MARCH_CASES = {
+    # name: (field, origin xy, origin height above the surface, max_range, kwargs)
+    "flat": (_FLAT, (4.0, 4.0), 2.0, 10.0, {}),
+    "flat_on_edge": (_FLAT, (0.0, 7.75), 0.3, 6.0, {}),
+    "under_flat_surface": (_FLAT, (3.0, 5.0), -0.01, 6.0, {}),
+    "rough": (_ROUGH, (4.7, 4.3), 0.35, 12.0, {}),
+    "rough_near_edge": (_ROUGH, (0.3, 9.1), 0.35, 12.0, {}),
+    "rough_high_above": (_ROUGH, (5.0, 3.0), 4.0, 30.0, {}),
+    "basin_below_walls": (_BASIN, (5.0, 5.0), 0.2, 12.0, {}),
+    "odd_range_and_step": (_ROUGH, (3.1, 6.2), 0.35, 7.31, {"step": 0.037}),
+    "explicit_tol": (_BASIN, (4.4, 5.6), 0.3, 11.0, {"step": 0.02, "tol": 1e-10}),
+    "short_range": (_ROUGH, (4.7, 4.3), 0.35, 0.12, {}),
+}
+
+
+@pytest.mark.parametrize("case", MARCH_CASES)
+def test_march_matches_stepping_oracle_bit_for_bit(case):
+    hf, (x, y), above, max_range, kwargs = MARCH_CASES[case]
+    origin = np.array([x, y, surface_heights(hf, x, y) + above])
+    dirs = _ray_set(seed=list(MARCH_CASES).index(case))
+    hit, points = march_rays(hf, origin, dirs, max_range, **kwargs)
+    ref_hit, ref_points = _march_reference(hf, origin, dirs, max_range, **kwargs)
+    assert hit.tobytes() == ref_hit.tobytes()
+    assert points.tobytes() == ref_points.tobytes()
+    tol = kwargs.get("tol", RAY_TOL_M)
+    h = surface_heights(hf, points[hit, 0], points[hit, 1])
+    assert np.all(np.abs(points[hit, 2] - h) <= tol)
+
+
+def test_march_cases_cover_hits_misses_and_high_terrain():
+    hits, crossings = {}, {}
+    for case, (hf, (x, y), above, max_range, kwargs) in MARCH_CASES.items():
+        origin = np.array([x, y, surface_heights(hf, x, y) + above])
+        dirs = _ray_set(seed=list(MARCH_CASES).index(case))
+        hit, points = march_rays(hf, origin, dirs, max_range, **kwargs)
+        hits[case] = int(hit.sum())
+        crossings[case] = int(np.any(points != 0.0, axis=1).sum())  # found, maybe rejected by tol
+        if case == "basin_below_walls":
+            assert hf.elevations.max() > origin[2] + 1.0  # terrain rises above the origin
+    n = len(_ray_set(seed=0))
+    assert hits.pop("short_range") == crossings.pop("short_range") == 0
+    # from below the plane each crossing bisects back to the origin, 0.01 m off: tol rejects it
+    assert hits.pop("under_flat_surface") == 0 < crossings.pop("under_flat_surface")
+    assert all(0 < k < n for k in hits.values())
+    # a tolerance tighter than the bisection's reach rejects crossings found by the march
+    assert hits["explicit_tol"] < crossings["explicit_tol"]
+
+
+def test_march_rejects_nonpositive_step(flat_field):
+    with pytest.raises(ValueError, match="step"):
+        march_rays(flat_field, [4.0, 4.0, 2.0], [[0.0, 0.0, -1.0]], 5.0, step=0.0)
+
+
+def _arrays(obj):
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if dataclasses.is_dataclass(obj):
+        return [a for f in dataclasses.fields(obj) for a in _arrays(getattr(obj, f.name))]
+    return []
+
+
+def test_synthesized_dataset_matches_stepping_oracle(monkeypatch):
+    kwargs = dict(seed=4, n_runs=2, terrain_size=48, lidar_rays=150, camera_px=(8, 12))
+    fast = synthesize_dataset(**kwargs)
+    monkeypatch.setattr(simulate, "march_rays", _march_reference)
+    slow = synthesize_dataset(**kwargs)
+    assert len(fast) == len(slow) > 0
+    for a, b in zip(fast, slow):
+        arrays_a, arrays_b = _arrays(a), _arrays(b)
+        assert len(arrays_a) == len(arrays_b) >= 5
+        for x, y in zip(arrays_a, arrays_b):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+
+
+def test_camera_march_memory_is_bounded():
+    # the march tests its steps in blocks of bounded size, which keep one
+    # 32x48 frame near 3 MiB; unbounded blocks take about 6 MiB here
+    hf = generate_heightfield(seed=3, rows=96, cols=96, cell_size=0.2, roughness=0.6)
+    pose = generate_trajectory(hf, [(3.0, 3.0), (15.0, 14.0)], speed=1.0, dt=0.5)[0]
+    render_camera(hf, pose, 32, 48)
+    tracemalloc.start()
+    try:
+        render_camera(hf, pose, 32, 48)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20

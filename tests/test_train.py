@@ -70,6 +70,15 @@ def test_adam_rejects_non_finite_grads():
         adam_step(params, grads, AdamState.fresh(params), 1e-3)
 
 
+@pytest.mark.parametrize("lr", [0.0, -1e-3, np.nan])
+def test_adam_and_train_config_reject_non_positive_lr(lr):
+    params = init_params(TOY_NET, seed=1)
+    with pytest.raises(ValueError, match="learning rate"):
+        adam_step(params, _zero_grads(params), AdamState.fresh(params), lr)
+    with pytest.raises(ValueError, match="lr"):
+        TrainConfig(lr=lr)
+
+
 def test_adam_step_does_not_mutate_inputs():
     params = init_params(TOY_NET, seed=3)
     before = params.copy()
