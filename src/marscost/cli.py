@@ -26,7 +26,7 @@ from .types import FormatError
 def _terrain_for(cfg):
     t = cfg.sim["terrain"]
     if t["heightmap_path"]:
-        return load_heightfield(t["heightmap_path"], t["cell_size"])
+        return load_heightfield(t["heightmap_path"])
     return generate_heightfield(cfg.seed, t["rows"], t["cols"], t["cell_size"], t["roughness"])
 
 

@@ -32,7 +32,7 @@ class BevLayout:
     def __post_init__(self):
         if self.size < 4:
             raise ValueError("BEV window needs at least 4 cells per side")
-        if self.resolution <= 0:
+        if not self.resolution > 0:
             raise ValueError("resolution must be positive")
 
 

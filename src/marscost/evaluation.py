@@ -42,7 +42,7 @@ class AblationSpec:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1)")
-        if self.noise_sigma_image < 0 or self.noise_sigma_points < 0:
+        if not (self.noise_sigma_image >= 0 and self.noise_sigma_points >= 0):
             raise ValueError("noise sigmas must be nonnegative")
 
 

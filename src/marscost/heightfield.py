@@ -5,14 +5,12 @@ surface between nodes is the bilinear patch, so height queries, normals and
 colors are all defined anywhere strictly inside the node extent.
 """
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .io import read_pgm
-from .types import FormatError
+from .io import _build, read_pgm, read_sidecar
 
 SAND_RGB = np.array([0.72, 0.55, 0.40])
 DEFAULT_GRAY = 0.5
@@ -34,7 +32,7 @@ class Heightfield:
         self.elevations = np.asarray(self.elevations, dtype=np.float64)
         if self.elevations.ndim != 2 or min(self.elevations.shape) < 2:
             raise ValueError("heightfield needs a grid of at least 2x2 nodes")
-        if self.cell_size <= 0:
+        if not self.cell_size > 0:
             raise ValueError("cell_size must be positive")
         if not np.all(np.isfinite(self.elevations)):
             raise ValueError("heights must be finite")
@@ -102,7 +100,7 @@ def generate_heightfield(
     """
     if rows < 2 or cols < 2:
         raise ValueError("rows and cols must be at least 2")
-    if cell_size <= 0:
+    if not cell_size > 0:
         raise ValueError("cell_size must be positive")
     if not 0.0 <= roughness <= 1.0:
         raise ValueError("roughness must lie in [0, 1]")
@@ -128,31 +126,20 @@ def generate_heightfield(
     return Heightfield(z, cell_size, (0.0, 0.0), colors)
 
 
-def load_heightfield(path, cell_size: float = None) -> Heightfield:
+def load_heightfield(path) -> Heightfield:
     """Import a PGM raster plus its ``<name>.meta.json`` elevation sidecar.
 
     The sidecar declares ``min_height_m``/``max_height_m`` (pixel 0 maps to the
-    minimum, maxval to the maximum) and ``cell_size_m``; an explicit
-    ``cell_size`` argument overrides the sidecar value. Colors default to gray.
+    minimum, maxval to the maximum) and ``cell_size_m``, the only source of
+    the cell size. Colors default to gray.
     """
     path = Path(path)
     pixels, maxval = read_pgm(path)
     meta_path = path.with_suffix(".meta.json")
-    if not meta_path.exists():
-        raise FormatError(f"missing heightmap sidecar {meta_path}")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as e:
-        raise FormatError(f"invalid sidecar JSON in {meta_path}: {e}") from e
-    for key in ("min_height_m", "max_height_m", "cell_size_m"):
-        if key not in meta:
-            raise FormatError(f"sidecar {meta_path} missing key {key!r}")
-    lo = float(meta["min_height_m"])
-    hi = float(meta["max_height_m"])
-    if cell_size is None:
-        cell_size = float(meta["cell_size_m"])
+    meta = read_sidecar(meta_path, ("min_height_m", "max_height_m", "cell_size_m"))
+    lo, hi = meta["min_height_m"], meta["max_height_m"]
     z = lo + pixels.astype(np.float64) / maxval * (hi - lo)
-    return Heightfield(z, cell_size)
+    return _build(f"{path} with {meta_path}", Heightfield, z, meta["cell_size_m"])
 
 
 def _node_bilinear(hf: Heightfield, grid: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ command never leaves a truncated artifact behind. Floats are serialized with
 """
 
 import json
+import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -18,6 +20,8 @@ from .types import (
 
 COSTMAP_MAXVAL = 65535
 COSTMAP_HEADER = "i,j,value,valid"
+COSTMAP_SIDECAR_KEYS = ("origin_x_m", "origin_y_m", "resolution_m", "rows", "cols",
+                        "min_value", "max_value", "valid_mask")
 
 
 def atomic_write_bytes(path, data: bytes):
@@ -47,60 +51,48 @@ def _fmt(v: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _read_pnm_tokens(data: bytes, count: int, offset: int):
-    """Read ``count`` whitespace-separated ASCII tokens, skipping # comments."""
-    tokens = []
-    i = offset
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i : i + 1] == b"#":
-            while i < n and data[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-            continue
-        start = i
-        while i < n and not data[i : i + 1].isspace():
-            i += 1
-        if start == i:
-            raise FormatError("truncated PNM header")
-        tokens.append(data[start:i])
-    return tokens, i
+# one header field: whitespace or "#" comments, then at most 9 digits (larger rasters cannot fit)
+_PNM_FIELD = rb"(?:\s|#[^\r\n]*+)++([0-9]{1,9})"
+
+
+def _read_pnm(path, magics, n_fields: int, max_maxval: int = None):
+    """Magic, header fields and raster bytes of a Netpbm file.
+
+    The header is one of ``magics``, then ``n_fields`` decimal fields (width,
+    height and, when ``max_maxval`` is given, a maxval in [1, max_maxval]),
+    then one whitespace byte; the raster is everything after it.
+    """
+    data = Path(path).read_bytes()
+    kind = "/".join(m.decode() for m in magics)
+    if data[:2] not in magics:
+        raise FormatError(f"{path}: not a {kind} raster")
+    header = re.compile(_PNM_FIELD * n_fields + rb"\s").match(data, 2)
+    if header is None:
+        raise FormatError(f"{path}: malformed {kind} header")
+    fields = tuple(map(int, header.groups()))
+    if min(fields[:2]) < 1:
+        raise FormatError(f"{path}: invalid dimensions {fields[0]}x{fields[1]}")
+    if n_fields == 3 and not 1 <= fields[2] <= max_maxval:
+        raise FormatError(f"{path}: invalid maxval {fields[2]}")
+    return data[:2], fields, data[header.end() :]
 
 
 def read_pgm(path):
     """Read a P2 (ASCII) or P5 (binary) grayscale raster; returns (array, maxval)."""
-    data = Path(path).read_bytes()
-    if len(data) < 2 or data[:2] not in (b"P2", b"P5"):
-        raise FormatError(f"{path}: not a P2/P5 PGM raster")
-    magic = data[:2]
-    (w_tok, h_tok, max_tok), i = _read_pnm_tokens(data, 3, 2)
-    try:
-        width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
-    except ValueError as e:
-        raise FormatError(f"{path}: malformed PGM header") from e
-    if width < 1 or height < 1:
-        raise FormatError(f"{path}: invalid PGM dimensions {width}x{height}")
-    if maxval <= 0 or maxval > 65535:
-        raise FormatError(f"{path}: invalid PGM maxval {maxval}")
+    magic, (width, height, maxval), raster = _read_pnm(path, (b"P2", b"P5"), 3, 65535)
     if magic == b"P2":
-        tokens, _ = _read_pnm_tokens(data, width * height, i)
-        try:
-            flat = np.array([int(t) for t in tokens], dtype=np.int64)
-        except ValueError as e:
-            raise FormatError(f"{path}: non-integer PGM pixel") from e
+        tokens = raster.split()
+        if len(tokens) != width * height or not b"".join(tokens).isdigit():
+            raise FormatError(f"{path}: P2 raster must be exactly {width * height} decimal pixels")
+        flat = np.array(list(map(float, tokens)))  # exact up to 2**53, so for any maxval
     else:
-        i += 1  # single whitespace byte after maxval
-        bytes_per = 2 if maxval > 255 else 1
-        need = width * height * bytes_per
-        raw = data[i : i + need]
-        if len(raw) != need:
-            raise FormatError(f"{path}: truncated P5 pixel data")
-        dtype = ">u2" if bytes_per == 2 else np.uint8
-        flat = np.frombuffer(raw, dtype=dtype).astype(np.int64)
-    if flat.min() < 0 or flat.max() > maxval:
+        dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+        if len(raster) != width * height * dtype.itemsize:
+            raise FormatError(f"{path}: P5 raster must be {width * height * dtype.itemsize} bytes")
+        flat = np.frombuffer(raster, dtype)
+    if flat.max() > maxval:
         raise FormatError(f"{path}: pixel value outside [0, maxval]")
-    return flat.reshape(height, width), maxval
+    return flat.astype(np.int64).reshape(height, width), maxval
 
 
 def write_pgm(path, pixels: np.ndarray, maxval: int = COSTMAP_MAXVAL):
@@ -119,15 +111,11 @@ def write_pgm(path, pixels: np.ndarray, maxval: int = COSTMAP_MAXVAL):
 
 def read_pbm(path) -> np.ndarray:
     """Read a P1 bitmap; returns a bool array where 1 bits map to True."""
-    data = Path(path).read_bytes()
-    if data[:2] != b"P1":
-        raise FormatError(f"{path}: not a P1 PBM bitmap")
-    (w_tok, h_tok), i = _read_pnm_tokens(data, 2, 2)
-    width, height = int(w_tok), int(h_tok)
-    bits = [c for c in data[i:].decode("ascii", "ignore") if c in "01"]
-    if len(bits) != width * height:
-        raise FormatError(f"{path}: PBM bit count mismatch")
-    return np.array([b == "1" for b in bits], dtype=bool).reshape(height, width)
+    _, (width, height), raster = _read_pnm(path, (b"P1",), 2)
+    bits = raster.translate(None, b" \t\n\r\x0b\x0c")
+    if len(bits) != width * height or bits.translate(None, b"01"):
+        raise FormatError(f"{path}: P1 raster must be exactly {width * height} 0/1 bits")
+    return (np.frombuffer(bits, dtype=np.uint8) == ord("1")).reshape(height, width)
 
 
 def write_pbm(path, bits: np.ndarray):
@@ -141,20 +129,11 @@ def write_pbm(path, bits: np.ndarray):
 
 def read_ppm(path) -> Image:
     """Read a binary P6 color raster into an Image with values in [0, 1]."""
-    data = Path(path).read_bytes()
-    if data[:2] != b"P6":
-        raise FormatError(f"{path}: not a P6 PPM raster")
-    (w_tok, h_tok, max_tok), i = _read_pnm_tokens(data, 3, 2)
-    width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
-    if maxval <= 0 or maxval > 255:
-        raise FormatError(f"{path}: unsupported PPM maxval {maxval}")
-    i += 1
-    need = width * height * 3
-    raw = data[i : i + need]
-    if len(raw) != need:
-        raise FormatError(f"{path}: truncated P6 pixel data")
-    arr = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / maxval
-    return Image(arr.reshape(height, width, 3))
+    _, (width, height, maxval), raster = _read_pnm(path, (b"P6",), 3, 255)
+    if len(raster) != width * height * 3:
+        raise FormatError(f"{path}: P6 raster must be {width * height * 3} bytes")
+    arr = np.frombuffer(raster, dtype=np.uint8).astype(np.float64) / maxval
+    return _build(path, Image, arr.reshape(height, width, 3))
 
 
 def write_ppm(path, image: Image):
@@ -172,16 +151,11 @@ def write_costmap_pgm(cmap: DenseCostmap, path):
     """Quantize a dense costmap to 16-bit PGM with meta sidecar and validity mask."""
     path = Path(path)
     vals = cmap.values[cmap.valid]
-    if vals.size:
-        lo, hi = float(vals.min()), float(vals.max())
-    else:
-        lo, hi = 0.0, 0.0
+    lo, hi = (float(vals.min()), float(vals.max())) if vals.size else (0.0, 0.0)
     span = hi - lo
     scaled = np.zeros(cmap.values.shape, dtype=np.int64)
     if span > 0:
-        scaled[cmap.valid] = np.rint((cmap.values[cmap.valid] - lo) / span * COSTMAP_MAXVAL).astype(
-            np.int64
-        )
+        scaled[cmap.valid] = np.rint((vals - lo) / span * COSTMAP_MAXVAL).astype(np.int64)
     mask_path = path.with_suffix(".mask.pbm")
     write_pgm(path, scaled, COSTMAP_MAXVAL)
     write_pbm(mask_path, cmap.valid)
@@ -198,59 +172,84 @@ def write_costmap_pgm(cmap: DenseCostmap, path):
     atomic_write_text(path.with_suffix(".meta.json"), json.dumps(meta, indent=2) + "\n")
 
 
+def read_sidecar(path, keys) -> dict:
+    """The JSON object of a raster's sidecar; each of ``keys`` must be in it.
+
+    Every listed value must be a finite number, except ``valid_mask``, which
+    must name a file beside the sidecar. JSON integers are read as floats.
+    """
+    try:
+        meta = json.loads(Path(path).read_bytes(), parse_int=float)
+    except FileNotFoundError:
+        raise FormatError(f"missing sidecar {path}") from None
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise FormatError(f"{path}: invalid sidecar JSON: {e}") from None
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: sidecar must be a JSON object")
+    for key in keys:
+        if key not in meta:
+            raise FormatError(f"{path}: sidecar missing key {key!r}")
+        value = meta[key]
+        if key == "valid_mask":
+            bare = isinstance(value, str) and "\0" not in value and value not in ("", ".", "..")
+            if not (bare and Path(value).name == value):
+                raise FormatError(f"{path}: valid_mask must be a bare file name, found {value!r}")
+        elif not (type(value) is float and math.isfinite(value)):
+            raise FormatError(f"{path}: key {key!r} must be a finite number, found {value!r}")
+    return meta
+
+
 def read_costmap_pgm(path) -> DenseCostmap:
     path = Path(path)
     pixels, maxval = read_pgm(path)
     meta_path = path.with_suffix(".meta.json")
-    if not meta_path.exists():
-        raise FormatError(f"missing costmap sidecar {meta_path}")
-    meta = json.loads(meta_path.read_text())
-    grid = GridSpec(
-        (meta["origin_x_m"], meta["origin_y_m"]),
-        meta["resolution_m"],
-        int(meta["rows"]),
-        int(meta["cols"]),
-    )
-    valid = read_pbm(path.parent / meta["valid_mask"])
-    lo, hi = float(meta["min_value"]), float(meta["max_value"])
+    meta = read_sidecar(meta_path, COSTMAP_SIDECAR_KEYS)
+    if (meta["rows"], meta["cols"]) != pixels.shape:
+        raise FormatError(f"{meta_path}: rows x cols {meta['rows']:g}x{meta['cols']:g} "
+                          f"differ from the {pixels.shape[0]}x{pixels.shape[1]} raster {path}")
+    grid = _build(meta_path, GridSpec, (meta["origin_x_m"], meta["origin_y_m"]),
+                  meta["resolution_m"], *pixels.shape)
+    mask_path = path.parent / meta["valid_mask"]
+    try:
+        valid = read_pbm(mask_path)
+    except OSError as e:
+        raise FormatError(f"{meta_path}: cannot read its valid_mask: {e}") from None
+    if valid.shape != pixels.shape:
+        raise FormatError(f"{mask_path}: {valid.shape[0]}x{valid.shape[1]} mask does not match "
+                          f"the {pixels.shape[0]}x{pixels.shape[1]} raster {path}")
+    lo, hi = meta["min_value"], meta["max_value"]
     values = lo + pixels.astype(np.float64) / maxval * (hi - lo)
     values[~valid] = 0.0
-    return DenseCostmap(grid, values, valid)
+    return _build(meta_path, DenseCostmap, grid, values, valid)
 
 
 def write_costmap_csv(cmap: DenseCostmap, path):
     """Exact per-cell dump: i, j, value, valid (plus a grid header comment)."""
     g = cmap.grid
-    lines = [
+    i, j = np.indices(cmap.values.shape)
+    _write_table(
+        path,
         f"# grid origin_x={_fmt(g.origin[0])} origin_y={_fmt(g.origin[1])} "
-        f"resolution={_fmt(g.resolution)} rows={g.rows} cols={g.cols}",
-        COSTMAP_HEADER,
-    ]
-    for i in range(g.rows):
-        for j in range(g.cols):
-            lines.append(f"{i},{j},{_fmt(cmap.values[i, j])},{int(cmap.valid[i, j])}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        f"resolution={_fmt(g.resolution)} rows={g.rows} cols={g.cols}\n{COSTMAP_HEADER}",
+        i.ravel(), j.ravel(), cmap.values.ravel(), cmap.valid.ravel(),
+    )
 
 
 def read_costmap_csv(path) -> DenseCostmap:
-    lines = Path(path).read_text().splitlines()
+    lines = _read_lines(path)
     if not lines or not lines[0].startswith("# grid "):
         raise FormatError(f"{path}: missing grid header")
     try:
         keys = dict(kv.split("=") for kv in lines[0][7:].split())
-        grid = GridSpec(
-            (float(keys["origin_x"]), float(keys["origin_y"])),
-            float(keys["resolution"]),
-            int(keys["rows"]),
-            int(keys["cols"]),
-        )
+        grid = GridSpec((float(keys["origin_x"]), float(keys["origin_y"])),
+                        float(keys["resolution"]), int(keys["rows"]), int(keys["cols"]))
     except KeyError as e:
         raise FormatError(f"{path}:1: missing grid key {e}") from None
     except ValueError as e:
         raise FormatError(f"{path}:1: {e}") from None
     numbers, rows = _table_rows(path, lines, 1, COSTMAP_HEADER)
     i, j, value, flag = rows.T
-    whole = (i % 1 == 0) & (j % 1 == 0)
+    whole = (np.floor(i) == i) & (np.floor(j) == j)
     in_grid = whole & (i >= 0) & (i < grid.rows) & (j >= 0) & (j < grid.cols)
     for bad, what in ((~in_grid, f"not a cell of the {grid.rows}x{grid.cols} grid"),
                       ((flag != 0.0) & (flag != 1.0), "valid must be 0 or 1")):
@@ -276,7 +275,7 @@ CLOUD_HEADER = "x,y,z,r,g,b"
 
 def _write_table(path, header: str, *columns):
     """One header row, then one row of %.17g floats per entry of the columns."""
-    lines = [header] + [",".join(map(_fmt, row)) for row in np.column_stack(columns).tolist()]
+    lines = [header] + [",".join(map(_fmt, row.tolist())) for row in np.column_stack(columns)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -303,7 +302,14 @@ def _table_rows(path, lines: list, at: int, header: str):
 
 def _read_table(path, header: str) -> np.ndarray:
     """The (n, columns) float array of a table written by :func:`_write_table`."""
-    return _table_rows(path, Path(path).read_text().splitlines(), 0, header)[1]
+    return _table_rows(path, _read_lines(path), 0, header)[1]
+
+
+def _read_lines(path) -> list:
+    try:
+        return Path(path).read_bytes().decode("ascii").splitlines()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not an ASCII table: {e}") from None
 
 
 def _build(path, cls, *columns):
@@ -372,15 +378,21 @@ def write_run_dir(run_dir, traj: Trajectory, imu: ImuLog, clouds: dict, images: 
         write_ppm(run_dir / f"image_{k}.ppm", image)
 
 
+def _frames(run_dir: Path, kind: str, suffix: str, read) -> dict:
+    """{k: read(path)} for the files ``<kind>_<k><suffix>``, k a plain decimal number."""
+    frames = {}
+    for p in sorted(run_dir.glob(f"{kind}_*{suffix}")):
+        k = re.fullmatch(rf"{kind}_(0|[1-9][0-9]*){re.escape(suffix)}", p.name)
+        if k is None:
+            raise FormatError(f"{p}: not a frame file name ({kind}_<k>{suffix})")
+        frames[int(k[1])] = read(p)
+    return frames
+
+
 def read_run_dir(run_dir):
     """Load a run directory; returns (trajectory, imu, {k: cloud}, {k: image})."""
     run_dir = Path(run_dir)
     traj = read_trajectory_csv(run_dir / "trajectory.csv")
     imu = read_imu_csv(run_dir / "imu.csv")
-    clouds = {}
-    images = {}
-    for p in sorted(run_dir.glob("cloud_*.csv")):
-        clouds[int(p.stem.split("_")[1])] = read_cloud_csv(p)
-    for p in sorted(run_dir.glob("image_*.ppm")):
-        images[int(p.stem.split("_")[1])] = read_ppm(p)
-    return traj, imu, clouds, images
+    clouds = _frames(run_dir, "cloud", ".csv", read_cloud_csv)
+    return traj, imu, clouds, _frames(run_dir, "image", ".ppm", read_ppm)

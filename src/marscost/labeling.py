@@ -33,7 +33,7 @@ class LabelingConfig:
 
     def __post_init__(self):
         for name in ("w1", "w2", "w3", "epsilon", "kernel_radius", "coarse_res", "fine_res"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -128,7 +128,7 @@ def sparse_kernel(d, r: float):
     for d <= r and 0 beyond. Nonnegative on [0, r]; the tiny negative values
     float cancellation can produce near d = r are clamped to 0.
     """
-    if r <= 0:
+    if not r > 0:
         raise ValueError("kernel radius must be positive")
     d_arr = np.asarray(d, dtype=np.float64)
     if np.any(d_arr < 0):

@@ -275,7 +275,7 @@ def huber_loss(pred: DenseCostmap, target: DenseCostmap, delta: float) -> float:
     Quadratic ``0.5 e^2`` below the threshold, linear ``delta (|e| - delta/2)``
     beyond it; invalid cells contribute nothing.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     if pred.values.shape != target.values.shape:
         raise ValueError("prediction and target grids differ")
@@ -311,7 +311,7 @@ def smoothness_loss(pred: DenseCostmap, lam: float) -> float:
     H (W-1); a degenerate single-row or single-column map contributes zero in
     the missing direction.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lam must be positive")
     value, _ = _smoothness_value_grad(pred.values, lam)
     return value

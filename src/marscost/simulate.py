@@ -53,7 +53,7 @@ def generate_trajectory(
     wp = np.asarray(waypoints, dtype=np.float64).reshape(-1, 2)
     if wp.shape[0] < 2:
         raise ValueError("need at least 2 waypoints")
-    if speed <= 0 or dt <= 0:
+    if not (speed > 0 and dt > 0):
         raise ValueError("speed and dt must be positive")
     inside = hf.contains(wp[:, 0], wp[:, 1])
     if not np.all(inside):
@@ -168,6 +168,8 @@ def march_rays(
     n = directions.shape[0]
     if step is None:
         step = hf.cell_size / 4.0
+    if not max_range > 0:
+        raise ValueError("max_range must be positive")
     if not step > 0:
         raise ValueError("step must be positive")
     origin = np.asarray(origin, dtype=np.float64)
@@ -289,8 +291,6 @@ def simulate_lidar(
     """
     if rays <= 0:
         raise ValueError("rays must be positive")
-    if max_range <= 0:
-        raise ValueError("max_range must be positive")
     if not bool(np.all(hf.contains(pose.position[0], pose.position[1]))):
         raise ValueError("sensor pose is outside the terrain extent")
     r = quat_to_matrix(pose.orientation)

@@ -77,7 +77,7 @@ class AugmentConfig:
     def __post_init__(self):
         if self.max_shift_cells < 0:
             raise ValueError("max_shift_cells must be nonnegative")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be nonnegative")
 
 

@@ -156,8 +156,10 @@ class GridSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
-        if self.resolution <= 0:
-            raise ValueError("grid resolution must be positive")
+        if not np.all(np.isfinite(self.origin)):
+            raise ValueError("grid origin must be finite")
+        if not 0 < self.resolution < np.inf:
+            raise ValueError("grid resolution must be positive and finite")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid must have at least one row and one column")
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -253,3 +254,47 @@ def test_config_defaults_are_dataclass_defaults():
     assert cfg.bev_layout() == BevLayout()
     assert cfg.sim_config() == SimConfig()
     assert cfg.ablation_specs()[0] == AblationSpec(ABLATION_MODES[0])
+
+
+def test_heightmap_cell_size_comes_from_its_sidecar(tmp_path):
+    pgm = tmp_path / "terrain.pgm"
+    pgm.write_text("P2\n3 3\n255\n0 1 2\n3 4 5\n6 7 8\n")
+    (tmp_path / "terrain.meta.json").write_text(
+        json.dumps({"min_height_m": 0.0, "max_height_m": 1.0, "cell_size_m": 0.5})
+    )
+    cfg = validate_config({"sim": {"terrain": {"heightmap_path": str(pgm)},
+                                   "trajectories": [[[0.2, 0.2], [0.8, 0.8]]]}})
+    assert cli._terrain_for(cfg).cell_size == 0.5
+
+
+# sha256 of every file that simulate and label write for _tiny_config
+GOLDEN_SIMULATE_LABEL = {
+    "data/run_000/cloud_0.csv": "aeb50acd370145359f89cca08084fb479224c969be5cc304d84d124d411548ac",
+    "data/run_000/cloud_18.csv": "40ca1d71401768a0adeb9d1498153e73d51c406f296f0f65fc5ca49a3f86172d",
+    "data/run_000/cloud_36.csv": "bb7a5e94baae295af0814f170c25ab3ff973ac804355dec7d747302029faa986",
+    "data/run_000/cloud_54.csv": "e649fd17008be6b2de5b0221b6e741c543c7046dff89c8b6f205bbc617863d2a",
+    "data/run_000/cloud_72.csv": "326a03d1d33cf098b596d0401f591fa84a6460f1c3fecbfa43dd9c2d5aebb9ab",
+    "data/run_000/image_0.ppm": "5d2f5f8978af04586052d2d4670e70feb4b4e81224cf1c7493137d80362fe22c",
+    "data/run_000/image_18.ppm": "99d90e186276a7df47867d07a8078d4ed707fa4cff8f7e2bed4a28ea1386aa5a",
+    "data/run_000/image_36.ppm": "e894ef5412b41a36a6b391d78ba81a8e5036fd2e6017b8b48ceaf4f01c7938cb",
+    "data/run_000/image_54.ppm": "71a9ca072fd8ee5099933ce7ea61f4c025b8bd9a79b8cd79cb3a85f4778299a6",
+    "data/run_000/image_72.ppm": "87aaeaea16c05d4e293406963dd68814108af648f8e7a41571917c3aadad0890",
+    "data/run_000/imu.csv": "4d4ea47af5de8dc7d2184b71a7c160e70b3a7713070fb4d60cb92ede6166eacc",
+    "data/run_000/trajectory.csv": "80bd96f9b8eaf3cb39b8ac2101667cef3e3631eb3e26837244a01d8b132dce8d",
+    "labels/normalization.json": "c5178f27a863dbfdafc6913388338e71aeeafaf51831c5fa62eda6ff4170dfba",
+    "labels/run_000.mask.pbm": "351c9a119b2840ba7a89ca5bcc43db7268799081bb79f15e22499a0d6aa22658",
+    "labels/run_000.meta.json": "add8e9604150938431bcee45ffc2eeb9f1850dc17f0f5576adcdc7b434fd22b4",
+    "labels/run_000.pgm": "a2a1e8af4065e3af625f75bc81370a6f00207ebc1845f0fe275a082833d4aa69",
+    "labels/run_000.sparse.csv": "c93eb5807c18cd718dbe669cdf1b6d5b0d2578ee9bd660604b2bdf785ef991af",
+}
+
+
+def test_simulate_and_label_golden_fingerprints(tmp_path):
+    """The simulate and label stages use no BLAS, so their files are meant to be bit-stable
+    on one host. A changed hash means a writer or a stage changed its output bytes; a change
+    made on purpose updates this table and says so in CHANGES.md."""
+    cfg, workdir = _tiny_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert main(["label", "--config", str(cfg)]) == 0
+    hashes = {name: hashlib.sha256(data).hexdigest() for name, data in _tree_bytes(workdir).items()}
+    assert hashes == GOLDEN_SIMULATE_LABEL

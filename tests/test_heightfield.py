@@ -83,7 +83,7 @@ def test_load_missing_sidecar_rejected(tmp_path):
     p = tmp_path / "orphan.pgm"
     _write_pgm_ascii(p, [[1, 2], [3, 4]])
     with pytest.raises(FormatError):
-        load_heightfield(p, 0.5)
+        load_heightfield(p)
 
 
 def test_load_ramp_monotone(tmp_path):
@@ -92,7 +92,7 @@ def test_load_ramp_monotone(tmp_path):
     p = tmp_path / "ramp.pgm"
     _write_pgm_ascii(p, rows, maxval=63)
     _write_meta(tmp_path / "ramp.meta.json", -2.0, 2.0)
-    hf = load_heightfield(p, 0.5)
+    hf = load_heightfield(p)
     assert np.all(np.diff(hf.elevations, axis=1) > 0)
     assert np.allclose(np.diff(hf.elevations, axis=0), 0.0)
     assert hf.elevations[0, 0] == -2.0

@@ -1,7 +1,12 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from marscost import io as mio
+from marscost.cli import main
+from marscost.heightfield import load_heightfield
 from marscost.types import DenseCostmap, FormatError, GridSpec, Image, Pose
 
 
@@ -43,6 +48,19 @@ def test_pgm_comments_and_errors(tmp_path):
     trunc.write_text("P2\n2 2\n9\n1 2 3\n")
     with pytest.raises(FormatError):
         mio.read_pgm(trunc)
+
+
+@pytest.mark.parametrize("read, data", [
+    (mio.read_pgm, b"P2\n2 1\n9\n1 2 3\n"),
+    (mio.read_pgm, b"P5\n2 1\n255\n\x01\x02\x03"),
+    (mio.read_ppm, b"P6\n1 1\n255\n\x01\x02\x03\x04"),
+    (mio.read_pbm, b"P1\n2 1\n101\n"),
+], ids=["p2", "p5", "p6", "p1"])
+def test_raster_with_trailing_data_names_the_file(tmp_path, read, data):
+    path = tmp_path / "padded.pnm"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match="padded.pnm: P[1256] raster must be"):
+        read(path)
 
 
 def test_ppm_round_trip_quantized(tmp_path):
@@ -195,3 +213,80 @@ def test_no_temp_files_left(tmp_path):
     mio.write_costmap_pgm(cmap, tmp_path / "x.pgm")
     mio.write_costmap_csv(cmap, tmp_path / "x.csv")
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("name", ["cloud_12_x.csv", "cloud_x.csv", "cloud_012.csv", "image_1b.ppm"])
+def test_run_dir_rejects_inexact_frame_names(tmp_path, flat_field, name):
+    from marscost.simulate import generate_trajectory, render_camera, simulate_lidar, synthesize_imu
+
+    traj = generate_trajectory(flat_field, [(1.0, 1.0), (4.0, 4.0)], speed=1.0, dt=0.25)
+    clouds = {0: simulate_lidar(flat_field, traj[0], 50, 8.0, seed=1)}
+    images = {0: render_camera(flat_field, traj[0], 4, 6)}
+    run = tmp_path / "run"
+    mio.write_run_dir(run, traj, synthesize_imu(traj, flat_field, seed=1), clouds, images)
+    frame0 = run / ("cloud_0.csv" if name.startswith("cloud") else "image_0.ppm")
+    (run / name).write_bytes(frame0.read_bytes())
+    with pytest.raises(FormatError, match=f"{name}: not a frame file name"):
+        mio.read_run_dir(run)
+
+
+def _rewrite(path, edit):
+    """Replace the text of ``path`` by ``edit(text)``; returns the path."""
+    path.write_text(edit(path.read_text()))
+    return path
+
+
+def _edit_json(path, edit):
+    return _rewrite(path, lambda text: json.dumps(edit(json.loads(text))))
+
+
+def _set(key, value):
+    return lambda meta: {**meta, key: value}
+
+
+# name: damage(directory holding c.pgm, c.meta.json and c.mask.pbm) -> the damaged file
+COSTMAP_DAMAGE = {
+    "sidecar_without_rows": lambda d: _edit_json(
+        d / "c.meta.json", lambda m: {k: v for k, v in m.items() if k != "rows"}),
+    "sidecar_list": lambda d: _edit_json(d / "c.meta.json", lambda m: []),
+    "mask_number": lambda d: _edit_json(d / "c.meta.json", _set("valid_mask", 5)),
+    "mask_parent": lambda d: _edit_json(d / "c.meta.json", _set("valid_mask", "../c.mask.pbm")),
+    "mask_absolute": lambda d: _edit_json(
+        d / "c.meta.json", _set("valid_mask", str(d.parent / "c.mask.pbm"))),
+    "mask_2x2": lambda d: _rewrite(d / "c.mask.pbm", lambda _: "P1\n2 2\n1111\n"),
+    "sidecar_rows": lambda d: _edit_json(d / "c.meta.json", _set("rows", 5)),
+    "pbm_header": lambda d: _rewrite(d / "c.mask.pbm", lambda _: "P1\nx 2\n"),
+    "p2_extra_tokens": lambda d: _rewrite(d / "c.pgm", lambda text: text + "7\n"),
+}
+
+
+def _cli_config(tmp_path, **terrain):
+    path = tmp_path / "config.json"
+    sim = {"trajectories": [[[2.0, 2.0], [7.0, 7.0]]], "terrain": terrain}
+    path.write_text(json.dumps({"workdir": str(tmp_path / "work"), "sim": sim}))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(COSTMAP_DAMAGE))
+def test_hostile_costmap_raster_names_the_file(tmp_path, capsys, case):
+    maps = tmp_path / "maps"
+    cmap = _random_costmap(7, rows=4, cols=3)
+    mio.write_costmap_pgm(cmap, maps / "c.pgm")
+    mio.write_pbm(tmp_path / "c.mask.pbm", cmap.valid)  # a readable mask outside the directory
+    damaged = COSTMAP_DAMAGE[case](maps)
+    with pytest.raises(FormatError, match=re.escape(str(damaged))):
+        mio.read_costmap_pgm(maps / "c.pgm")
+    assert main(["export", "--config", _cli_config(tmp_path), "--map", str(maps / "c.pgm")]) == 2
+    assert str(damaged) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [None, "a", float("nan")], ids=["null", "string", "nan"])
+def test_hostile_heightmap_sidecar_names_the_file(tmp_path, capsys, value):
+    mio.write_pgm(tmp_path / "h.pgm", np.arange(64).reshape(8, 8), 255)
+    sidecar = tmp_path / "h.meta.json"
+    sidecar.write_text(json.dumps({"min_height_m": 0.0, "max_height_m": value, "cell_size_m": 1.0}))
+    with pytest.raises(FormatError, match=re.escape(str(sidecar))):
+        load_heightfield(tmp_path / "h.pgm")
+    config = _cli_config(tmp_path, heightmap_path=str(tmp_path / "h.pgm"))
+    assert main(["simulate", "--config", config]) == 2
+    assert str(sidecar) in capsys.readouterr().err
