@@ -69,27 +69,25 @@ def pillarize(cloud: PointCloud, grid: GridSpec, max_points: int) -> PillarTenso
     flat = i[inside] * grid.cols + j[inside]
 
     order = np.argsort(flat, kind="stable")  # stable keeps input order within a pillar
-    flat_sorted = flat[order]
-    uniq, starts = np.unique(flat_sorted, return_index=True)
-    bounds = np.append(starts, flat_sorted.size)
+    uniq, starts, sizes = np.unique(flat[order], return_index=True, return_counts=True)
+    group = np.repeat(np.arange(uniq.size), sizes)  # pillar of each sorted point
+    rank = np.arange(order.size) - starts[group]  # its position within the pillar
+    kept = rank < max_points
+    group, rank, src = group[kept], rank[kept], order[kept]
 
-    p_count = uniq.size
     indices = np.column_stack([uniq // grid.cols, uniq % grid.cols]).astype(np.int64)
-    features = np.zeros((p_count, max_points, 9))
-    counts = np.zeros(p_count, dtype=np.int64)
-    n_dropped = 0
-    for p in range(p_count):
-        sel = order[bounds[p] : bounds[p + 1]]
-        if sel.size > max_points:
-            n_dropped += sel.size - max_points
-            sel = sel[:max_points]
-        c = sel.size
-        counts[p] = c
-        pts = xyz[sel]
-        centroid = pts.mean(axis=0)
-        features[p, :c, 0:3] = pts
-        features[p, :c, 3:6] = rgb[sel]
-        features[p, :c, 6:9] = pts - centroid
+    counts = np.minimum(sizes, max_points).astype(np.int64)
+    n_dropped = int(order.size - src.size)
+    features = np.zeros((uniq.size, max_points, 9))
+    features[group, rank, 0:3] = xyz[src]
+    features[group, rank, 3:6] = rgb[src]
+    # centroid summed slot by slot from +0.0 in input order, as a per-pillar
+    # mean(axis=0) does; the zero padding past a pillar's count adds nothing
+    sums = np.zeros((uniq.size, 3))
+    for k in range(int(counts.max(initial=0))):
+        sums += features[:, k, 0:3]
+    centroid = sums / counts[:, None]
+    features[group, rank, 6:9] = xyz[src] - centroid[group]
     return PillarTensor(indices, features, counts, max_points, n_outside, n_dropped)
 
 
@@ -147,9 +145,15 @@ def embed_image(img: Image) -> np.ndarray:
 
     Layout: 64-bin value histogram per channel (192), 64-bin gradient
     magnitude histogram (64), 8x8 bilinear luminance thumbnail (64), zero
-    padding to 384.
+    padding to 384. Computed once per :class:`Image` object (images are
+    immutable) and returned read-only.
     """
-    px = img.pixels
+    if img._embedding is None:
+        object.__setattr__(img, "_embedding", _embed_pixels(img.pixels))
+    return img._embedding
+
+
+def _embed_pixels(px: np.ndarray) -> np.ndarray:
     n_px = px.shape[0] * px.shape[1]
     parts = []
     edges = np.linspace(0.0, 1.0, _HIST_BINS + 1)
@@ -171,6 +175,7 @@ def embed_image(img: Image) -> np.ndarray:
     norm = np.linalg.norm(out)
     if norm > 0:
         out /= norm
+    out.flags.writeable = False
     return out
 
 

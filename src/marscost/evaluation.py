@@ -104,7 +104,7 @@ def apply_ablation(sample: Sample, spec: AblationSpec) -> Sample:
         xyz = cloud.xyz + rng.standard_normal(cloud.xyz.shape) * spec.noise_sigma_points
         image = Image(px)
         cloud = PointCloud(xyz, cloud.rgb.copy())
-    return Sample(cloud, Image(image.pixels.copy()), sample.target.copy())
+    return Sample(cloud, image, sample.target.copy())
 
 
 def predict(params: ModelParams, sample: Sample, mode: str = "baseline") -> DenseCostmap:

@@ -255,12 +255,26 @@ def read_costmap_csv(path) -> DenseCostmap:
                       ((flag != 0.0) & (flag != 1.0), "valid must be 0 or 1")):
         if bad.any():
             raise FormatError(f"{path}:{numbers[int(np.argmax(bad))]}: {what}")
-    values = np.zeros((grid.rows, grid.cols))
-    valid = np.zeros((grid.rows, grid.cols), dtype=bool)
-    cells = (i.astype(np.int64), j.astype(np.int64))
-    values[cells] = value
-    valid[cells] = flag == 1.0
-    return _build(path, DenseCostmap, grid, values, valid)
+    # every cell exactly once: a repeat or a table cut short is damage, not data
+    cell = i.astype(np.int64) * grid.cols + j.astype(np.int64)
+    repeat = np.ones(cell.size, dtype=bool)
+    repeat[np.unique(cell, return_index=True)[1]] = False
+    if repeat.any():
+        r = int(np.argmax(repeat))
+        raise FormatError(f"{path}:{numbers[r]}: cell ({int(i[r])}, {int(j[r])}) repeats line "
+                          f"{numbers[int(np.argmax(cell == cell[r]))]}")
+    if cell.size != grid.rows * grid.cols:
+        present = np.zeros(grid.rows * grid.cols, dtype=bool)
+        present[cell] = True
+        gap = divmod(int(np.argmin(present)), grid.cols)
+        raise FormatError(f"{path}:{len(lines)}: table ends after {cell.size} of "
+                          f"{grid.rows * grid.cols} cells; cell {gap} is missing")
+    values = np.zeros(grid.rows * grid.cols)
+    valid = np.zeros(grid.rows * grid.cols, dtype=bool)
+    values[cell] = value
+    valid[cell] = flag == 1.0
+    return _build(path, DenseCostmap, grid, values.reshape(grid.rows, grid.cols),
+                  valid.reshape(grid.rows, grid.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +306,8 @@ def _table_rows(path, lines: list, at: int, header: str):
         cells = line.split(",")
         if len(cells) != width:
             raise FormatError(f"{path}:{number}: expected {width} values, found {len(cells)}")
+        if "_" in line:  # float() would read "1_0" as 10
+            raise FormatError(f"{path}:{number}: '_' is not part of a number")
         try:
             rows.append([float(c) for c in cells])
         except ValueError as e:

@@ -110,7 +110,7 @@ def rotate_sample(sample: Sample, quarter_turns: int) -> Sample:
     valid = np.rot90(sample.target.valid, -k).copy()
     return Sample(
         PointCloud(new_xyz, sample.cloud.rgb.copy()),
-        Image(sample.image.pixels.copy()),
+        sample.image,
         DenseCostmap(grid, values, valid),
     )
 
@@ -133,7 +133,7 @@ def translate_sample(sample: Sample, shift_cols: int, shift_rows: int) -> Sample
     values = np.where(valid, values, 0.0)
     return Sample(
         PointCloud(new_xyz, sample.cloud.rgb.copy()),
-        Image(sample.image.pixels.copy()),
+        sample.image,
         DenseCostmap(grid, values, valid),
     )
 

@@ -7,7 +7,7 @@ falls in row ``floor((y - origin_y) / resolution)`` and column
 ``origin + (index + 0.5) * resolution``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,20 +121,28 @@ class PointCloud:
         return PointCloud(np.zeros((0, 3)), np.zeros((0, 3)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Image:
-    """Row-major RGB raster with values in [0, 1]."""
+    """Row-major RGB raster with values in [0, 1]; immutable.
+
+    The pixels are a read-only copy of the array given, so an image never
+    changes and its embedding (see :func:`marscost.bev.embed_image`) is
+    computed at most once per object and kept in ``_embedding``.
+    """
 
     pixels: np.ndarray  # (rows, cols, 3)
+    _embedding: np.ndarray = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        if self.pixels.ndim != 3 or self.pixels.shape[2] != 3:
+        pixels = np.array(self.pixels, dtype=np.float64)
+        if pixels.ndim != 3 or pixels.shape[2] != 3:
             raise ValueError("image pixels must have shape (rows, cols, 3)")
-        if self.pixels.shape[0] < 1 or self.pixels.shape[1] < 1:
+        if pixels.shape[0] < 1 or pixels.shape[1] < 1:
             raise ValueError("image must have at least one pixel")
-        if not (self.pixels.min() >= 0.0 and self.pixels.max() <= 1.0):
+        if not (pixels.min() >= 0.0 and pixels.max() <= 1.0):
             raise ValueError("pixel values must lie in [0, 1]")
+        pixels.flags.writeable = False
+        object.__setattr__(self, "pixels", pixels)
 
     @property
     def rows(self) -> int:
@@ -271,6 +279,6 @@ class Sample:
     def copy(self) -> "Sample":
         return Sample(
             PointCloud(self.cloud.xyz.copy(), self.cloud.rgb.copy()),
-            Image(self.image.pixels.copy()),
+            self.image,  # immutable, so shared along with its embedding
             self.target.copy(),
         )

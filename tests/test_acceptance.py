@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL line
 for every criterion alongside its runtime.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -200,11 +201,27 @@ ACCEPT_NET = NetConfig(
 )
 
 
+# sha256 over every array of synthesize_dataset(seed=11, n_runs=4), see _dataset_sha256
+ACCEPT_DATASET_SHA256 = "479cc1946cdc9118fb958390ad4c8f1290a6f35552d97efd8f0475d2a4b5dc8b"
+
+
+def _dataset_sha256(samples) -> str:
+    """One digest of each sample's cloud, image and label arrays: dtype, shape and bytes."""
+    digest = hashlib.sha256()
+    for s in samples:
+        for a in (s.cloud.xyz, s.cloud.rgb, s.image.pixels, s.target.values, s.target.valid):
+            digest.update(f"{a.dtype}{a.shape}".encode())
+            digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def trained_model():
     t0 = time.time()
     samples = synthesize_dataset(seed=11, n_runs=4)
     assert len(samples) >= 32
+    # the dataset is golden: a change to simulation or labeling shows here first
+    assert _dataset_sha256(samples) == ACCEPT_DATASET_SHA256
     train, heldout = split_samples(samples, 0.25, seed=11)
     steps_per_epoch = (len(train) + 7) // 8
     cfg = TrainConfig(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_sample
 from marscost.bev import (
     EMBED_DIM,
     FilmParams,
@@ -68,6 +69,103 @@ def test_pillarize_cap_keeps_first_by_input_order():
     pt = pillarize(_cloud(pts, z=z), GRID, max_points=2)
     assert pt.counts[0] == 2 and pt.n_dropped == 2
     assert np.array_equal(pt.features[0, :2, 2], [1.0, 2.0])
+
+
+def _pillarize_reference(cloud: PointCloud, grid: GridSpec, max_points: int) -> PillarTensor:
+    """Oracle: the per-pillar loop that ``pillarize`` reproduces bit for bit."""
+    n = len(cloud)
+    if n == 0:
+        return PillarTensor(
+            np.zeros((0, 2), dtype=np.int64), np.zeros((0, max_points, 9)), np.zeros(0, dtype=np.int64), max_points
+        )
+    i, j = grid.cell_of(cloud.xyz[:, 0], cloud.xyz[:, 1])
+    inside = (i >= 0) & (i < grid.rows) & (j >= 0) & (j < grid.cols)
+    n_outside = int(np.count_nonzero(~inside))
+    xyz = cloud.xyz[inside]
+    rgb = cloud.rgb[inside]
+    flat = i[inside] * grid.cols + j[inside]
+
+    order = np.argsort(flat, kind="stable")
+    flat_sorted = flat[order]
+    uniq, starts = np.unique(flat_sorted, return_index=True)
+    bounds = np.append(starts, flat_sorted.size)
+
+    p_count = uniq.size
+    indices = np.column_stack([uniq // grid.cols, uniq % grid.cols]).astype(np.int64)
+    features = np.zeros((p_count, max_points, 9))
+    counts = np.zeros(p_count, dtype=np.int64)
+    n_dropped = 0
+    for p in range(p_count):
+        sel = order[bounds[p] : bounds[p + 1]]
+        if sel.size > max_points:
+            n_dropped += sel.size - max_points
+            sel = sel[:max_points]
+        c = sel.size
+        counts[p] = c
+        pts = xyz[sel]
+        centroid = pts.mean(axis=0)
+        features[p, :c, 0:3] = pts
+        features[p, :c, 3:6] = rgb[sel]
+        features[p, :c, 6:9] = pts - centroid
+    return PillarTensor(indices, features, counts, max_points, n_outside, n_dropped)
+
+
+def _oracle_case(seed: int):
+    """A seeded cloud, grid and cap mixing edge cases: off-grid points, points on
+    cell edges, repeated positions, crowded pillars and signed zeros."""
+    rng = np.random.default_rng(seed)
+    res = float(rng.choice([0.25, 0.3, 0.5]))
+    grid = GridSpec((float(rng.choice([0.0, -1.5])), float(rng.choice([0.0, -2.0]))), res,
+                    int(rng.integers(1, 11)), int(rng.integers(1, 11)))
+    x0, x1, y0, y1 = grid.extent
+    n = int(rng.integers(1, 160))
+    xy = np.column_stack([rng.uniform(x0 - res, x1 + res, n), rng.uniform(y0 - res, y1 + res, n)])
+    edge = rng.random(n) < 0.2  # exactly on cell boundaries, the far boundary included
+    xy[edge, 0] = x0 + res * rng.integers(0, grid.cols + 1, edge.sum())
+    xy[edge, 1] = y0 + res * rng.integers(0, grid.rows + 1, edge.sum())
+    crowd = rng.random(n) < 0.3  # piled into a handful of cells
+    xy[crowd] = np.array([x0, y0]) + res * (rng.integers(0, 2, (crowd.sum(), 2)) + 0.5)
+    z = rng.normal(0.0, 1.0, n)
+    z[rng.random(n) < 0.15] = -0.0
+    rgb = rng.uniform(0.0, 1.0, (n, 3))
+    repeat = np.flatnonzero(rng.random(n) < 0.2)  # copies of earlier points
+    src = rng.integers(0, np.maximum(repeat, 1))
+    xy[repeat], z[repeat], rgb[repeat] = xy[src], z[src], rgb[src]
+    if seed % 7 == 0:  # a pillar of three points at signed zeros
+        xy[:3] = -0.0 if x0 < 0 and y0 < 0 else [x0, y0]
+        z[:3] = -0.0
+    max_points = int(rng.choice([1, 2, 3, 5, 32, n + 1]))
+    return PointCloud(np.column_stack([xy, z]), rgb), grid, max_points
+
+
+def _assert_same_pillars(pt: PillarTensor, ref: PillarTensor):
+    for name in ("indices", "features", "counts"):
+        a, b = getattr(pt, name), getattr(ref, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+    assert (pt.max_points, pt.n_outside, pt.n_dropped) == (ref.max_points, ref.n_outside, ref.n_dropped)
+
+
+def test_pillarize_matches_per_pillar_loop_bit_for_bit():
+    drops = caps_above = outside = 0
+    for seed in range(300):
+        cloud, grid, max_points = _oracle_case(seed)
+        ref = _pillarize_reference(cloud, grid, max_points)
+        _assert_same_pillars(pillarize(cloud, grid, max_points), ref)
+        drops += ref.n_dropped > 0
+        caps_above += ref.n_pillars > 0 and max_points > ref.counts.max() and max_points > 1
+        outside += ref.n_outside > 0
+    assert drops > 50 and caps_above > 50 and outside > 100  # the cases above are exercised
+
+
+@pytest.mark.parametrize("xy", [np.zeros((0, 2)), [[-0.1, 1.0], [4.0, 1.0], [1.0, 4.0], [9.0, -3.0]]],
+                         ids=["empty", "all_outside"])
+@pytest.mark.parametrize("max_points", [1, 4])
+def test_pillarize_without_pillars_matches_loop(xy, max_points):
+    cloud = _cloud(xy)
+    pt = pillarize(cloud, GRID, max_points)
+    assert pt.n_pillars == 0
+    _assert_same_pillars(pt, _pillarize_reference(cloud, GRID, max_points))
 
 
 def test_pillarize_empty_cloud():
@@ -174,6 +272,28 @@ def test_embed_distinguishes_images():
     a = embed_image(Image(np.zeros((8, 8, 3))))
     b = embed_image(Image(np.ones((8, 8, 3))))
     assert not np.allclose(a, b)
+
+
+def test_image_pixels_are_a_read_only_copy():
+    arr = np.random.default_rng(17).uniform(0, 1, (6, 5, 3))
+    img = Image(arr)
+    with pytest.raises(ValueError, match="read-only"):
+        img.pixels[0, 0, 0] = 0.5
+    with pytest.raises(AttributeError):
+        img.pixels = arr
+    assert arr.flags.writeable and not np.shares_memory(arr, img.pixels)
+    arr[0, 0, 0] = 0.25  # the caller's array stays the caller's
+    assert img.pixels[0, 0, 0] != 0.25
+
+
+def test_sample_copy_reuses_the_memoised_embedding():
+    sample = random_sample(18)
+    emb = embed_image(sample.image)
+    copy = sample.copy()
+    assert copy.image is sample.image and embed_image(copy.image) is emb
+    fresh = embed_image(Image(sample.image.pixels))
+    assert fresh is not emb and fresh.tobytes() == emb.tobytes()
+    assert not emb.flags.writeable
 
 
 # ---------------------------------------------------------------------------

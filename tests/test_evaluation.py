@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_toy_instance, random_sample
+from marscost.bev import embed_image
 from marscost.evaluation import (
     ABLATION_MODES,
     AblationSpec,
@@ -127,6 +128,14 @@ def test_gaussian_mode_sigma_zero_unchanged():
     out = apply_ablation(sample, spec)
     assert np.array_equal(out.cloud.xyz, sample.cloud.xyz)
     assert np.array_equal(out.image.pixels, sample.image.pixels)
+
+
+@pytest.mark.parametrize("mode", ["occlude_image", "gaussian_noise"])
+def test_image_ablations_give_a_new_image_and_embedding(mode):
+    sample = random_sample(10)
+    out = apply_ablation(sample, AblationSpec(mode, seed=6))
+    assert out.image is not sample.image
+    assert not np.array_equal(embed_image(out.image), embed_image(sample.image))
 
 
 def test_ablation_never_touches_target():

@@ -182,7 +182,13 @@ COSTMAP_CSV_HEADER = "# grid origin_x=0 origin_y=0 resolution=0.5 rows=2 cols=2\
     (COSTMAP_CSV_HEADER + "0,0,1\n", ":3"),  # ragged
     (COSTMAP_CSV_HEADER + "0,0,x,1\n", ":3"),  # non-numeric
     (COSTMAP_CSV_HEADER.replace(" cols=2", ""), ":1"),  # missing grid key
-], ids=["row", "column", "fraction", "valid", "ragged", "text", "grid_key"])
+    (COSTMAP_CSV_HEADER + "0,0,1,1\n0,1,1,1\n1,0,1,1\n", ":5: .*cell \\(1, 1\\) is missing"),
+    (COSTMAP_CSV_HEADER, ":2: table ends after 0 of 4 cells"),
+    (COSTMAP_CSV_HEADER + "0,0,1,1\n0,1,1,1\n0,0,7,1\n1,0,1,1\n1,1,1,1\n",
+     ":5: cell \\(0, 0\\) repeats line 3"),
+    (COSTMAP_CSV_HEADER + "0,0,1_0,1\n0,1,1,1\n1,0,1,1\n1,1,1,1\n", ":3"),  # float() reads 1_0
+], ids=["row", "column", "fraction", "valid", "ragged", "text", "grid_key",
+        "cut_at_row", "no_rows", "repeated_cell", "underscore"])
 def test_costmap_csv_errors_name_the_file(tmp_path, text, where):
     path = tmp_path / "bad.csv"
     path.write_text(text)

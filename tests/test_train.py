@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import TOY_NET, random_sample
+from marscost.bev import embed_image
 from marscost.net import init_params
 from marscost.train import (
     AdamState,
@@ -160,6 +161,15 @@ def test_noise_never_touches_target():
     assert np.array_equal(out.target.valid, sample.target.valid)
     assert not np.array_equal(out.cloud.xyz, sample.cloud.xyz)
     assert out.image.pixels.min() >= 0.0 and out.image.pixels.max() <= 1.0
+
+
+def test_noise_gives_a_new_image_and_embedding():
+    sample = random_sample(27)
+    out = augment(sample, seed=7, cfg=AugmentConfig(noise_sigma=0.05))
+    assert out.image is not sample.image
+    assert not np.array_equal(embed_image(out.image), embed_image(sample.image))
+    quiet = augment(sample, seed=7, cfg=AugmentConfig(noise_sigma=0.0))
+    assert quiet.image is sample.image  # rotation and translation keep the image
 
 
 def test_augment_deterministic_per_seed():
