@@ -143,21 +143,33 @@ def load_heightfield(path) -> Heightfield:
 
 
 def _node_bilinear(hf: Heightfield, grid: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of a per-node grid (2-D or (rows, cols, k)) at world points."""
+    """Bilinear interpolation of a per-node grid (2-D or (rows, cols, k)) at non-NaN world points."""
+    rows, cols = hf.rows, hf.cols
     gx = (x - hf.origin[0]) / hf.cell_size
     gy = (y - hf.origin[1]) / hf.cell_size
-    j0 = np.clip(np.floor(gx).astype(int), 0, hf.cols - 2)
-    i0 = np.clip(np.floor(gy).astype(int), 0, hf.rows - 2)
+    # truncating the clamped coordinate is floor-then-clamp for all non-NaN values
+    j0 = np.clip(gx, 0, cols - 2).astype(np.intp)
+    i0 = np.clip(gy, 0, rows - 2).astype(np.intp)
+    k = i0 * cols + j0  # flat index of corner (i0, j0); the others are at +1, +cols, +cols+1
+    flat = grid.reshape(rows * cols, *grid.shape[2:])
     fx = gx - j0
     fy = gy - i0
     if grid.ndim == 3:
         fx = fx[..., None]
         fy = fy[..., None]
-    a = grid[i0, j0]
-    b = grid[i0, j0 + 1]
-    c = grid[i0 + 1, j0]
-    d = grid[i0 + 1, j0 + 1]
-    return a * (1 - fx) * (1 - fy) + b * fx * (1 - fy) + c * (1 - fx) * fy + d * fx * fy
+    ux = 1 - fx
+    uy = 1 - fy
+    # a * (1 - fx) * (1 - fy) + b * fx * (1 - fy) + c * (1 - fx) * fy + d * fx * fy,
+    # in that order, in place: block-sized temporaries cost more than the arithmetic
+    out = flat.take(k, axis=0)
+    out *= ux
+    out *= uy
+    for corner, wx, wy in ((1, fx, uy), (cols, ux, fy), (cols + 1, fx, fy)):
+        term = flat[corner:].take(k, axis=0)
+        term *= wx
+        term *= wy
+        out += term
+    return out
 
 
 def _require_inside(hf: Heightfield, x: np.ndarray, y: np.ndarray, what: str = "query"):

@@ -411,4 +411,8 @@ def read_run_dir(run_dir):
     traj = read_trajectory_csv(run_dir / "trajectory.csv")
     imu = read_imu_csv(run_dir / "imu.csv")
     clouds = _frames(run_dir, "cloud", ".csv", read_cloud_csv)
-    return traj, imu, clouds, _frames(run_dir, "image", ".ppm", read_ppm)
+    images = _frames(run_dir, "image", ".ppm", read_ppm)
+    k = max([*clouds, *images], default=-1)
+    if k >= len(traj):
+        raise FormatError(f"{run_dir / 'trajectory.csv'}: {len(traj)} poses, but the run has frame {k}")
+    return traj, imu, clouds, images

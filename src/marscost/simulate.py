@@ -168,8 +168,8 @@ def march_rays(
     n = directions.shape[0]
     if step is None:
         step = hf.cell_size / 4.0
-    if not max_range > 0:
-        raise ValueError("max_range must be positive")
+    if not 0 < max_range < np.inf:
+        raise ValueError("max_range must be positive and finite")
     if not step > 0:
         raise ValueError("step must be positive")
     origin = np.asarray(origin, dtype=np.float64)
@@ -210,9 +210,10 @@ def march_rays(
             y = origin[1] + directions[r, 1, None] * t
             z = origin[2] + directions[r, 2, None] * t
             inside = hf.contains(x, y)
-            below = np.zeros_like(valid)
-            m = valid & inside
-            below[m] = z[m] <= _heights_unchecked(hf, x[m], y[m])
+            # outside or NaN points are looked up at the origin; that height is never used
+            xs = np.where(inside, x, origin[0])
+            ys = np.where(inside, y, origin[1])
+            below = inside & (z <= _heights_unchecked(hf, xs, ys))
             stops = valid & (below | ~inside)
             j = stops.argmax(axis=1)
             found = np.flatnonzero(stops[np.arange(r.size), j])
@@ -227,10 +228,11 @@ def march_rays(
     if idx.size:
         lo = ts[k_stop[idx] - 1]
         hi = ts[k_stop[idx]]
+        rx, ry, rz = np.ascontiguousarray(directions[idx].T)  # gathered once, per component
         for _ in range(24):  # interval shrinks to step / 2^24 << tol
             mid = 0.5 * (lo + hi)
-            p = origin[None, :] + directions[idx] * mid[:, None]
-            below = p[:, 2] <= _heights_unchecked(hf, p[:, 0], p[:, 1])
+            h = _heights_unchecked(hf, origin[0] + rx * mid, origin[1] + ry * mid)
+            below = oz + rz * mid <= h
             hi = np.where(below, mid, hi)
             lo = np.where(below, lo, mid)
         tm = 0.5 * (lo + hi)

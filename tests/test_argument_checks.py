@@ -15,7 +15,8 @@ FIELD = Heightfield(np.zeros((8, 8)), 0.5)
 POSE = Pose(0.0, [1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0])
 MAP = DenseCostmap(GridSpec((0.0, 0.0), 1.0, 2, 2), np.zeros((2, 2)))
 
-# each call passes a NaN where the library requires a positive (or nonnegative) number
+# each call passes a NaN where the library requires a positive (or nonnegative) number,
+# or an infinite range, which a ray that never settles would march forever
 NAN_CALLS = {
     "Heightfield.cell_size": lambda: Heightfield(np.zeros((4, 4)), NAN),
     "generate_heightfield.cell_size": lambda: generate_heightfield(1, 8, 8, NAN, 0.5),
@@ -24,6 +25,8 @@ NAN_CALLS = {
     "BevLayout.resolution": lambda: BevLayout(resolution=NAN),
     "simulate_lidar.max_range": lambda: simulate_lidar(FIELD, POSE, 10, NAN),
     "march_rays.max_range": lambda: march_rays(FIELD, [1.0, 1.0, 1.0], [[0.0, 0.0, -1.0]], NAN),
+    "march_rays.max_range=inf": lambda: march_rays(FIELD, [1.0, 1.0, 1.0], [[0.0, 0.0, -1.0]], np.inf),
+    "simulate_lidar.max_range=inf": lambda: simulate_lidar(FIELD, POSE, 10, np.inf),
     "generate_trajectory.speed": lambda: generate_trajectory(FIELD, [(1, 1), (3, 3)], NAN, 0.1),
     "generate_trajectory.dt": lambda: generate_trajectory(FIELD, [(1, 1), (3, 3)], 1.0, NAN),
     "LabelingConfig.kernel_radius": lambda: LabelingConfig(kernel_radius=NAN),

@@ -128,9 +128,14 @@ def _nan_sidecar(path):
     path.write_text(_nan_first_number(path.read_text()))
 
 
+def _keep_20_lines(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:20]))
+
+
 # kind: (command, file under the workdir, damage)
 CLI_CASES = {
     "trajectory": ("label", "data/run_000/trajectory.csv", _nan_row),
+    "trajectory_cut": ("train", "data/run_000/trajectory.csv", _keep_20_lines),
     "imu": ("label", "data/run_000/imu.csv", _nan_row),
     "cloud": ("train", "data/run_000/cloud_0.csv", _nan_row),
     "image": ("train", "data/run_000/image_0.ppm", _halve),
@@ -174,4 +179,6 @@ def test_cli_damaged_artifact_exits_2(tmp_path, capsys, labeled_workdir, kind):
         argv += ["--map", str(workdir / name)]
     capsys.readouterr()
     assert main(argv) == 2
-    assert str(workdir / name) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(workdir / name) in err
+    assert "Traceback" not in err

@@ -5,6 +5,7 @@ import pytest
 
 from marscost.heightfield import (
     Heightfield,
+    _node_bilinear,
     generate_heightfield,
     load_heightfield,
     sample_surface,
@@ -142,3 +143,54 @@ def test_normals_unit_and_colors_bounded(rough_field):
     assert np.allclose(np.linalg.norm(n, axis=1), 1.0, atol=1e-12)
     c = surface_colors(rough_field, xs, ys)
     assert c.min() >= 0.0 and c.max() <= 1.0
+
+
+def _four_gather_bilinear(hf, grid, x, y):
+    """Reference: the bilinear kernel as four 2-D gathers, floor then clip."""
+    gx = (x - hf.origin[0]) / hf.cell_size
+    gy = (y - hf.origin[1]) / hf.cell_size
+    j0 = np.clip(np.floor(gx).astype(int), 0, hf.cols - 2)
+    i0 = np.clip(np.floor(gy).astype(int), 0, hf.rows - 2)
+    fx = gx - j0
+    fy = gy - i0
+    if grid.ndim == 3:
+        fx = fx[..., None]
+        fy = fy[..., None]
+    a = grid[i0, j0]
+    b = grid[i0, j0 + 1]
+    c = grid[i0 + 1, j0]
+    d = grid[i0 + 1, j0 + 1]
+    return a * (1 - fx) * (1 - fy) + b * fx * (1 - fy) + c * (1 - fx) * fy + d * fx * fy
+
+
+def _kernel_points(hf, rng):
+    """Random in-extent points, points on the far edges and node-exact points."""
+    x0, x1, y0, y1 = hf.extent
+    xs = [rng.uniform(x0, x1, 500), np.full(7, x1), rng.uniform(x0, x1, 7), [x1, x0, x1]]
+    ys = [rng.uniform(y0, y1, 500), rng.uniform(y0, y1, 7), np.full(7, y1), [y1, y1, y0]]
+    jj, ii = np.meshgrid(np.arange(hf.cols), np.arange(hf.rows))
+    xs.append((hf.origin[0] + jj * hf.cell_size).ravel())
+    ys.append((hf.origin[1] + ii * hf.cell_size).ravel())
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+@pytest.mark.parametrize(
+    "shape, origin, cell", [((13, 9), (0.0, 0.0), 0.2), ((6, 17), (-3.1, 2.7), 0.37)]
+)
+def test_node_bilinear_matches_four_gather_reference(shape, origin, cell):
+    rng = np.random.default_rng(shape[0])
+    hf = Heightfield(rng.uniform(-2, 2, shape), cell, origin, rng.uniform(0, 1, shape + (3,)))
+    x, y = _kernel_points(hf, rng)
+    assert np.all(hf.contains(x, y))
+    for grid in (hf.elevations, hf.colors):
+        got = _node_bilinear(hf, grid, x, y)
+        want = _four_gather_bilinear(hf, grid, x, y)
+        assert got.shape == want.shape == x.shape + grid.shape[2:]
+        assert got.tobytes() == want.tobytes()
+    # 2-D blocks of points, as the ray march passes them, and single points
+    got = _node_bilinear(hf, hf.elevations, x[:500].reshape(20, 25), y[:500].reshape(20, 25))
+    assert got.tobytes() == _four_gather_bilinear(hf, hf.elevations, x[:500], y[:500]).tobytes()
+    for k in (0, 500, 507, len(x) - 1):
+        for grid in (hf.elevations, hf.colors):
+            got = np.asarray(_node_bilinear(hf, grid, x[k], y[k]))
+            assert got.tobytes() == np.asarray(_four_gather_bilinear(hf, grid, x[k], y[k])).tobytes()
