@@ -54,7 +54,10 @@ def cmd_simulate(cfg) -> int:
         mio.write_run_dir(cfg.data_dir / f"run_{r:03d}", traj, imu, clouds, images)
         n_clouds += len(clouds)
         n_images += len(images)
-        print(f"run_{r:03d}: {len(traj)} poses, {len(clouds)} clouds, {len(images)} images")
+        hits = sum(len(c) for c in clouds.values())
+        rays = len(clouds) * sim.lidar_rays
+        print(f"run_{r:03d}: {len(traj)} poses, {len(clouds)} clouds ({hits} of {rays} LiDAR rays "
+              f"hit, {100.0 * hits / max(rays, 1):.1f} %), {len(images)} images")
     print(f"simulated {len(paths)} runs -> {cfg.data_dir} "
           f"({n_clouds} clouds, {n_images} images)")
     return 0

@@ -35,7 +35,7 @@ CAMERA_RANGE_M = 80.0
 SKY_RGB = np.array([0.82, 0.68, 0.52])
 
 RAY_TOL_M = 1e-3  # max |z - surface| for an accepted LiDAR hit
-_BLOCK_RAY_STEPS = 16384  # ray-steps per numpy block of the march; bounds its memory
+_BLOCK_RAY_CELLS = 16384  # ray-cells per numpy block of the walk; bounds its memory
 
 
 def generate_trajectory(
@@ -147,121 +147,117 @@ def march_rays(
     origin: np.ndarray,
     directions: np.ndarray,
     max_range: float,
-    step: float = None,
     tol: float = RAY_TOL_M,
 ):
-    """Intersect world-frame rays with the surface by fixed-step march + bisection.
+    """Intersect world-frame rays with the bilinear surface exactly, cell by cell.
 
     Returns ``(hit (n,) bool, points (n, 3) world)``. A ray misses when it
-    leaves the terrain extent or exceeds ``max_range`` before crossing the
-    surface. Accepted hits satisfy |z - surface(x, y)| <= tol.
+    leaves the terrain extent or passes ``max_range`` before reaching the
+    surface. Hits lie in the extent with |z - surface(x, y)| <= tol; ``points``
+    keeps the roots that fail this too (an origin under the surface is its own).
 
-    The march visits ``t_k = min(t_{k-1} + step, max_range)`` from ``t_0 = 0``
-    and stops a ray at its first step outside the extent or at or below the
-    surface. No step above the terrain's maximum height can be below it, so
-    a falling ray starts one step before it reaches that plane, a rising one
-    ends one step after it passes it, and the steps in between are tested a
-    block at a time. The skipped steps could not have stopped the ray, so
-    hits and points are exactly those of testing every step in turn.
+    The walk (Amanatides & Woo, 1987) cuts each ray at the grid lines it
+    crosses, a growing block at a time. In each cell ``z - surface`` is a
+    quadratic in t; the hit is the first root in the first cell that has one.
     """
     directions = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
     n = directions.shape[0]
-    if step is None:
-        step = hf.cell_size / 4.0
     if not 0 < max_range < np.inf:
         raise ValueError("max_range must be positive and finite")
-    if not step > 0:
-        raise ValueError("step must be positive")
     origin = np.asarray(origin, dtype=np.float64)
     if not bool(np.all(hf.contains(origin[0], origin[1]))):
         raise ValueError("ray origin is outside the terrain extent")
 
-    # every bilinear surface height lies within [bottom, top]
-    pad = 1e-6 * (1.0 + np.abs(hf.elevations).max())
-    top = hf.elevations.max() + pad
-    bottom = hf.elevations.min() - pad
-    ts = _march_steps(hf, origin, directions, step, max_range, top, bottom)
-    last_k = ts.size - 1
+    top = hf.elevations.max() + 1e-6 * (1.0 + np.abs(hf.elevations).max())  # above the surface
+    # in grid units a ray is g0 + u * t; an axis with no finite t per unit crosses no grid line
+    g0 = (origin[:2] - hf.origin) / hf.cell_size
+    u = directions[:, :2] / hf.cell_size
+    dz = directions[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_unit = np.abs(1.0 / u)
+        still = ~np.isfinite(t_unit)
+        t_unit[still] = np.inf
+        to_edge = np.where(u > 0, [hf.cols - 1, hf.rows - 1] - g0, g0)
+        t_end = np.min(np.where(still, np.inf, to_edge * t_unit), axis=1, initial=max_range)
+        t_top = (top - origin[2]) / dz
+    # a falling ray starts where it comes down to the top plane and a rising one ends where
+    # it goes up through it; one above the plane that does not fall never starts
+    t_cur = np.where(dz < 0, np.maximum(t_top, 0.0), 0.0 if origin[2] <= top else np.inf)
+    t_end = np.where(dz > 0, np.minimum(t_end, t_top), t_end)
 
-    # candidate band [first, last] of each ray. Computed z_k is monotone in k:
-    # an edge stays only where z at the step beyond it is exactly above the
-    # plane, so every skipped step is too; elsewhere the band is reopened.
-    oz, dz = origin[2], directions[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k_top = np.searchsorted(ts, (top - oz) / dz)  # first step at or past the top plane
-    first = np.where(dz < 0, np.maximum(k_top - 1, 1), 1)
-    last = np.where(dz >= 0, np.minimum(k_top + 1, last_k), last_k)
-    first[~(oz + dz * ts[first - 1] > top)] = 1
-    last[~(oz + dz * ts[last] > top)] = last_k
-
-    # first stop of each ray, tested over growing blocks of its band's steps
-    k_stop = np.zeros(n, dtype=np.int64)  # 0: no stop
-    hit = np.zeros(n, dtype=bool)
-    rays = np.flatnonzero(first <= last)
-    width = 4
+    t_hit = np.full(n, np.inf)
+    rays = np.flatnonzero(np.isfinite(directions).all(axis=1) & (t_cur < t_end))
+    flat = hf.elevations.reshape(-1)
+    cols = hf.cols
+    # tops[k]: the highest corner of the cell whose first corner is flat[k]
+    tops = np.maximum.reduce([flat[: -cols - 1], flat[1:-cols], flat[cols:-1], flat[cols + 1 :]])
+    width = 2
     while rays.size:
-        per_block = _BLOCK_RAY_STEPS // width
+        per_block = _BLOCK_RAY_CELLS // width
         for s in range(0, rays.size, per_block):
             r = rays[s : s + per_block]
-            ks = first[r, None] + np.arange(width)
-            valid = ks <= last[r, None]
-            t = ts[np.minimum(ks, last_k)]
-            x = origin[0] + directions[r, 0, None] * t
-            y = origin[1] + directions[r, 1, None] * t
-            z = origin[2] + directions[r, 2, None] * t
-            inside = hf.contains(x, y)
-            # outside or NaN points are looked up at the origin; that height is never used
-            xs = np.where(inside, x, origin[0])
-            ys = np.where(inside, y, origin[1])
-            below = inside & (z <= _heights_unchecked(hf, xs, ys))
-            stops = valid & (below | ~inside)
-            j = stops.argmax(axis=1)
-            found = np.flatnonzero(stops[np.arange(r.size), j])
-            k_stop[r[found]] = ks[found, j[found]]
-            hit[r[found]] = below[found, j[found]]
-        rays = rays[(k_stop[rays] == 0) & (first[rays] + width <= last[rays])]
-        first[rays] += width
-        width = min(2 * width, 64)
+            tc, te = t_cur[r, None], t_end[r, None]
+            ur = u[r]
+            # the next `width` grid lines crossed on each axis, merged in order
+            g = g0 + ur * tc
+            ahead = np.abs(np.where(ur > 0, np.floor(g) + 1, np.ceil(g) - 1) - g0)
+            cross = ((ahead[:, :, None] + np.arange(width)) * t_unit[r, :, None]).reshape(r.size, -1)
+            bounds = np.clip(np.concatenate([tc, np.sort(cross, axis=1)[:, :width]], axis=1), tc, te)
+            cuts = np.ascontiguousarray(bounds.T)  # a row per cut: operations run along the rays
+            lo, seg = cuts[:-1], cuts[1:] - cuts[:-1]
+            ux, uy, dzr = ur[:, 0], ur[:, 1], dz[r]
+            # each segment lies in one cell, found from its midpoint as _node_bilinear finds it
+            mid = lo + 0.5 * seg
+            j0 = np.clip(g0[0] + ux * mid, 0, cols - 2).astype(np.intp)
+            i0 = np.clip(g0[1] + uy * mid, 0, hf.rows - 2).astype(np.intp)
+            k = i0 * cols + j0
+            z_lo = origin[2] + dzr * lo
+            # only a segment that gets down to its cell's highest corner can meet the surface
+            w, m = np.nonzero((seg > 0) & (np.minimum(z_lo, z_lo + dzr * seg) <= tops.take(k)))
+            fx = g0[0] + ux[m] * lo[w, m] - j0[w, m]  # the segment's start in its cell
+            fy = g0[1] + uy[m] * lo[w, m] - i0[w, m]
+            root = _patch_root(flat, cols, k[w, m], fx, fy, ur[m], dzr[m], z_lo[w, m], seg[w, m])
+            # segments follow each other along the ray, so the first root is the least t
+            np.minimum.at(t_hit, r[m], lo[w, m] + root)
+            t_cur[r] = bounds[:, -1]
+        rays = rays[np.isinf(t_hit[rays]) & (t_cur[rays] < t_end[rays])]
+        width = min(2 * width, 32)
 
+    hit = np.isfinite(t_hit)
     points = np.zeros((n, 3))
-    idx = np.flatnonzero(hit)
-    if idx.size:
-        lo = ts[k_stop[idx] - 1]
-        hi = ts[k_stop[idx]]
-        rx, ry, rz = np.ascontiguousarray(directions[idx].T)  # gathered once, per component
-        for _ in range(24):  # interval shrinks to step / 2^24 << tol
-            mid = 0.5 * (lo + hi)
-            h = _heights_unchecked(hf, origin[0] + rx * mid, origin[1] + ry * mid)
-            below = oz + rz * mid <= h
-            hi = np.where(below, mid, hi)
-            lo = np.where(below, lo, mid)
-        tm = 0.5 * (lo + hi)
-        points[idx] = origin[None, :] + directions[idx] * tm[:, None]
-        h = _heights_unchecked(hf, points[idx, 0], points[idx, 1])
-        ok = np.abs(points[idx, 2] - h) <= tol
-        hit[idx] = ok
+    points[hit] = origin + directions[hit] * t_hit[hit, None]
+    x, y, z = points[hit].T
+    inside = hf.contains(x, y)  # a root on the extent's edge can round to just outside it
+    h = _heights_unchecked(hf, np.where(inside, x, origin[0]), np.where(inside, y, origin[1]))
+    hit[hit] = inside & (np.abs(z - h) <= tol)
     return hit, points
 
 
-def _march_steps(hf, origin, directions, step, max_range, top, bottom):
-    """The march's step parameters, up to ``max_range`` or until no ray can still cross.
+def _patch_root(flat, cols, k, fx, fy, u, dz, z0, seg):
+    """First ``s`` in ``[0, seg]`` where segments meet their cells' surface, else inf.
 
-    Accumulates ``t = min(t + step, max_range)`` from 0. Every 64, 128, 256...
-    steps it stops once each ray is settled at the last one: outside the
-    extent or below ``bottom`` (its first stop is behind it), or above
-    ``top`` and not descending (no later step can be below the surface).
+    A segment starts at ``(fx, fy)`` in cell ``k`` at height ``z0`` and moves
+    ``u`` grid units and ``dz`` meters per unit ``s``, so ``z - surface`` is a
+    quadratic ``c0 + c1 s + c2 s^2`` over the patch ``a + b fx + c fy + d fx fy``.
     """
-    ts = [0.0]
-    check = 64
-    while ts[-1] < max_range:
-        ts.append(min(ts[-1] + step, max_range))
-        if len(ts) == check:
-            check *= 2
-            x, y, z = (origin[None, :] + directions * ts[-1]).T
-            settled = ~hf.contains(x, y) | (z < bottom) | ((z > top) & (directions[:, 2] >= 0))
-            if settled.all():
-                break
-    return np.array(ts)
+    ux, uy = u[:, 0], u[:, 1]
+    a = flat.take(k)
+    b = flat[1:].take(k) - a
+    c = flat[cols:].take(k) - a
+    d = flat[cols + 1 :].take(k) - a - b - c
+    slope_x = b + d * fy  # surface slopes per grid unit at the segment's start
+    slope_y = c + d * fx
+    c0 = z0 - (a + slope_x * fx + c * fy)
+    c1 = dz - (slope_x * ux + slope_y * uy)
+    c2 = -d * ux * uy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # q / c2 and c0 / q are the roots without cancellation; for c0 > 0 the
+        # first one ahead is c0 / q if c1 < 0 (-c0 / c1 when c2 = 0), else q / c2
+        q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
+        root = np.where(c1 < 0, c0 / q, q / c2)
+    root[c0 <= 0] = 0.0  # starts under the surface
+    root[~((root >= 0) & (root <= seg))] = np.inf
+    return root
 
 
 def _heights_unchecked(hf: Heightfield, x, y):

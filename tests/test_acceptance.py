@@ -202,7 +202,7 @@ ACCEPT_NET = NetConfig(
 
 
 # sha256 over every array of synthesize_dataset(seed=11, n_runs=4), see _dataset_sha256
-ACCEPT_DATASET_SHA256 = "479cc1946cdc9118fb958390ad4c8f1290a6f35552d97efd8f0475d2a4b5dc8b"
+ACCEPT_DATASET_SHA256 = "ebad11cffd32a391bd05838f787b133c1254d5e462fab420e0b6d1391efb82bd"
 
 
 def _dataset_sha256(samples) -> str:

@@ -11,7 +11,7 @@ from marscost.cli import main
 from marscost.config import load_config, validate_config
 from marscost.dataset import BevLayout, SimConfig, build_samples, label_runs, simulate_run
 from marscost.evaluation import ABLATION_MODES, AblationSpec
-from marscost.io import COSTMAP_MAXVAL
+from marscost.io import COSTMAP_MAXVAL, read_run_dir
 from marscost.labeling import LabelingConfig
 from marscost.net import NetConfig, init_params
 from marscost.train import TrainConfig
@@ -75,6 +75,20 @@ def test_full_pipeline_end_to_end(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ablation report" in out
     assert not list(workdir.rglob("*.tmp"))
+
+
+def test_simulate_prints_lidar_hit_rate(tmp_path, capsys):
+    cfg, workdir = _tiny_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    _, _, clouds, images = read_run_dir(workdir / "data" / "run_000")
+    hits = sum(len(c) for c in clouds.values())
+    rays = 250 * len(clouds)
+    assert 0 < hits < rays
+    assert line.endswith(
+        f" poses, {len(clouds)} clouds ({hits} of {rays} LiDAR rays hit, "
+        f"{100.0 * hits / rays:.1f} %), {len(images)} images"
+    )
 
 
 def test_simulate_deterministic_bytes(tmp_path):
@@ -269,16 +283,16 @@ def test_heightmap_cell_size_comes_from_its_sidecar(tmp_path):
 
 # sha256 of every file that simulate and label write for _tiny_config
 GOLDEN_SIMULATE_LABEL = {
-    "data/run_000/cloud_0.csv": "aeb50acd370145359f89cca08084fb479224c969be5cc304d84d124d411548ac",
-    "data/run_000/cloud_18.csv": "40ca1d71401768a0adeb9d1498153e73d51c406f296f0f65fc5ca49a3f86172d",
-    "data/run_000/cloud_36.csv": "bb7a5e94baae295af0814f170c25ab3ff973ac804355dec7d747302029faa986",
-    "data/run_000/cloud_54.csv": "e649fd17008be6b2de5b0221b6e741c543c7046dff89c8b6f205bbc617863d2a",
-    "data/run_000/cloud_72.csv": "326a03d1d33cf098b596d0401f591fa84a6460f1c3fecbfa43dd9c2d5aebb9ab",
-    "data/run_000/image_0.ppm": "5d2f5f8978af04586052d2d4670e70feb4b4e81224cf1c7493137d80362fe22c",
-    "data/run_000/image_18.ppm": "99d90e186276a7df47867d07a8078d4ed707fa4cff8f7e2bed4a28ea1386aa5a",
-    "data/run_000/image_36.ppm": "e894ef5412b41a36a6b391d78ba81a8e5036fd2e6017b8b48ceaf4f01c7938cb",
-    "data/run_000/image_54.ppm": "71a9ca072fd8ee5099933ce7ea61f4c025b8bd9a79b8cd79cb3a85f4778299a6",
-    "data/run_000/image_72.ppm": "87aaeaea16c05d4e293406963dd68814108af648f8e7a41571917c3aadad0890",
+    "data/run_000/cloud_0.csv": "3f21c48a350ad1a3bc745f79c3fce375254d7634cc0db66b32d11b45ee50bb72",
+    "data/run_000/cloud_18.csv": "774a37a2fe67be86712c49f4ee3a3d430dcc38d29ca41d0a257607a362d85a6e",
+    "data/run_000/cloud_36.csv": "40ee29a15ae176078119cb83078a6a2311d6be2099e39030530ac1f41e6a3a7c",
+    "data/run_000/cloud_54.csv": "76c8cdbada828a544000d532b3739882c2e27b73752e84eb158522fef3266561",
+    "data/run_000/cloud_72.csv": "35768974569900604254989d34966d8cfb68b5445de9b67cc4d0b992aa324498",
+    "data/run_000/image_0.ppm": "c9aa83a27376af67cd058bd865e4089465fc9b763293b3669fee940cb3a51051",
+    "data/run_000/image_18.ppm": "a6e0c6f4210346712b8391d74b929cf98aa4cb8948dcb450e546d82d09516bd4",
+    "data/run_000/image_36.ppm": "673c6ffdb41dc4285f931c5550d6469cbac08d1d6d34cb6ba0cd3886064f414f",
+    "data/run_000/image_54.ppm": "d5349cca58abf942617af122f5cde2196f9262a49283398acb3e00f3d7c3abbc",
+    "data/run_000/image_72.ppm": "88093d1c7011432aa7e63a55976deedc54fb62e617833ea846438c347adb0f4a",
     "data/run_000/imu.csv": "4d4ea47af5de8dc7d2184b71a7c160e70b3a7713070fb4d60cb92ede6166eacc",
     "data/run_000/trajectory.csv": "80bd96f9b8eaf3cb39b8ac2101667cef3e3631eb3e26837244a01d8b132dce8d",
     "labels/normalization.json": "c5178f27a863dbfdafc6913388338e71aeeafaf51831c5fa62eda6ff4170dfba",
