@@ -22,16 +22,18 @@ _HIST_BINS = 64
 _THUMB = 8
 
 
-@dataclass
+@dataclass(frozen=True)
 class PillarTensor:
-    """Per-pillar padded point features plus bookkeeping counts.
+    """Per-pillar point features plus bookkeeping counts.
 
-    ``features[p, k]`` is the 9-vector of the k-th kept point of pillar p
-    (zero padded past ``counts[p]``); ``indices[p]`` is its (row, col) cell.
+    ``features[p, k]`` is the 9-vector of the k-th kept point of pillar p,
+    zero past ``counts[p]``. It holds ``counts.max()`` slots, not
+    ``max_points``: a pillar rarely fills the cap, and the slots no pillar
+    fills would be all zero. ``indices[p]`` is the pillar's (row, col) cell.
     """
 
     indices: np.ndarray  # (P, 2) int
-    features: np.ndarray  # (P, max_points, 9)
+    features: np.ndarray  # (P, counts.max(), 9)
     counts: np.ndarray  # (P,) int
     max_points: int
     n_outside: int = 0  # points discarded for falling off the grid
@@ -53,14 +55,19 @@ def pillarize(cloud: PointCloud, grid: GridSpec, max_points: int) -> PillarTenso
     ``max_points`` points in input order (the rest are dropped); offsets are
     taken against the centroid of the kept points. Pillars are ordered by
     flattened cell index, points within a pillar by input order.
+
+    Built once per :class:`PointCloud` object (clouds are immutable), grid and
+    cap; the arrays of the result are read-only.
     """
     if max_points < 1:
         raise ValueError("max_points must be at least 1")
-    n = len(cloud)
-    if n == 0:
-        return PillarTensor(
-            np.zeros((0, 2), dtype=np.int64), np.zeros((0, max_points, 9)), np.zeros(0, dtype=np.int64), max_points
-        )
+    key = (grid, max_points)
+    if key not in cloud._pillars:
+        cloud._pillars[key] = _pillarize(cloud, grid, max_points)
+    return cloud._pillars[key]
+
+
+def _pillarize(cloud: PointCloud, grid: GridSpec, max_points: int) -> PillarTensor:
     i, j = grid.cell_of(cloud.xyz[:, 0], cloud.xyz[:, 1])
     inside = (i >= 0) & (i < grid.rows) & (j >= 0) & (j < grid.cols)
     n_outside = int(np.count_nonzero(~inside))
@@ -78,16 +85,19 @@ def pillarize(cloud: PointCloud, grid: GridSpec, max_points: int) -> PillarTenso
     indices = np.column_stack([uniq // grid.cols, uniq % grid.cols]).astype(np.int64)
     counts = np.minimum(sizes, max_points).astype(np.int64)
     n_dropped = int(order.size - src.size)
-    features = np.zeros((uniq.size, max_points, 9))
+    slots = int(counts.max(initial=0))
+    features = np.zeros((uniq.size, slots, 9))
     features[group, rank, 0:3] = xyz[src]
     features[group, rank, 3:6] = rgb[src]
     # centroid summed slot by slot from +0.0 in input order, as a per-pillar
     # mean(axis=0) does; the zero padding past a pillar's count adds nothing
     sums = np.zeros((uniq.size, 3))
-    for k in range(int(counts.max(initial=0))):
+    for k in range(slots):
         sums += features[:, k, 0:3]
     centroid = sums / counts[:, None]
     features[group, rank, 6:9] = xyz[src] - centroid[group]
+    for a in (indices, features, counts):
+        a.flags.writeable = False
     return PillarTensor(indices, features, counts, max_points, n_outside, n_dropped)
 
 
@@ -107,17 +117,22 @@ def pillar_encode_cached(pt: PillarTensor, w: np.ndarray, b: np.ndarray, grid: G
     data = np.zeros((grid.rows, grid.cols, c))
     cache = {"pt": pt, "w": w, "grid": grid}
     if pt.n_pillars == 0:
-        cache.update(z_pos=None, slot_valid=None, argmax=None)
+        cache.update(x=None, z_pos=None, argmax=None)
         return BevFeatureMap(grid, data), cache
-    z = pt.features @ w + b  # (P, max_points, C)
+    # the affine map runs on the slots padded to the cap, because a product on
+    # fewer rows can round some z differently; everything after it works on
+    # the filled slots only
+    slots = pt.features.shape[1]
+    x = np.zeros((pt.n_pillars, pt.max_points, 9))
+    x[:, :slots] = pt.features
+    z = (x @ w + b)[:, :slots]  # (P, slots, C)
     a = np.maximum(z, 0.0)
-    slot = np.arange(pt.max_points)[None, :]
-    slot_valid = slot < pt.counts[:, None]  # (P, max_points)
+    slot_valid = np.arange(slots)[None, :] < pt.counts[:, None]  # (P, slots)
     a_masked = np.where(slot_valid[:, :, None], a, -np.inf)
     argmax = np.argmax(a_masked, axis=1)  # (P, C), first max wins ties
     pooled = np.take_along_axis(a_masked, argmax[:, None, :], axis=1)[:, 0, :]
     data[pt.indices[:, 0], pt.indices[:, 1], :] = pooled
-    cache.update(z_pos=z > 0.0, slot_valid=slot_valid, argmax=argmax)
+    cache.update(x=x, z_pos=z > 0.0, argmax=argmax)
     return BevFeatureMap(grid, data), cache
 
 
@@ -130,10 +145,12 @@ def pillar_encode_backward(cache, d_map: np.ndarray):
     if pt.n_pillars == 0:
         return dw, db
     d_pool = d_map[pt.indices[:, 0], pt.indices[:, 1], :]  # (P, C)
+    # summed over the padded slots, as the forward product ran: over the filled
+    # slots only, the weight and bias sums round differently on some clouds
     dz = np.zeros((pt.n_pillars, pt.max_points, w.shape[1]))
     np.put_along_axis(dz, cache["argmax"][:, None, :], d_pool[:, None, :], axis=1)
-    dz *= cache["z_pos"]
-    flat_x = pt.features.reshape(-1, 9)
+    dz[:, : pt.features.shape[1]] *= cache["z_pos"]
+    flat_x = cache["x"].reshape(-1, 9)
     flat_dz = dz.reshape(-1, w.shape[1])
     dw = flat_x.T @ flat_dz
     db = flat_dz.sum(axis=0)

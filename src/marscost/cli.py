@@ -14,6 +14,7 @@ import numpy as np
 
 from . import __version__
 from . import io as mio
+from .bev import pillarize
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, load_config
 from .dataset import build_samples, label_runs, simulate_run, split_samples
@@ -148,6 +149,12 @@ def cmd_eval(cfg) -> int:
     export_costmap(pred, cfg.report_dir / "prediction_0.csv", "csv")
     export_costmap(first.target, cfg.report_dir / "target_0.pgm", "pgm")
     print(report.format_table())
+    cap = params.max_points_per_pillar
+    # the evaluation above already built these pillars; they are memoised per cloud
+    pts = [pillarize(s.cloud, s.target.grid, cap) for s in heldout]
+    print(f"held-out points: {sum(pt.n_kept for pt in pts)} kept, "
+          f"{sum(pt.n_outside for pt in pts)} outside the grid, "
+          f"{sum(pt.n_dropped for pt in pts)} over the cap of {cap} per pillar")
     print(f"evaluated {len(heldout)} held-out samples -> {cfg.report_dir / 'eval.csv'}")
     return 0
 

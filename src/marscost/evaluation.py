@@ -76,10 +76,10 @@ def apply_ablation(sample: Sample, spec: AblationSpec) -> Sample:
     if spec.mode == "baseline":
         return sample.copy()
     if spec.mode == "no_color_pointcloud":
-        cloud = PointCloud(cloud.xyz.copy(), np.zeros_like(cloud.rgb))
+        cloud = PointCloud(cloud.xyz, np.zeros_like(cloud.rgb))
     elif spec.mode == "no_image_encoder":
         mean_rgb = image.pixels.reshape(-1, 3).mean(axis=0)
-        cloud = PointCloud(cloud.xyz.copy(), np.tile(mean_rgb, (len(cloud), 1)))
+        cloud = PointCloud(cloud.xyz, np.tile(mean_rgb, (len(cloud), 1)))
     elif spec.mode == "occlude_image":
         px = image.pixels.copy()
         h, w = px.shape[:2]
@@ -103,7 +103,7 @@ def apply_ablation(sample: Sample, spec: AblationSpec) -> Sample:
         )
         xyz = cloud.xyz + rng.standard_normal(cloud.xyz.shape) * spec.noise_sigma_points
         image = Image(px)
-        cloud = PointCloud(xyz, cloud.rgb.copy())
+        cloud = PointCloud(xyz, cloud.rgb)
     return Sample(cloud, image, sample.target.copy())
 
 

@@ -29,9 +29,8 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
     wo = (wp - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise ValueError("kernel larger than padded input")
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(0, 1))
-    win = win[::stride, ::stride]  # (ho, wo, cin, kh, kw)
-    patches = win.transpose(0, 1, 3, 4, 2).reshape(ho * wo, kh * kw * cin)
+    rows = _im2col_rows(hp, wp, kh, kw, stride)
+    patches = xp.reshape(hp * wp, cin).take(rows, axis=0).reshape(ho * wo, kh * kw * cin)
     y = patches @ w.reshape(kh * kw * cin, cout) + b
     cache = {
         "patches": patches,
@@ -42,6 +41,24 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
         "out_hw": (ho, wo),
     }
     return y.reshape(ho, wo, cout), cache
+
+
+@lru_cache(maxsize=None)
+def _im2col_rows(hp: int, wp: int, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Flat input row of every (output pixel, kernel tap) pair, taps in (ki, kj) order.
+
+    Gathering ``x.reshape(hp * wp, cin)`` at these rows gives the im2col patch
+    matrix of a ``(kh, kw)`` kernel sliding with ``stride`` over an
+    ``(hp, wp)`` input: row ``(oy * wo + ox) * kh * kw + ki * kw + kj`` of the
+    gather is input pixel ``(oy * stride + ki, ox * stride + kj)``.
+    """
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    top_left = (np.arange(ho)[:, None] * wp + np.arange(wo)[None, :]) * stride
+    taps = np.arange(kh)[:, None] * wp + np.arange(kw)[None, :]
+    rows = (top_left.reshape(-1, 1) + taps.reshape(1, -1)).reshape(-1)
+    rows.setflags(write=False)
+    return rows
 
 
 def conv2d_backward(cache, dy: np.ndarray):

@@ -109,7 +109,7 @@ def rotate_sample(sample: Sample, quarter_turns: int) -> Sample:
     values = np.rot90(sample.target.values, -k).copy()
     valid = np.rot90(sample.target.valid, -k).copy()
     return Sample(
-        PointCloud(new_xyz, sample.cloud.rgb.copy()),
+        PointCloud(new_xyz, sample.cloud.rgb),
         sample.image,
         DenseCostmap(grid, values, valid),
     )
@@ -132,7 +132,7 @@ def translate_sample(sample: Sample, shift_cols: int, shift_rows: int) -> Sample
         valid[:, shift_cols:] = False
     values = np.where(valid, values, 0.0)
     return Sample(
-        PointCloud(new_xyz, sample.cloud.rgb.copy()),
+        PointCloud(new_xyz, sample.cloud.rgb),
         sample.image,
         DenseCostmap(grid, values, valid),
     )

@@ -96,22 +96,33 @@ class ImuLog:
         return self.times.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PointCloud:
-    """Colored points in the sensor frame; may be empty."""
+    """Colored points in the sensor frame; may be empty; immutable.
+
+    ``xyz`` and ``rgb`` are read-only copies of the arrays given, so a cloud
+    never changes and its pillars (see :func:`marscost.bev.pillarize`) are
+    built at most once per object and grid layout and kept in ``_pillars``.
+    """
 
     xyz: np.ndarray  # (n, 3) meters
     rgb: np.ndarray  # (n, 3) in [0, 1]
+    _pillars: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        self.xyz = np.asarray(self.xyz, dtype=np.float64).reshape(-1, 3)
-        self.rgb = np.asarray(self.rgb, dtype=np.float64).reshape(-1, 3)
-        if self.xyz.shape[0] != self.rgb.shape[0]:
+        xyz = np.array(self.xyz, dtype=np.float64).reshape(-1, 3)
+        rgb = np.array(self.rgb, dtype=np.float64).reshape(-1, 3)
+        if xyz.shape[0] != rgb.shape[0]:
             raise ValueError("xyz and rgb must have the same number of points")
-        if not np.all(np.isfinite(self.xyz)):
+        if not np.all(np.isfinite(xyz)):
             raise ValueError("point coordinates must be finite")
-        if self.rgb.size and not (self.rgb.min() >= 0.0 and self.rgb.max() <= 1.0):
+        if rgb.size and not (rgb.min() >= 0.0 and rgb.max() <= 1.0):
             raise ValueError("point colors must lie in [0, 1]")
+        xyz.flags.writeable = False
+        rgb.flags.writeable = False
+        object.__setattr__(self, "xyz", xyz)
+        object.__setattr__(self, "rgb", rgb)
+        object.__setattr__(self, "_pillars", {})
 
     def __len__(self):
         return self.xyz.shape[0]
@@ -277,8 +288,5 @@ class Sample:
     target: DenseCostmap
 
     def copy(self) -> "Sample":
-        return Sample(
-            PointCloud(self.cloud.xyz.copy(), self.cloud.rgb.copy()),
-            self.image,  # immutable, so shared along with its embedding
-            self.target.copy(),
-        )
+        # the cloud and image are immutable, so shared along with their memos
+        return Sample(self.cloud, self.image, self.target.copy())

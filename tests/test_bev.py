@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from marscost.bev import (
     embed_image,
     film_modulate,
     pillar_encode,
+    pillar_encode_backward,
+    pillar_encode_cached,
     pillarize,
 )
 from marscost.types import BevFeatureMap, GridSpec, Image, PointCloud
@@ -139,10 +143,17 @@ def _oracle_case(seed: int):
 
 
 def _assert_same_pillars(pt: PillarTensor, ref: PillarTensor):
-    for name in ("indices", "features", "counts"):
-        a, b = getattr(pt, name), getattr(ref, name)
+    """``pt`` holds the reference's filled slots bit for bit, and the reference's
+    slots past ``counts.max()``, which ``pt`` leaves out, are all +0.0."""
+    slots = int(ref.counts.max(initial=0))
+    for name, a, b in (("indices", pt.indices, ref.indices),
+                       ("features", pt.features, ref.features[:, :slots]),
+                       ("counts", pt.counts, ref.counts)):
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
+    rest = ref.features[:, slots:]
+    assert rest.shape == (ref.n_pillars, ref.max_points - slots, 9)
+    assert rest.tobytes() == np.zeros_like(rest).tobytes()
     assert (pt.max_points, pt.n_outside, pt.n_dropped) == (ref.max_points, ref.n_outside, ref.n_dropped)
 
 
@@ -166,6 +177,101 @@ def test_pillarize_without_pillars_matches_loop(xy, max_points):
     pt = pillarize(cloud, GRID, max_points)
     assert pt.n_pillars == 0
     _assert_same_pillars(pt, _pillarize_reference(cloud, GRID, max_points))
+
+
+def test_point_cloud_arrays_are_read_only_copies():
+    rng = np.random.default_rng(21)
+    xyz, rgb = rng.uniform(-1, 1, (7, 3)), rng.uniform(0, 1, (7, 3))
+    cloud = PointCloud(xyz, rgb)
+    for given, held in ((xyz, cloud.xyz), (rgb, cloud.rgb)):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0, 0] = 0.5
+        assert given.flags.writeable and not np.shares_memory(given, held)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cloud.xyz = xyz
+    xyz[0, 0] = 0.125  # the caller's array stays the caller's
+    assert cloud.xyz[0, 0] != 0.125
+
+
+def test_sample_copy_shares_the_cloud_and_its_pillars():
+    sample = random_sample(19)
+    grid = sample.target.grid
+    pt = pillarize(sample.cloud, grid, 8)
+    copy = sample.copy()
+    assert copy.cloud is sample.cloud and pillarize(copy.cloud, grid, 8) is pt
+    fresh = pillarize(PointCloud(sample.cloud.xyz, sample.cloud.rgb), grid, 8)
+    assert fresh is not pt
+    for name in ("indices", "features", "counts"):
+        assert getattr(fresh, name).tobytes() == getattr(pt, name).tobytes()
+
+
+def test_pillars_are_memoised_per_grid_and_cap():
+    cloud = random_sample(20, n_points=200).cloud
+    grid, coarse = GridSpec((0.0, 0.0), 0.25, 12, 12), GridSpec((0.0, 0.0), 0.5, 6, 6)
+    pt = pillarize(cloud, grid, 8)
+    assert pillarize(cloud, GridSpec((0.0, 0.0), 0.25, 12, 12), 8) is pt  # an equal grid
+    other_cap, other_grid = pillarize(cloud, grid, 2), pillarize(cloud, coarse, 8)
+    assert len({id(pt), id(other_cap), id(other_grid)}) == 3
+    assert pillarize(cloud, grid, 8) is pt and pillarize(cloud, grid, 2) is other_cap
+    assert other_cap.n_dropped > 0 and other_grid.n_pillars < pt.n_pillars
+    for got, g, cap in ((pt, grid, 8), (other_cap, grid, 2), (other_grid, coarse, 8)):
+        _assert_same_pillars(got, _pillarize_reference(cloud, g, cap))
+        for a in (got.indices, got.features, got.counts):
+            with pytest.raises(ValueError, match="read-only"):
+                a.reshape(-1)[0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pt.max_points = 4
+
+
+def _encode_reference(pt: PillarTensor, w, b, grid: GridSpec, d_map):
+    """Oracle: the encoder and its backward on features padded to the cap,
+    as ``_pillarize_reference`` gives them.
+
+    Returns the encoded map, the pooling argmax and the weight and bias grads.
+    """
+    c = w.shape[1]
+    data = np.zeros((grid.rows, grid.cols, c))
+    if pt.n_pillars == 0:
+        return data, None, np.zeros_like(w), np.zeros(c)
+    z = pt.features @ w + b
+    a = np.maximum(z, 0.0)
+    slot_valid = np.arange(pt.max_points)[None, :] < pt.counts[:, None]
+    a_masked = np.where(slot_valid[:, :, None], a, -np.inf)
+    argmax = np.argmax(a_masked, axis=1)
+    pooled = np.take_along_axis(a_masked, argmax[:, None, :], axis=1)[:, 0, :]
+    data[pt.indices[:, 0], pt.indices[:, 1], :] = pooled
+    d_pool = d_map[pt.indices[:, 0], pt.indices[:, 1], :]
+    dz = np.zeros((pt.n_pillars, pt.max_points, c))
+    np.put_along_axis(dz, argmax[:, None, :], d_pool[:, None, :], axis=1)
+    dz *= z > 0.0
+    flat_dz = dz.reshape(-1, c)
+    return data, argmax, pt.features.reshape(-1, 9).T @ flat_dz, flat_dz.sum(axis=0)
+
+
+def test_encode_and_backward_match_cap_padded_reference_bit_for_bit():
+    cases = [_oracle_case(seed) for seed in range(300)]
+    outside = [[-0.1, 1.0], [4.0, 1.0], [1.0, 4.0], [9.0, -3.0]]
+    cases += [(_cloud(xy), GRID, cap) for xy in (np.zeros((0, 2)), outside) for cap in (1, 4)]
+    at_cap = below_cap = no_pillars = 0
+    for k, (cloud, grid, max_points) in enumerate(cases):
+        rng = np.random.default_rng(1000 + k)
+        c = int(rng.integers(1, 9))
+        w, b = rng.normal(0, 1, (9, c)), rng.normal(0, 1, c)
+        d_map = rng.normal(0, 1, (grid.rows, grid.cols, c))
+        enc, cache = pillar_encode_cached(pillarize(cloud, grid, max_points), w, b, grid)
+        dw, db = pillar_encode_backward(cache, d_map)
+        ref = _pillarize_reference(cloud, grid, max_points)
+        ref_data, ref_argmax, ref_dw, ref_db = _encode_reference(ref, w, b, grid, d_map)
+        for got, want in ((enc.data, ref_data), (dw, ref_dw), (db, ref_db), (cache["argmax"], ref_argmax)):
+            if want is None:
+                assert got is None
+                continue
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+        no_pillars += ref.n_pillars == 0
+        at_cap += ref.n_pillars > 0 and ref.counts.max() == max_points
+        below_cap += ref.n_pillars > 0 and ref.counts.max() < max_points
+    assert no_pillars >= 4 and at_cap > 50 and below_cap > 50  # the cases above are exercised
 
 
 def test_pillarize_empty_cloud():

@@ -65,6 +65,7 @@ def test_full_pipeline_end_to_end(tmp_path, capsys):
     assert main(["eval", "--config", str(cfg)]) == 0
     assert (workdir / "report" / "eval.csv").exists()
     assert (workdir / "report" / "prediction_0.pgm").exists()
+    assert _held_out_point_line(cfg) in capsys.readouterr().out.splitlines()
 
     assert main(["ablate", "--config", str(cfg)]) == 0
     report = (workdir / "report" / "ablation.csv").read_text().splitlines()
@@ -75,6 +76,25 @@ def test_full_pipeline_end_to_end(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ablation report" in out
     assert not list(workdir.rglob("*.tmp"))
+
+
+def _held_out_point_line(cfg_path) -> str:
+    """The counter line ``eval`` should print, counted here by brute force per cell."""
+    cfg = load_config(cfg_path)
+    cap = cfg.net_config().max_points_per_pillar
+    kept = outside = dropped = 0
+    for sample in cli._split(cfg)[1]:
+        grid = sample.target.grid
+        xy = sample.cloud.xyz[:, :2]
+        inside = grid.contains(xy[:, 0], xy[:, 1])
+        outside += int(np.count_nonzero(~inside))
+        i, j = grid.cell_of(xy[inside, 0], xy[inside, 1])
+        _, per_cell = np.unique(i * grid.cols + j, return_counts=True)
+        kept += int(np.minimum(per_cell, cap).sum())
+        dropped += int(np.maximum(per_cell - cap, 0).sum())
+    assert kept > 0
+    return (f"held-out points: {kept} kept, {outside} outside the grid, "
+            f"{dropped} over the cap of {cap} per pillar")
 
 
 def test_simulate_prints_lidar_hit_rate(tmp_path, capsys):

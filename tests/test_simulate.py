@@ -377,16 +377,22 @@ def test_synthesized_dataset_matches_stepping_oracle(monkeypatch):
     assert n_hits > 100 * max(n_settled, 1)
 
 
-def test_camera_march_memory_is_bounded():
-    # the march tests its steps in blocks of bounded size, which keep one
-    # 32x48 frame near 3 MiB; unbounded blocks take about 6 MiB here
-    hf = generate_heightfield(seed=3, rows=96, cols=96, cell_size=0.2, roughness=0.6)
-    pose = generate_trajectory(hf, [(3.0, 3.0), (15.0, 14.0)], speed=1.0, dt=0.5)[0]
-    render_camera(hf, pose, 32, 48)
+def _camera_frame_peak(hf, pose, rows, cols) -> int:
+    render_camera(hf, pose, rows, cols)  # warm the lazily built tables first
     tracemalloc.start()
     try:
-        render_camera(hf, pose, 32, 48)
-        _, peak = tracemalloc.get_traced_memory()
+        render_camera(hf, pose, rows, cols)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2**20
+
+
+def test_camera_march_memory_is_bounded():
+    # the walk runs in blocks of at most _BLOCK_RAY_CELLS ray-cells. A 32x48
+    # frame (1536 rays) never fills a block and peaks near 1.3 MiB with or
+    # without the limit; a 128x192 frame peaks near 8 MiB with it and near
+    # 20 MiB without it, so only the larger frame can tell the two apart
+    hf = generate_heightfield(seed=3, rows=96, cols=96, cell_size=0.2, roughness=0.6)
+    pose = generate_trajectory(hf, [(3.0, 3.0), (15.0, 14.0)], speed=1.0, dt=0.5)[0]
+    assert _camera_frame_peak(hf, pose, 32, 48) <= 4 * 2**20
+    assert _camera_frame_peak(hf, pose, 128, 192) <= 12 * 2**20
