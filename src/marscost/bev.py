@@ -115,24 +115,18 @@ def pillar_encode_cached(pt: PillarTensor, w: np.ndarray, b: np.ndarray, grid: G
         raise ValueError(f"pillar weights must be (9, C) with bias (C,), got {w.shape}, {b.shape}")
     c = w.shape[1]
     data = np.zeros((grid.rows, grid.cols, c))
-    cache = {"pt": pt, "w": w, "grid": grid}
+    cache = {"pt": pt, "w": w, "z_pos": None, "argmax": None}
     if pt.n_pillars == 0:
-        cache.update(x=None, z_pos=None, argmax=None)
         return BevFeatureMap(grid, data), cache
-    # the affine map runs on the slots padded to the cap, because a product on
-    # fewer rows can round some z differently; everything after it works on
-    # the filled slots only
-    slots = pt.features.shape[1]
-    x = np.zeros((pt.n_pillars, pt.max_points, 9))
-    x[:, :slots] = pt.features
-    z = (x @ w + b)[:, :slots]  # (P, slots, C)
+    p, slots, _ = pt.features.shape
+    z = (pt.features.reshape(p * slots, 9) @ w + b).reshape(p, slots, c)
     a = np.maximum(z, 0.0)
     slot_valid = np.arange(slots)[None, :] < pt.counts[:, None]  # (P, slots)
     a_masked = np.where(slot_valid[:, :, None], a, -np.inf)
     argmax = np.argmax(a_masked, axis=1)  # (P, C), first max wins ties
     pooled = np.take_along_axis(a_masked, argmax[:, None, :], axis=1)[:, 0, :]
     data[pt.indices[:, 0], pt.indices[:, 1], :] = pooled
-    cache.update(x=x, z_pos=z > 0.0, argmax=argmax)
+    cache.update(z_pos=z > 0.0, argmax=argmax)
     return BevFeatureMap(grid, data), cache
 
 
@@ -140,19 +134,14 @@ def pillar_encode_backward(cache, d_map: np.ndarray):
     """Gradients of the encoded map w.r.t. the affine weights and bias."""
     pt = cache["pt"]
     w = cache["w"]
-    dw = np.zeros_like(w)
-    db = np.zeros(w.shape[1])
     if pt.n_pillars == 0:
-        return dw, db
+        return np.zeros_like(w), np.zeros(w.shape[1])
     d_pool = d_map[pt.indices[:, 0], pt.indices[:, 1], :]  # (P, C)
-    # summed over the padded slots, as the forward product ran: over the filled
-    # slots only, the weight and bias sums round differently on some clouds
-    dz = np.zeros((pt.n_pillars, pt.max_points, w.shape[1]))
+    dz = np.zeros(cache["z_pos"].shape)
     np.put_along_axis(dz, cache["argmax"][:, None, :], d_pool[:, None, :], axis=1)
-    dz[:, : pt.features.shape[1]] *= cache["z_pos"]
-    flat_x = cache["x"].reshape(-1, 9)
+    dz *= cache["z_pos"]
     flat_dz = dz.reshape(-1, w.shape[1])
-    dw = flat_x.T @ flat_dz
+    dw = pt.features.reshape(-1, 9).T @ flat_dz
     db = flat_dz.sum(axis=0)
     return dw, db
 

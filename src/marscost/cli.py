@@ -120,9 +120,9 @@ def cmd_train(cfg) -> int:
         return 2
     params, history = fit(train_set, cfg.train_config(), cfg.net_config())
     save_checkpoint(params, cfg.checkpoint_path)
-    lines = ["step,huber,smooth,total"]
-    for rec in history:
-        lines.append(f"{rec.step},{rec.huber:.17g},{rec.smooth:.17g},{rec.total:.17g}")
+    lines = ["step,huber,smooth,total,grad_norm"]
+    for r in history:
+        lines.append(f"{r.step},{r.huber:.17g},{r.smooth:.17g},{r.total:.17g},{r.grad_norm:.17g}")
     mio.atomic_write_text(cfg.train_log_path, "\n".join(lines) + "\n")
     last = history[-1].total if history else float("nan")
     print(f"trained on {len(train_set)} samples for {len(history)} steps "

@@ -17,30 +17,36 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
     Returns ``(y, cache)`` where ``y`` has shape
     ``((H + 2 pad - kh) // stride + 1, ..., Cout)``.
     """
-    kh, kw, cin, cout = w.shape
-    if x.ndim != 3 or x.shape[2] != cin:
+    if x.ndim != 3 or w.ndim != 4 or x.shape[2] != w.shape[2]:
         raise ValueError(f"input shape {x.shape} does not match kernel {w.shape}")
-    xp = x
-    if pad:  # zero border, as np.pad gives, at a fraction of its cost
-        xp = np.zeros((x.shape[0] + 2 * pad, x.shape[1] + 2 * pad, cin), dtype=x.dtype)
-        xp[pad:-pad, pad:-pad] = x
-    hp, wp = xp.shape[:2]
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    if ho < 1 or wo < 1:
-        raise ValueError("kernel larger than padded input")
-    rows = _im2col_rows(hp, wp, kh, kw, stride)
-    patches = xp.reshape(hp * wp, cin).take(rows, axis=0).reshape(ho * wo, kh * kw * cin)
-    y = patches @ w.reshape(kh * kw * cin, cout) + b
+    patches, y = _correlate(x, w, stride, pad, pad)
     cache = {
         "patches": patches,
         "w": w,
         "x_shape": x.shape,
         "stride": stride,
         "pad": pad,
-        "out_hw": (ho, wo),
+        "out_hw": y.shape[:2],
     }
-    return y.reshape(ho, wo, cout), cache
+    return y + b, cache
+
+
+def _correlate(x: np.ndarray, w: np.ndarray, stride: int, ph: int, pw: int):
+    """``(patches, y)``: the im2col matrix of ``x`` zero-padded by ``ph`` rows and
+    ``pw`` columns on each side, and its product with ``w`` (no bias)."""
+    kh, kw, cin, cout = w.shape
+    hp, wp = x.shape[0] + 2 * ph, x.shape[1] + 2 * pw
+    if hp < kh or wp < kw:
+        raise ValueError("kernel larger than padded input")
+    xp = x
+    if ph or pw:  # zero border, as np.pad gives, at a fraction of its cost
+        xp = np.zeros((hp, wp, cin), dtype=x.dtype)
+        xp[ph : hp - ph, pw : wp - pw] = x
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    rows = _im2col_rows(hp, wp, kh, kw, stride)
+    patches = xp.reshape(hp * wp, cin).take(rows, axis=0).reshape(ho * wo, kh * kw * cin)
+    return patches, (patches @ w.reshape(kh * kw * cin, cout)).reshape(ho, wo, cout)
 
 
 @lru_cache(maxsize=None)
@@ -62,7 +68,11 @@ def _im2col_rows(hp: int, wp: int, kh: int, kw: int, stride: int) -> np.ndarray:
 
 
 def conv2d_backward(cache, dy: np.ndarray):
-    """Gradients ``(dx, dw, db)`` for :func:`conv2d_forward`."""
+    """Gradients ``(dx, dw, db)`` for :func:`conv2d_forward`.
+
+    At stride 1, ``dx`` on the padded input is ``dy`` zero-padded by the kernel size
+    less one and correlated with the kernel flipped in space, its channel axes
+    swapped; a strided conv scatters each tap's product instead."""
     w = cache["w"]
     kh, kw, cin, cout = w.shape
     ho, wo = cache["out_hw"]
@@ -71,13 +81,17 @@ def conv2d_backward(cache, dy: np.ndarray):
     dy_flat = dy.reshape(ho * wo, cout)
     dw = (cache["patches"].T @ dy_flat).reshape(kh, kw, cin, cout)
     db = dy_flat.sum(axis=0)
-    dcol = (dy_flat @ w.reshape(kh * kw * cin, cout).T).reshape(ho, wo, kh, kw, cin)
-    dxp = np.zeros((h + 2 * pad, wid + 2 * pad, cin))
-    for ki in range(kh):
-        for kj in range(kw):
-            dxp[ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += dcol[
-                :, :, ki, kj
-            ]
+    if stride == 1:
+        w_adj = w[::-1, ::-1].transpose(0, 1, 3, 2)
+        _, dxp = _correlate(dy.reshape(ho, wo, cout), w_adj, 1, kh - 1, kw - 1)
+    else:
+        dcol = (dy_flat @ w.reshape(kh * kw * cin, cout).T).reshape(ho, wo, kh, kw, cin)
+        dxp = np.zeros((h + 2 * pad, wid + 2 * pad, cin))
+        for ki in range(kh):
+            for kj in range(kw):
+                dxp[ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += dcol[
+                    :, :, ki, kj
+                ]
     dx = dxp[pad : pad + h, pad : pad + wid] if pad else dxp
     return dx, dw, db
 
@@ -97,26 +111,13 @@ def _interp_matrix(n_in: int, n_out: int):
     return m
 
 
-@lru_cache(maxsize=None)
-def _contraction_path(spec: str, *shapes) -> list:
-    """The contraction order ``einsum(..., optimize=True)`` would plan for these shapes."""
-    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
-    return np.einsum_path(spec, *operands, optimize=True)[0]
-
-
-def _einsum(spec: str, *operands) -> np.ndarray:
-    """``np.einsum(spec, *operands, optimize=True)``, planned once per shape combination."""
-    path = _contraction_path(spec, *(a.shape for a in operands))
-    return np.einsum(spec, *operands, optimize=path)
-
-
 def resize_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resample of an ``(H, W)`` or ``(H, W, C)`` array."""
     ry = _interp_matrix(x.shape[0], out_h)
     rx = _interp_matrix(x.shape[1], out_w)
     if x.ndim == 2:
         return ry @ x @ rx.T
-    return _einsum("ih,hwc,jw->ijc", ry, x, rx)
+    return rx @ (ry @ x.reshape(x.shape[0], -1)).reshape(out_h, x.shape[1], -1)
 
 
 def resize_bilinear_backward(dy: np.ndarray, in_h: int, in_w: int) -> np.ndarray:
@@ -125,7 +126,7 @@ def resize_bilinear_backward(dy: np.ndarray, in_h: int, in_w: int) -> np.ndarray
     rx = _interp_matrix(in_w, dy.shape[1])
     if dy.ndim == 2:
         return ry.T @ dy @ rx
-    return _einsum("ih,ijc,jw->hwc", ry, dy, rx)
+    return (ry.T @ (rx.T @ dy).reshape(dy.shape[0], -1)).reshape(in_h, in_w, -1)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

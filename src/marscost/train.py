@@ -200,6 +200,7 @@ class StepRecord:
     huber: float
     smooth: float
     total: float
+    grad_norm: float  # global L2 norm over every parameter gradient
 
 
 def fit(dataset, cfg: TrainConfig, net: NetConfig = NetConfig(), params: ModelParams = None):
@@ -234,7 +235,8 @@ def fit(dataset, cfg: TrainConfig, net: NetConfig = NetConfig(), params: ModelPa
             total, hub, smo, grads = loss_and_grads(
                 params, batch, cfg.huber_delta, cfg.smooth_lambda
             )
+            flat = np.concatenate([grads[name].ravel() for name, _ in params.named_tensors()])
             params, state = adam_step(params, grads, state, cfg.lr)
-            history.append(StepRecord(step, hub, smo, total))
+            history.append(StepRecord(step, hub, smo, total, float(np.linalg.norm(flat))))
             step += 1
     return params, history

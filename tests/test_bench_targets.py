@@ -10,7 +10,10 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import marscost.ops
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -43,3 +46,17 @@ def test_benchmark_positional_arguments_keep_their_place(path, index, name):
     func = getattr(importlib.import_module(f"marscost.{module}"), attr)
     params = list(inspect.signature(func).parameters)
     assert params[index : index + 1] == [name], f"{path} parameters are now {params}"
+
+
+@pytest.mark.parametrize("k, stride", [(3, 1), (1, 1), (3, 2)])
+def test_conv_backward_does_not_call_the_traced_forward(monkeypatch, k, stride):
+    """A traced run books ``ops.conv2d_forward`` as forward time and forward
+    flops; the backward pass must not reach it through that attribute."""
+    rng = np.random.default_rng(stride)
+    _, cache = marscost.ops.conv2d_forward(rng.normal(0, 1, (9, 8, 3)), rng.normal(0, 1, (k, k, 3, 4)),
+                                           np.zeros(4), stride=stride, pad=1)
+    calls = []
+    forward = marscost.ops.conv2d_forward
+    monkeypatch.setattr(marscost.ops, "conv2d_forward", lambda *a, **kw: calls.append(a) or forward(*a, **kw))
+    dx, _, _ = marscost.ops.conv2d_backward(cache, rng.normal(0, 1, (*cache["out_hw"], 4)))
+    assert dx.shape == (9, 8, 3) and calls == []

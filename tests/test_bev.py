@@ -223,32 +223,44 @@ def test_pillars_are_memoised_per_grid_and_cap():
         pt.max_points = 4
 
 
-def _encode_reference(pt: PillarTensor, w, b, grid: GridSpec, d_map):
-    """Oracle: the encoder and its backward on features padded to the cap,
-    as ``_pillarize_reference`` gives them.
+def _encode_reference(pt: PillarTensor, w, b, grid: GridSpec, d_map, slots: int):
+    """Oracle: the encoder and its backward on the first ``slots`` point slots
+    of features padded to the cap, as ``_pillarize_reference`` gives them.
 
-    Returns the encoded map, the pooling argmax and the weight and bias grads.
+    Returns the encoded map, the pooling argmax, the weight and bias grads and
+    the masked activations ``(P, slots, C)`` the max runs over.
     """
     c = w.shape[1]
     data = np.zeros((grid.rows, grid.cols, c))
     if pt.n_pillars == 0:
-        return data, None, np.zeros_like(w), np.zeros(c)
-    z = pt.features @ w + b
+        return data, None, np.zeros_like(w), np.zeros(c), None
+    x = pt.features[:, :slots]
+    z = (x.reshape(-1, 9) @ w + b).reshape(pt.n_pillars, slots, c)
     a = np.maximum(z, 0.0)
-    slot_valid = np.arange(pt.max_points)[None, :] < pt.counts[:, None]
+    slot_valid = np.arange(slots)[None, :] < pt.counts[:, None]
     a_masked = np.where(slot_valid[:, :, None], a, -np.inf)
     argmax = np.argmax(a_masked, axis=1)
     pooled = np.take_along_axis(a_masked, argmax[:, None, :], axis=1)[:, 0, :]
     data[pt.indices[:, 0], pt.indices[:, 1], :] = pooled
     d_pool = d_map[pt.indices[:, 0], pt.indices[:, 1], :]
-    dz = np.zeros((pt.n_pillars, pt.max_points, c))
+    dz = np.zeros((pt.n_pillars, slots, c))
     np.put_along_axis(dz, argmax[:, None, :], d_pool[:, None, :], axis=1)
     dz *= z > 0.0
     flat_dz = dz.reshape(-1, c)
-    return data, argmax, pt.features.reshape(-1, 9).T @ flat_dz, flat_dz.sum(axis=0)
+    return data, argmax, x.reshape(-1, 9).T @ flat_dz, flat_dz.sum(axis=0), a_masked
+
+
+def _close(got, want, rel=1e-12):
+    """Equal shapes, and every entry within ``rel`` of the largest reference magnitude."""
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert np.abs(got - want).max(initial=0.0) <= rel * max(1.0, np.abs(want).max(initial=0.0))
 
 
 def test_encode_and_backward_match_cap_padded_reference_bit_for_bit():
+    """Bit for bit against the reference on the filled slots (``counts.max()``
+    of them), and within 1e-12 of the reference padded to the cap, whose wider
+    products may round differently; there the pooling argmax must agree
+    wherever the top two activations of a pillar are more than 1e-12 apart."""
     cases = [_oracle_case(seed) for seed in range(300)]
     outside = [[-0.1, 1.0], [4.0, 1.0], [1.0, 4.0], [9.0, -3.0]]
     cases += [(_cloud(xy), GRID, cap) for xy in (np.zeros((0, 2)), outside) for cap in (1, 4)]
@@ -260,14 +272,23 @@ def test_encode_and_backward_match_cap_padded_reference_bit_for_bit():
         d_map = rng.normal(0, 1, (grid.rows, grid.cols, c))
         enc, cache = pillar_encode_cached(pillarize(cloud, grid, max_points), w, b, grid)
         dw, db = pillar_encode_backward(cache, d_map)
+        got = (enc.data, cache["argmax"], dw, db)
         ref = _pillarize_reference(cloud, grid, max_points)
-        ref_data, ref_argmax, ref_dw, ref_db = _encode_reference(ref, w, b, grid, d_map)
-        for got, want in ((enc.data, ref_data), (dw, ref_dw), (db, ref_db), (cache["argmax"], ref_argmax)):
+        filled = _encode_reference(ref, w, b, grid, d_map, int(ref.counts.max(initial=0)))
+        for g, want in zip(got, filled):
             if want is None:
-                assert got is None
+                assert g is None
                 continue
-            assert (got.dtype, got.shape) == (want.dtype, want.shape)
-            assert got.tobytes() == want.tobytes()
+            assert (g.dtype, g.shape) == (want.dtype, want.shape)
+            assert g.tobytes() == want.tobytes()
+        padded = _encode_reference(ref, w, b, grid, d_map, max_points)
+        for i in (0, 2, 3):  # the map and the weight and bias grads
+            _close(got[i], padded[i])
+        if ref.n_pillars:
+            act = -np.sort(-padded[4], axis=1)  # descending over the slots; -inf past a count
+            gap = act[:, 0] - act[:, 1] if max_points > 1 else np.inf
+            apart = gap > 1e-12 * np.maximum(1.0, act[:, 0])
+            assert np.array_equal(got[1][apart], padded[1][apart])
         no_pillars += ref.n_pillars == 0
         at_cap += ref.n_pillars > 0 and ref.counts.max() == max_points
         below_cap += ref.n_pillars > 0 and ref.counts.max() < max_points

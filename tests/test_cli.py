@@ -59,7 +59,7 @@ def test_full_pipeline_end_to_end(tmp_path, capsys):
     assert main(["train", "--config", str(cfg)]) == 0
     assert (workdir / "model.ckpt").exists()
     log = (workdir / "train_log.csv").read_text().splitlines()
-    assert log[0] == "step,huber,smooth,total"
+    assert log[0] == "step,huber,smooth,total,grad_norm"
     assert len(log) > 1
 
     assert main(["eval", "--config", str(cfg)]) == 0

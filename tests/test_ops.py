@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from marscost.ops import _im2col_rows, conv2d_forward
+from marscost.ops import (
+    _im2col_rows,
+    _interp_matrix,
+    conv2d_backward,
+    conv2d_forward,
+    resize_bilinear,
+    resize_bilinear_backward,
+)
 
 # the four convolutions of the acceptance regressor (criteria 5 and 6) on its
 # 32x32 grid: input shape, kernel shape, stride, pad
@@ -68,3 +75,82 @@ def test_im2col_rows_are_cached_and_read_only():
     assert _im2col_rows(7, 9, 3, 3, 2) is rows
     assert rows.shape == (3 * 4 * 9,) and not rows.flags.writeable
     assert rows.min() == 0 and rows.max() == 7 * 9 - 1
+
+
+def _conv_backward_reference(cache, dy):
+    """Oracle: the per-tap col2im scatter that ``conv2d_backward`` ran at every stride."""
+    w = cache["w"]
+    kh, kw, cin, cout = w.shape
+    ho, wo = cache["out_hw"]
+    stride, pad = cache["stride"], cache["pad"]
+    h, wid, _ = cache["x_shape"]
+    dy_flat = dy.reshape(ho * wo, cout)
+    dw = (cache["patches"].T @ dy_flat).reshape(kh, kw, cin, cout)
+    db = dy_flat.sum(axis=0)
+    dcol = (dy_flat @ w.reshape(kh * kw * cin, cout).T).reshape(ho, wo, kh, kw, cin)
+    dxp = np.zeros((h + 2 * pad, wid + 2 * pad, cin))
+    for ki in range(kh):
+        for kj in range(kw):
+            dxp[ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += dcol[:, :, ki, kj]
+    return dxp[pad : pad + h, pad : pad + wid], dw, db
+
+
+@pytest.mark.parametrize("x_shape, w_shape, stride, pad", CONVS)
+def test_conv_backward_matches_tap_loop(x_shape, w_shape, stride, pad):
+    """Strided: the same scatter, bit for bit. Stride 1: a correlation with the
+    flipped kernel, which sums in another order, within 1e-12 relative."""
+    rng = np.random.default_rng(sum(x_shape) * 11 + sum(w_shape) + stride + pad)
+    x = rng.normal(0, 1, x_shape)
+    w = rng.normal(0, 1, w_shape)
+    y, cache = conv2d_forward(x, w, rng.normal(0, 1, w_shape[3]), stride=stride, pad=pad)
+    dy = rng.normal(0, 1, y.shape)
+    dx, dw, db = conv2d_backward(cache, dy)
+    dx_ref, dw_ref, db_ref = _conv_backward_reference(cache, dy)
+    for got, want in ((dx, dx_ref), (dw, dw_ref), (db, db_ref)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert dw.tobytes() == dw_ref.tobytes() and db.tobytes() == db_ref.tobytes()
+    if stride == 1:
+        assert np.abs(dx - dx_ref).max() <= 1e-12 * np.abs(dx_ref).max()
+    else:
+        assert dx.tobytes() == dx_ref.tobytes()
+
+
+def test_conv_backward_one_by_one_kernel_with_padding():
+    # only the border of the padded input sees the kernel alone; its gradient is cropped
+    rng = np.random.default_rng(41)
+    x, w = rng.normal(0, 1, (4, 5, 3)), rng.normal(0, 1, (1, 1, 3, 2))
+    y, cache = conv2d_forward(x, w, np.zeros(2), stride=1, pad=1)
+    dy = rng.normal(0, 1, y.shape)
+    dx, _, _ = conv2d_backward(cache, dy)
+    assert y.shape == (6, 7, 2)
+    assert np.abs(dx - dy[1:-1, 1:-1] @ w[0, 0].T).max() <= 1e-15
+
+
+# (source, output) sizes of the regressor's resizes and of odd up- and down-samplings
+RESIZES = [((8, 8, 16), (16, 16)), ((16, 16, 1), (32, 32)), ((5, 7, 3), (11, 4)), ((9, 6, 2), (3, 3)),
+           ((1, 1, 4), (3, 2)), ((6, 6, 5), (6, 6))]
+
+
+def _resize_reference(x, out_h, out_w):
+    """Oracle: the one dense contraction the 3-D resize ran as."""
+    ry, rx = _interp_matrix(x.shape[0], out_h), _interp_matrix(x.shape[1], out_w)
+    return np.einsum("ih,hwc,jw->ijc", ry, x, rx, optimize=True)
+
+
+def _resize_backward_reference(dy, in_h, in_w):
+    ry, rx = _interp_matrix(in_h, dy.shape[0]), _interp_matrix(in_w, dy.shape[1])
+    return np.einsum("ih,ijc,jw->hwc", ry, dy, rx, optimize=True)
+
+
+@pytest.mark.parametrize("shape, out", RESIZES)
+def test_resize_matches_dense_contraction_and_is_its_own_adjoint(shape, out):
+    rng = np.random.default_rng(sum(shape) + 3 * sum(out))
+    x = rng.normal(0, 1, shape)
+    dy = rng.normal(0, 1, (*out, shape[2]))
+    y = resize_bilinear(x, *out)
+    dx = resize_bilinear_backward(dy, *shape[:2])
+    for got, want in ((y, _resize_reference(x, *out)), (dx, _resize_backward_reference(dy, *shape[:2]))):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    lhs, rhs = np.vdot(y, dy), np.vdot(x, dx)  # <R x, dy> == <x, R^T dy>
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))

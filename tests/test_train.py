@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import TOY_NET, random_sample
 from marscost.bev import embed_image
-from marscost.net import init_params
+from marscost.net import init_params, loss_and_grads
 from marscost.train import (
     AdamState,
     AugmentConfig,
@@ -209,8 +214,8 @@ def test_fit_same_seed_identical_history():
     )
     _, h1 = fit(data, cfg, TOY_NET)
     _, h2 = fit(data, cfg, TOY_NET)
-    assert [(r.step, r.huber, r.smooth, r.total) for r in h1] == [
-        (r.step, r.huber, r.smooth, r.total) for r in h2
+    assert [(r.step, r.huber, r.smooth, r.total, r.grad_norm) for r in h1] == [
+        (r.step, r.huber, r.smooth, r.total, r.grad_norm) for r in h2
     ]
     assert len(h1) == 3 * 3  # ceil(5 / 2) batches per epoch
 
@@ -225,3 +230,63 @@ def test_fit_different_seed_differs():
 def test_fit_rejects_empty_dataset():
     with pytest.raises(ValueError):
         fit([], TrainConfig(epochs=1), TOY_NET)
+
+
+def test_fit_records_the_global_gradient_norm_of_each_step():
+    sample = random_sample(44, grid_size=16)
+    cfg = TrainConfig(epochs=1, batch_size=1, seed=6, augment=NO_AUG)
+    _, history = fit([sample], cfg, TOY_NET)
+    params = init_params(TOY_NET, seed=6)
+    _, _, _, grads = loss_and_grads(params, [sample], cfg.huber_delta, cfg.smooth_lambda)
+    flat = np.concatenate([grads[name].ravel() for name, _ in params.named_tensors()])
+    assert history[0].grad_norm == np.linalg.norm(flat) > 0.0
+
+
+# A short seeded fit at the acceptance widths, then the sha256 of its weights and
+# the thread count numpy's bundled OpenBLAS reports (0 if numpy bundles another BLAS)
+_THREADED_FIT = """
+import ctypes
+import hashlib
+from pathlib import Path
+
+import numpy as np  # loaded before marscost, so only a library call can pin BLAS
+from marscost.net import NetConfig
+from marscost.train import AugmentConfig, TrainConfig, fit
+from marscost.types import DenseCostmap, GridSpec, Image, PointCloud, Sample
+
+rng = np.random.default_rng(5)
+grid = GridSpec((0.0, 0.0), 0.25, 32, 32)
+samples = [
+    Sample(
+        PointCloud(np.column_stack([rng.uniform(0, 8, (400, 2)), rng.uniform(-0.4, 0.6, 400)]),
+                   rng.uniform(0, 1, (400, 3))),
+        Image(rng.uniform(0, 1, (10, 14, 3))),
+        DenseCostmap(grid, rng.uniform(0, 1, (32, 32)), rng.uniform(0, 1, (32, 32)) > 0.3),
+    )
+    for _ in range(4)
+]
+net = NetConfig(channels=8, stage2_channels=12, stage3_channels=16, film_hidden=8, head_channels=16)
+cfg = TrainConfig(batch_size=2, epochs=5, seed=3, augment=AugmentConfig(rotate=False, translate=False))
+params, _ = fit(samples, cfg, net)
+digest = hashlib.sha256()
+for _, tensor in params.named_tensors():
+    digest.update(tensor.tobytes())
+libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+threads = ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_() if libs else 0
+print(digest.hexdigest(), threads)
+"""
+
+
+def test_trained_weights_do_not_depend_on_the_blas_thread_setting():
+    """Importing marscost puts BLAS on one thread even when the environment asks
+    for two and numpy is already loaded, so the weights match a one-thread run."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = []
+    for threads in ("2", "1"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _THREADED_FIT], env=env, capture_output=True,
+                             text=True, check=True)
+        runs.append(run.stdout.split())
+    (digest_2, threads_2), (digest_1, threads_1) = runs
+    assert len(digest_2) == 64 and digest_2 == digest_1
+    assert threads_2 in ("0", "1") and threads_1 in ("0", "1")
