@@ -159,21 +159,27 @@ def embed_image(img: Image) -> np.ndarray:
     return img._embedding
 
 
+def _bin_of(x: np.ndarray) -> np.ndarray:
+    """The histogram bin of each value in [0, 1]: 64 equal bins, the last one closed."""
+    return np.minimum((x * _HIST_BINS).astype(np.intp), _HIST_BINS - 1)
+
+
 def _embed_pixels(px: np.ndarray) -> np.ndarray:
     n_px = px.shape[0] * px.shape[1]
-    parts = []
-    edges = np.linspace(0.0, 1.0, _HIST_BINS + 1)
-    for ch in range(3):
-        hist, _ = np.histogram(px[:, :, ch], bins=edges)
-        parts.append(hist / n_px)
     lum = px.mean(axis=2)
     gx = np.diff(lum, axis=1)
     gy = np.diff(lum, axis=0)
     gmag = np.concatenate([np.abs(gx).reshape(-1), np.abs(gy).reshape(-1)])
     if gmag.size == 0:
         gmag = np.zeros(1)
-    ghist, _ = np.histogram(np.clip(gmag, 0.0, 1.0), bins=edges)
-    parts.append(ghist / gmag.size)
+    # the 64 bins over [0, 1] have edges exactly k / 64 and x * 64 is exact, so a
+    # value's bin is min(int(x * 64), 63), the bin np.histogram finds; one
+    # bincount counts the three channels and the gradients, each offset by 64
+    channel_bins = _bin_of(px) + np.arange(0, 3 * _HIST_BINS, _HIST_BINS)
+    grad_bins = _bin_of(np.clip(gmag, 0.0, 1.0)) + 3 * _HIST_BINS
+    bins = np.concatenate([channel_bins.reshape(-1), grad_bins])
+    hists = np.bincount(bins, minlength=4 * _HIST_BINS).reshape(4, _HIST_BINS)
+    parts = [hists[:3].reshape(-1) / n_px, hists[3] / gmag.size]
     parts.append(resize_bilinear(lum, _THUMB, _THUMB).reshape(-1))
     vec = np.concatenate(parts)
     out = np.zeros(EMBED_DIM)

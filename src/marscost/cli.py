@@ -17,7 +17,7 @@ from . import io as mio
 from .bev import pillarize
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, load_config
-from .dataset import build_samples, label_runs, simulate_run, split_samples
+from .dataset import MIN_VALID_CELLS, build_samples, label_runs, simulate_run, split_samples
 from .evaluation import AblationSpec, export_costmap, import_costmap, predict, run_ablation_suite
 from .heightfield import generate_heightfield, load_heightfield
 from .train import fit
@@ -89,18 +89,23 @@ def cmd_label(cfg) -> int:
 
 
 def _load_samples(cfg):
+    """Every run's samples; prints how many of the sensed frames they are."""
     runs = _run_dirs(cfg)
     if not runs:
         raise FileNotFoundError(f"no simulation runs under {cfg.data_dir}")
     layout = cfg.bev_layout()
     samples = []
+    n_frames = 0
     for run_dir in runs:
         label_path = cfg.labels_dir / f"{run_dir.name}.pgm"
         if not label_path.exists():
             raise FileNotFoundError(f"missing label raster {label_path}")
         labels = mio.read_costmap_pgm(label_path)
-        traj, _, clouds, images = mio.read_run_dir(run_dir)
+        traj, clouds, images = mio.read_run_dir(run_dir)
+        n_frames += len(clouds.keys() & images.keys())  # the frames build_samples pairs
         samples.extend(build_samples(traj, labels, clouds, images, layout))
+    print(f"samples: {len(samples)} of {n_frames} sensed frames kept "
+          f"({n_frames - len(samples)} under min_valid_cells={MIN_VALID_CELLS})")
     if not samples:
         raise RuntimeError("no usable samples (label coverage too sparse for the BEV windows)")
     return samples

@@ -107,8 +107,12 @@ def localize_cloud(cloud: PointCloud, pose: Pose, window_origin) -> PointCloud:
     return PointCloud(local, cloud.rgb)
 
 
+# a sample's label window needs at least this many labeled cells
+MIN_VALID_CELLS = 8
+
+
 def build_samples(traj, labels: DenseCostmap, clouds: dict, images: dict,
-                  layout: BevLayout, min_valid_cells: int = 8):
+                  layout: BevLayout, min_valid_cells: int = MIN_VALID_CELLS):
     """Pair each sensed frame with its label window; skip windows with too few labels."""
     samples = []
     for k in sorted(clouds.keys() & images.keys()):

@@ -10,6 +10,7 @@ import math
 import os
 import re
 import tempfile
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,15 @@ def atomic_write_text(path, text: str):
 
 def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
+
+
+def _rows_of(field: str, sep: str, width: int, n: int) -> str:
+    """A %-format string for ``n`` lines of ``width`` fields joined by ``sep``.
+
+    Formatting a whole block of values with one ``%`` runs the per-value
+    conversion in C; ``"%.17g" % v`` and ``f"{v:.17g}"`` give the same text.
+    """
+    return (sep.join([field] * width) + "\n") * n
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +112,13 @@ def write_pgm(path, pixels: np.ndarray, maxval: int = COSTMAP_MAXVAL):
         raise ValueError("PGM pixels must be 2-D")
     if pixels.min() < 0 or pixels.max() > maxval:
         raise ValueError("pixel values outside [0, maxval]")
-    lines = [f"P2", f"{pixels.shape[1]} {pixels.shape[0]}", str(maxval)]
-    flat = pixels.astype(np.int64).reshape(-1)
-    for k in range(0, flat.size, 16):
-        lines.append(" ".join(str(v) for v in flat[k : k + 16]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    flat = pixels.astype(np.int64).reshape(-1).tolist()
+    full = len(flat) - len(flat) % 16
+    text = [f"P2\n{pixels.shape[1]} {pixels.shape[0]}\n{maxval}\n",
+            _rows_of("%d", " ", 16, full // 16) % tuple(flat[:full])]
+    if full < len(flat):
+        text.append(_rows_of("%d", " ", len(flat) - full, 1) % tuple(flat[full:]))
+    atomic_write_text(path, "".join(text))
 
 
 def read_pbm(path) -> np.ndarray:
@@ -120,11 +132,10 @@ def read_pbm(path) -> np.ndarray:
 
 def write_pbm(path, bits: np.ndarray):
     bits = np.asarray(bits, dtype=bool)
-    lines = ["P1", f"{bits.shape[1]} {bits.shape[0]}"]
-    flat = bits.astype(np.int8).reshape(-1)
-    for k in range(0, flat.size, 64):
-        lines.append("".join(str(v) for v in flat[k : k + 64]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    digits = (bits.reshape(-1).astype(np.uint8) + ord("0")).tobytes()  # b"0" and b"1"
+    lines = [b"P1", f"{bits.shape[1]} {bits.shape[0]}".encode("ascii")]
+    lines += [digits[k : k + 64] for k in range(0, len(digits), 64)]
+    atomic_write_bytes(path, b"\n".join(lines) + b"\n")
 
 
 def read_ppm(path) -> Image:
@@ -287,20 +298,51 @@ IMU_HEADER = "t,ax,ay,az,wx,wy,wz"
 CLOUD_HEADER = "x,y,z,r,g,b"
 
 
+# rows formatted per % call: a bounded block keeps the Python floats of
+# tolist() from ever holding a whole large table at once
+_TABLE_CHUNK_ROWS = 1024
+
+
 def _write_table(path, header: str, *columns):
     """One header row, then one row of %.17g floats per entry of the columns."""
-    lines = [header] + [",".join(map(_fmt, row.tolist())) for row in np.column_stack(columns)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    table = np.column_stack(columns)
+    text = [header + "\n"]
+    for lo in range(0, len(table), _TABLE_CHUNK_ROWS):
+        block = table[lo : lo + _TABLE_CHUNK_ROWS]
+        fields = _rows_of("%.17g", ",", table.shape[1], len(block))
+        text.append(fields % tuple(chain.from_iterable(block.tolist())))
+    atomic_write_text(path, "".join(text))
 
 
 def _table_rows(path, lines: list, at: int, header: str):
-    """Line numbers and (n, columns) float array of the rows below the header ``lines[at]``."""
+    """Line numbers and (n, columns) float array of the rows below the header ``lines[at]``.
+
+    Blank and whitespace-only lines are skipped. All cells are parsed in one
+    pass; only a damaged table is scanned line by line, to name its first bad line.
+    """
     if len(lines) <= at or lines[at] != header:
         raise FormatError(f"{path}: missing header {header!r}")
     width = header.count(",") + 1
-    numbers = []
-    rows = []
-    for number, line in enumerate(lines[at + 1 :], start=at + 2):
+    body = lines[at + 1 :]
+    rows = list(filter(str.strip, body))
+    cells = ",".join(rows)
+    try:
+        if "_" in cells or set(map(str.count, rows, repeat(","))) - {width - 1}:
+            raise ValueError
+        data = np.array(list(map(float, cells.split(","))) if rows else [], dtype=np.float64)
+    except ValueError:
+        _name_bad_row(path, body, at + 2, width)
+        raise AssertionError("a row the table parse rejected passed the line scan") from None
+    if len(rows) == len(body):
+        numbers = list(range(at + 2, at + 2 + len(body)))
+    else:
+        numbers = [n for n, line in enumerate(body, start=at + 2) if line.strip()]
+    return numbers, data.reshape(-1, width)
+
+
+def _name_bad_row(path, body: list, first: int, width: int):
+    """Raise the FormatError naming the first bad row of ``body``, line ``first`` on."""
+    for number, line in enumerate(body, start=first):
         if not line.strip():
             continue
         cells = line.split(",")
@@ -309,11 +351,9 @@ def _table_rows(path, lines: list, at: int, header: str):
         if "_" in line:  # float() would read "1_0" as 10
             raise FormatError(f"{path}:{number}: '_' is not part of a number")
         try:
-            rows.append([float(c) for c in cells])
+            list(map(float, cells))
         except ValueError as e:
             raise FormatError(f"{path}:{number}: {e}") from None
-        numbers.append(number)
-    return numbers, np.array(rows, dtype=np.float64).reshape(-1, width)
 
 
 def _read_table(path, header: str) -> np.ndarray:
@@ -406,13 +446,15 @@ def _frames(run_dir: Path, kind: str, suffix: str, read) -> dict:
 
 
 def read_run_dir(run_dir):
-    """Load a run directory; returns (trajectory, imu, {k: cloud}, {k: image})."""
+    """Load a run directory's sensing; returns (trajectory, {k: cloud}, {k: image}).
+
+    The IMU stream is left unread: only labeling uses it, through :func:`read_imu_csv`.
+    """
     run_dir = Path(run_dir)
     traj = read_trajectory_csv(run_dir / "trajectory.csv")
-    imu = read_imu_csv(run_dir / "imu.csv")
     clouds = _frames(run_dir, "cloud", ".csv", read_cloud_csv)
     images = _frames(run_dir, "image", ".ppm", read_ppm)
     k = max([*clouds, *images], default=-1)
     if k >= len(traj):
         raise FormatError(f"{run_dir / 'trajectory.csv'}: {len(traj)} poses, but the run has frame {k}")
-    return traj, imu, clouds, images
+    return traj, clouds, images

@@ -1,6 +1,6 @@
 """Optimizer, data augmentation and the deterministic training loop."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -10,10 +10,11 @@ from .types import DenseCostmap, GridSpec, Image, PointCloud, Sample
 
 @dataclass
 class AdamState:
-    """Per-tensor first/second moments plus the shared step count."""
+    """First and second moments, each one flat vector over the tensors in field
+    order (as :meth:`ModelParams.named_tensors` lists them), plus the step count."""
 
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     k: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -21,43 +22,46 @@ class AdamState:
 
     @classmethod
     def fresh(cls, params: ModelParams) -> "AdamState":
-        return cls(
-            m={n: np.zeros_like(t) for n, t in params.named_tensors()},
-            v={n: np.zeros_like(t) for n, t in params.named_tensors()},
-        )
+        n = params.n_parameters()
+        return cls(m=np.zeros(n), v=np.zeros(n))
 
     def copy(self) -> "AdamState":
-        return AdamState(
-            {n: a.copy() for n, a in self.m.items()},
-            {n: a.copy() for n, a in self.v.items()},
-            self.k,
-            self.beta1,
-            self.beta2,
-            self.eps,
-        )
+        return replace(self, m=self.m.copy(), v=self.v.copy())
 
 
-def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float):
-    """One bias-corrected Adam update; returns new (params, state)."""
+def _flat_tensors(params: ModelParams, tensors: dict) -> np.ndarray:
+    """``tensors[name]`` for every tensor of ``params``, raveled into one vector in field order."""
+    return np.concatenate([tensors[name].ravel() for name, _ in params.named_tensors()])
+
+
+def adam_step(params: ModelParams, grads, state: AdamState, lr: float):
+    """One bias-corrected Adam update; returns new (params, state).
+
+    ``grads`` maps tensor name to gradient, or is already the flat gradient
+    that :func:`_flat_tensors` makes of such a map.
+    """
     if not lr > 0:
         raise ValueError("learning rate must be positive")
-    for name, _ in params.named_tensors():
-        if not np.all(np.isfinite(grads[name])):
-            raise FloatingPointError(f"non-finite gradient in tensor {name!r}")
-    new_state = state.copy()
-    new_state.k = state.k + 1
-    t = new_state.k
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    named = params.named_tensors()
+    g = grads if isinstance(grads, np.ndarray) else _flat_tensors(params, grads)
+    finite = np.isfinite(g)
+    if not finite.all():
+        ends = np.cumsum([t.size for _, t in named])
+        name = named[int(np.searchsorted(ends, np.argmin(finite), side="right"))][0]
+        raise FloatingPointError(f"non-finite gradient in tensor {name!r}")
+    k = state.k + 1
+    bc1 = 1.0 - state.beta1**k
+    bc2 = 1.0 - state.beta2**k
+    m = state.beta1 * state.m + (1.0 - state.beta1) * g
+    v = state.beta2 * state.v + (1.0 - state.beta2) * g**2
+    theta = np.concatenate([t.ravel() for _, t in named])
+    theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
     new_tensors = {}
-    for name, theta in params.named_tensors():
-        g = grads[name]
-        new_state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        new_state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g**2
-        m_hat = new_state.m[name] / bc1
-        v_hat = new_state.v[name] / bc2
-        new_tensors[name] = theta - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return params.with_tensors(new_tensors), new_state
+    at = 0
+    for name, t in named:
+        new_tensors[name] = theta[at : at + t.size].reshape(t.shape)
+        at += t.size
+    return params.with_tensors(new_tensors), replace(state, m=m, v=v, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +239,8 @@ def fit(dataset, cfg: TrainConfig, net: NetConfig = NetConfig(), params: ModelPa
             total, hub, smo, grads = loss_and_grads(
                 params, batch, cfg.huber_delta, cfg.smooth_lambda
             )
-            flat = np.concatenate([grads[name].ravel() for name, _ in params.named_tensors()])
-            params, state = adam_step(params, grads, state, cfg.lr)
+            flat = _flat_tensors(params, grads)
+            params, state = adam_step(params, flat, state, cfg.lr)
             history.append(StepRecord(step, hub, smo, total, float(np.linalg.norm(flat))))
             step += 1
     return params, history

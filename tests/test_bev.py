@@ -15,6 +15,7 @@ from marscost.bev import (
     pillar_encode_cached,
     pillarize,
 )
+from marscost.ops import resize_bilinear
 from marscost.types import BevFeatureMap, GridSpec, Image, PointCloud
 
 GRID = GridSpec((0.0, 0.0), 0.5, 8, 8)
@@ -421,6 +422,51 @@ def test_sample_copy_reuses_the_memoised_embedding():
     fresh = embed_image(Image(sample.image.pixels))
     assert fresh is not emb and fresh.tobytes() == emb.tobytes()
     assert not emb.flags.writeable
+
+
+def _oracle_embed_pixels(px):
+    """The embedding's reference: four np.histogram calls on the edges linspace(0, 1, 65)."""
+    n_px = px.shape[0] * px.shape[1]
+    edges = np.linspace(0.0, 1.0, 65)
+    parts = [np.histogram(px[:, :, ch], bins=edges)[0] / n_px for ch in range(3)]
+    lum = px.mean(axis=2)
+    gmag = np.concatenate([np.abs(np.diff(lum, axis=1)).reshape(-1),
+                           np.abs(np.diff(lum, axis=0)).reshape(-1)])
+    if gmag.size == 0:
+        gmag = np.zeros(1)
+    parts.append(np.histogram(np.clip(gmag, 0.0, 1.0), bins=edges)[0] / gmag.size)
+    parts.append(resize_bilinear(lum, 8, 8).reshape(-1))
+    vec = np.concatenate(parts)
+    out = np.zeros(EMBED_DIM)
+    out[: vec.size] = vec
+    norm = np.linalg.norm(out)
+    return out / norm if norm > 0 else out
+
+
+def test_histogram_edges_are_exact_multiples_of_a_64th():
+    assert np.array_equal(np.linspace(0.0, 1.0, 65), np.arange(65) / 64)
+
+
+def _embed_cases():
+    rng = np.random.default_rng(64)
+    edge = np.arange(65) / 64  # every bin edge, 0 and 1 included
+    yield "zeros", np.zeros((6, 7, 3))
+    yield "ones", np.ones((6, 7, 3))
+    for shape in [(1, 1, 3), (1, 9, 3), (9, 1, 3), (24, 32, 3), (32, 48, 3)]:
+        yield f"uniform{shape[:2]}", rng.uniform(0, 1, shape)
+        yield f"edges{shape[:2]}", rng.choice(edge, shape)
+        yield f"ppm{shape[:2]}", rng.integers(0, 256, shape) / 255  # what read_ppm gives
+        near = rng.choice(edge, shape) + rng.choice([-1, 0, 1], shape) * np.finfo(float).eps
+        yield f"near_edges{shape[:2]}", np.clip(near, 0.0, 1.0)
+    for seed in range(300):
+        shape = (int(rng.integers(1, 40)), int(rng.integers(1, 40)), 3)
+        yield f"seed{seed}", rng.choice(edge, shape) if seed % 2 else rng.uniform(0, 1, shape)
+
+
+def test_embedding_matches_histogram_oracle_bit_for_bit():
+    for name, px in _embed_cases():
+        img = Image(px)
+        assert embed_image(img).tobytes() == _oracle_embed_pixels(img.pixels).tobytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 from marscost import cli
+from marscost import io as mio
 from marscost.checkpoint import save_checkpoint
 from marscost.cli import main
 from marscost.config import load_config, validate_config
-from marscost.dataset import BevLayout, SimConfig, build_samples, label_runs, simulate_run
+from marscost.dataset import (
+    MIN_VALID_CELLS, BevLayout, SimConfig, build_samples, label_runs, simulate_run,
+)
 from marscost.evaluation import ABLATION_MODES, AblationSpec
 from marscost.io import COSTMAP_MAXVAL, read_run_dir
 from marscost.labeling import LabelingConfig
 from marscost.net import NetConfig, init_params
 from marscost.train import TrainConfig
+from marscost.types import DenseCostmap
 
 TINY = Path(__file__).resolve().parent.parent / "configs" / "tiny.json"
 
@@ -97,11 +101,62 @@ def _held_out_point_line(cfg_path) -> str:
             f"{dropped} over the cap of {cap} per pillar")
 
 
+def _sample_count_line(workdir, layout) -> str:
+    """The samples line train, eval and ablate should print, counted frame by frame and
+    cell by cell from the files on disk."""
+    kept = frames = 0
+    for run in sorted((workdir / "data").glob("run_*")):
+        labels = mio.read_costmap_pgm(workdir / "labels" / f"{run.name}.pgm")
+        traj = mio.read_trajectory_csv(run / "trajectory.csv")
+        # BEV cell (a, b) takes the label cell holding its centre; the window's
+        # corner sits on the label lattice nearest to half a window below the pose
+        step = round(layout.resolution / labels.grid.resolution)
+        half = layout.size * layout.resolution / 2.0
+        for cloud in run.glob("cloud_*.csv"):
+            k = int(cloud.stem.split("_")[1])
+            if not (run / f"image_{k}.ppm").exists():
+                continue
+            frames += 1
+            corner = [round((traj.positions[k, axis] - half - labels.grid.origin[axis])
+                            / labels.grid.resolution) for axis in (0, 1)]
+            n_valid = 0
+            for a in range(layout.size):
+                for b in range(layout.size):
+                    i = corner[1] + a * step + step // 2
+                    j = corner[0] + b * step + step // 2
+                    inside = 0 <= i < labels.grid.rows and 0 <= j < labels.grid.cols
+                    n_valid += bool(inside and labels.valid[i, j])
+            kept += n_valid >= MIN_VALID_CELLS
+    return (f"samples: {kept} of {frames} sensed frames kept "
+            f"({frames - kept} under min_valid_cells={MIN_VALID_CELLS})")
+
+
+def test_train_eval_ablate_report_the_kept_samples(tmp_path, capsys):
+    cfg, workdir = _tiny_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert main(["label", "--config", str(cfg)]) == 0
+    # drop every label above y = 3 m, so some windows keep too few labeled cells
+    label_path = workdir / "labels" / "run_000.pgm"
+    labels = mio.read_costmap_pgm(label_path)
+    row_y = labels.grid.origin[1] + (np.arange(labels.grid.rows) + 0.5) * labels.grid.resolution
+    valid = labels.valid & (row_y <= 3.0)[:, None]
+    mio.write_costmap_pgm(DenseCostmap(labels.grid, np.where(valid, labels.values, 0.0), valid),
+                          label_path)
+    # and a cloud without its image is no sensed frame
+    (workdir / "data" / "run_000" / "image_72.ppm").unlink()
+    expected = _sample_count_line(workdir, load_config(cfg).bev_layout())
+    assert expected.startswith("samples: 3 of 4 ")  # the damage skips some frames, not all
+    capsys.readouterr()
+    for command in ("train", "eval", "ablate"):
+        assert main([command, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == expected
+
+
 def test_simulate_prints_lidar_hit_rate(tmp_path, capsys):
     cfg, workdir = _tiny_config(tmp_path)
     assert main(["simulate", "--config", str(cfg)]) == 0
     line = capsys.readouterr().out.splitlines()[0]
-    _, _, clouds, images = read_run_dir(workdir / "data" / "run_000")
+    _, clouds, images = read_run_dir(workdir / "data" / "run_000")
     hits = sum(len(c) for c in clouds.values())
     rays = 250 * len(clouds)
     assert 0 < hits < rays

@@ -204,7 +204,8 @@ def test_run_dir_round_trip(tmp_path, flat_field):
     clouds = {0: simulate_lidar(flat_field, traj[0], 100, 8.0, seed=1)}
     images = {0: render_camera(flat_field, traj[0], 8, 12)}
     mio.write_run_dir(tmp_path / "run", traj, imu, clouds, images)
-    t2, imu2, c2, i2 = mio.read_run_dir(tmp_path / "run")
+    t2, c2, i2 = mio.read_run_dir(tmp_path / "run")
+    imu2 = mio.read_imu_csv(tmp_path / "run" / "imu.csv")
     assert np.array_equal(t2.positions, traj.positions)
     assert np.array_equal(t2.quaternions, traj.quaternions)
     assert np.array_equal(t2.times, traj.times)
@@ -296,3 +297,163 @@ def test_hostile_heightmap_sidecar_names_the_file(tmp_path, capsys, value):
     config = _cli_config(tmp_path, heightmap_path=str(tmp_path / "h.pgm"))
     assert main(["simulate", "--config", config]) == 2
     assert str(sidecar) in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-value table writer and the per-line table reader
+# ---------------------------------------------------------------------------
+
+
+def _oracle_table_text(header, *columns) -> str:
+    """The table writer's reference: one ``%.17g`` conversion per value."""
+    rows = [",".join(f"{float(v):.17g}" for v in row.tolist()) for row in np.column_stack(columns)]
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _oracle_table_rows(path, lines, at, header):
+    """The table reader's reference: each line split, checked and parsed on its own."""
+    if len(lines) <= at or lines[at] != header:
+        raise FormatError(f"{path}: missing header {header!r}")
+    width = header.count(",") + 1
+    numbers, rows = [], []
+    for number, line in enumerate(lines[at + 1 :], start=at + 2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            raise FormatError(f"{path}:{number}: expected {width} values, found {len(cells)}")
+        if "_" in line:
+            raise FormatError(f"{path}:{number}: '_' is not part of a number")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as e:
+            raise FormatError(f"{path}:{number}: {e}") from None
+        numbers.append(number)
+    return numbers, np.array(rows, dtype=np.float64).reshape(-1, width)
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               0.1, 1.0, -3.0, 2.0**53, 2.0**53 + 2, 1e16, 1e-7, 123456.789,
+               np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 17, 1023, 1024, 1025, 2500])
+def test_table_writer_matches_per_value_oracle(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    scale = 10.0 ** rng.integers(-300, 300, (n_rows, 3))
+    floats = rng.normal(0, 1, (n_rows, 3)) * scale
+    floats.reshape(-1)[: min(len(EDGE_VALUES), floats.size)] = EDGE_VALUES[: floats.size]
+    ints = rng.integers(-(2**40), 2**40, n_rows)
+    flags = rng.uniform(0, 1, n_rows) > 0.5
+    mio._write_table(tmp_path / "t.csv", "a,b,c,d,e,f", floats, ints, flags, floats[:, :1] * 0.1)
+    expected = _oracle_table_text("a,b,c,d,e,f", floats, ints, flags, floats[:, :1] * 0.1)
+    assert (tmp_path / "t.csv").read_bytes() == expected.encode("ascii")
+
+
+def test_costmap_csv_matches_per_value_oracle(tmp_path):
+    cmap = _random_costmap(11, rows=40, cols=31, lo=-1e-300, hi=1e300)
+    mio.write_costmap_csv(cmap, tmp_path / "c.csv")
+    i, j = np.indices(cmap.values.shape)
+    body = _oracle_table_text(mio.COSTMAP_HEADER, i.ravel(), j.ravel(), cmap.values.ravel(),
+                              cmap.valid.ravel())
+    text = (tmp_path / "c.csv").read_text()
+    assert text.split("\n", 1)[1] == body
+
+
+def _table_outcome(read, path, lines):
+    """('error', message) or ('rows', line numbers, array bytes) of one reader."""
+    try:
+        numbers, rows = read(path, lines, 0, "a,b,c")
+    except FormatError as e:
+        return "error", str(e)
+    return "rows", list(numbers), rows.shape, rows.tobytes()
+
+
+VALID_LINES = ["a,b,c", "1,2,3", "0.5,-0,1e-300", " 4 , 5 ,6 ", "nan,inf,-inf", "7,8,9", "1e5000,0,0"]
+
+# damaged tables: each a list of lines, the header first
+DAMAGED_TABLES = {
+    "ragged_long": VALID_LINES[:2] + ["1,2,3,4"] + VALID_LINES[2:],
+    "ragged_short": VALID_LINES[:3] + ["1,2"] + VALID_LINES[3:],
+    "text_cell": VALID_LINES[:2] + ["1,x,3"],
+    "empty_cell": VALID_LINES[:2] + ["1,,3"],
+    "trailing_comma": VALID_LINES[:2] + ["1,2,"],
+    "only_commas": VALID_LINES[:2] + [",,"],
+    "underscore": VALID_LINES[:2] + ["1_0,2,3"],
+    "hex": VALID_LINES[:2] + ["0x10,2,3"],
+    "text_then_ragged": VALID_LINES[:1] + ["1,2,3", "1,y,3", "4,5,6", "1,2"],
+    "ragged_then_text": VALID_LINES[:1] + ["1,2", "1,y,3"],
+    "underscore_then_ragged": VALID_LINES[:1] + ["1_0,2,3", "1,2"],
+    "ragged_with_underscore": VALID_LINES[:1] + ["1_0,2"],
+    "blank_then_text": VALID_LINES[:1] + ["", "  ", "1,2,3", "\t", "a,b,c"],
+    "wrong_header": ["a,b"] + VALID_LINES[1:],
+    "no_header": [],
+    "compensating_rows": VALID_LINES[:1] + ["1,2", "3,4,5,6"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_TABLES))
+def test_table_reader_errors_match_per_line_oracle(tmp_path, case):
+    lines = DAMAGED_TABLES[case]
+    path = tmp_path / "t.csv"
+    got = _table_outcome(mio._table_rows, path, lines)
+    assert got == _table_outcome(_oracle_table_rows, path, lines)
+    assert got[0] == "error"
+
+
+def test_table_reader_names_the_first_bad_line():
+    # the text cell on line 3 comes before the ragged line 5
+    with pytest.raises(FormatError, match=r"t\.csv:3: could not convert"):
+        mio._table_rows("t.csv", DAMAGED_TABLES["text_then_ragged"], 0, "a,b,c")
+
+
+def test_table_reader_matches_oracle_on_seeded_damage(tmp_path):
+    rng = np.random.default_rng(2024)
+    path = tmp_path / "t.csv"
+    alphabet = list(",_x.e-+ \t019")
+    n_errors = 0
+    for _ in range(400):
+        lines = list(VALID_LINES)
+        for _ in range(rng.integers(1, 4)):
+            k = int(rng.integers(1, len(lines)))
+            line = lines[k]
+            pos = int(rng.integers(0, len(line) + 1))
+            action = rng.integers(0, 4)
+            if action == 0:  # insert a character
+                lines[k] = line[:pos] + alphabet[rng.integers(len(alphabet))] + line[pos:]
+            elif action == 1:  # delete one
+                lines[k] = line[:pos] + line[pos + 1 :]
+            elif action == 2:  # a blank or whitespace-only line
+                lines.insert(k, " " * int(rng.integers(0, 3)))
+            else:  # a repeated row
+                lines.insert(k, line)
+        got = _table_outcome(mio._table_rows, path, lines)
+        assert got == _table_outcome(_oracle_table_rows, path, lines), lines
+        n_errors += got[0] == "error"
+    assert 100 < n_errors < 400  # both outcomes are exercised
+
+
+def test_table_reader_skips_blank_lines_and_keeps_line_numbers(tmp_path):
+    rng = np.random.default_rng(8)
+    traj_path = tmp_path / "trajectory.csv"
+    n = 6
+    quats = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
+    mio._write_table(traj_path, mio.TRAJECTORY_HEADER, np.arange(n) * 0.1,
+                     rng.normal(0, 1, (n, 3)), quats)
+    plain = mio.read_trajectory_csv(traj_path)
+    lines = traj_path.read_text().splitlines()
+    spaced = [lines[0], "", lines[1], "   ", "\t", lines[2], lines[3], " \t ", *lines[4:], "", "  "]
+    traj_path.write_text("\n".join(spaced) + "\n")
+    back = mio.read_trajectory_csv(traj_path)
+    assert np.array_equal(back.times, plain.times)
+    assert np.array_equal(back.positions, plain.positions)
+    assert np.array_equal(back.quaternions, plain.quaternions)
+    # a bad row after the blank lines is named by its own line number
+    traj_path.write_text("\n".join(spaced[:9] + ["0.7,1,2,3,1,0,x,0"] + spaced[9:]) + "\n")
+    with pytest.raises(FormatError, match=r"trajectory\.csv:10: could not convert"):
+        mio.read_trajectory_csv(traj_path)
+    # and so is a costmap cell that repeats across blank lines
+    csv = tmp_path / "c.csv"
+    csv.write_text(COSTMAP_CSV_HEADER + "0,0,1,1\n\n0,1,1,1\n  \n1,0,1,1\n0,1,5,1\n")
+    with pytest.raises(FormatError, match=r"c\.csv:8: cell \(0, 1\) repeats line 5"):
+        mio.read_costmap_csv(csv)

@@ -63,9 +63,8 @@ def test_adam_deterministic_with_cloned_state():
     for (_, a), (_, b) in zip(p_a.named_tensors(), p_b.named_tensors()):
         assert np.array_equal(a, b)
     assert s_a.k == s_b.k
-    for n in s_a.m:
-        assert np.array_equal(s_a.m[n], s_b.m[n])
-        assert np.array_equal(s_a.v[n], s_b.v[n])
+    assert np.array_equal(s_a.m, s_b.m)
+    assert np.array_equal(s_a.v, s_b.v)
 
 
 def test_adam_rejects_non_finite_grads():
