@@ -6,9 +6,18 @@ and orientation aligns yaw with the path tangent and pitch/roll with the
 surface normal. Sensor models are deterministic functions of (inputs, seed).
 """
 
+from functools import lru_cache
+
 import numpy as np
 
-from .geometry import matrix_to_quat, quat_conjugate, quat_multiply, quat_rotation_vector, quat_to_matrix
+from .geometry import (
+    matrix_to_quat,
+    quat_conjugate,
+    quat_multiply,
+    quat_rotation_vector,
+    quat_to_matrix,
+    row_dot,
+)
 from .heightfield import (
     Heightfield,
     _node_bilinear,
@@ -78,14 +87,12 @@ def generate_trajectory(
     z = surface_heights(hf, xy[:, 0], xy[:, 1]) + chassis_height
     normals = surface_normals(hf, xy[:, 0], xy[:, 1])
 
-    quats = np.empty((n, 4))
-    for k in range(n):
-        nk = normals[k]
-        t3 = np.array([tangents[k, 0], tangents[k, 1], 0.0])
-        x_b = t3 - np.dot(t3, nk) * nk
-        x_b /= np.linalg.norm(x_b)
-        y_b = np.cross(nk, x_b)
-        quats[k] = matrix_to_quat(np.column_stack([x_b, y_b, nk]))
+    # body x: the path tangent with its part along the normal taken out
+    t3 = np.column_stack([tangents, np.zeros(n)])
+    x_b = t3 - row_dot(t3, normals)[:, None] * normals
+    x_b /= np.sqrt(row_dot(x_b, x_b))[:, None]
+    y_b = np.cross(normals, x_b)
+    quats = matrix_to_quat(np.stack([x_b, y_b, normals], axis=-1))
 
     t = np.arange(n) * dt
     positions = np.column_stack([xy, z])
@@ -126,19 +133,17 @@ def synthesize_imu(
     specific_w = accel_w + np.array([0.0, 0.0, gravity])
 
     gyro_b = np.zeros((n, 3))
-    for k in range(n - 1):
-        rel = quat_multiply(quat_conjugate(quats[k]), quats[k + 1])
-        gyro_b[k] = quat_rotation_vector(rel) / (t[k + 1] - t[k])
     if n >= 2:
+        rel = quat_multiply(quat_conjugate(quats[:-1]), quats[1:])
+        gyro_b[:-1] = quat_rotation_vector(rel) / np.diff(t)[:, None]
         gyro_b[-1] = gyro_b[-2]
 
     rng = np.random.default_rng(seed)
     sigma = noise_scale * slope_magnitudes(hf, pos[:, 0], pos[:, 1])
     noise = rng.standard_normal((n, 3)) * sigma[:, None]
 
-    accel_b = np.empty((n, 3))
-    for k in range(n):
-        accel_b[k] = quat_to_matrix(quats[k]).T @ specific_w[k] + noise[k]
+    world_from_body = quat_to_matrix(quats)
+    accel_b = (np.swapaxes(world_from_body, -1, -2) @ specific_w[:, :, None])[:, :, 0] + noise
     return ImuLog(t, accel_b, gyro_b)
 
 
@@ -157,7 +162,8 @@ def march_rays(
     keeps the roots that fail this too (an origin under the surface is its own).
 
     The walk (Amanatides & Woo, 1987) cuts each ray at the grid lines it
-    crosses, a growing block at a time. In each cell ``z - surface`` is a
+    crosses, a growing block at a time: 4 crossings per ray in the first
+    round, doubling up to 32. In each cell ``z - surface`` is a
     quadratic in t; the hit is the first root in the first cell that has one.
     """
     directions = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
@@ -178,7 +184,9 @@ def march_rays(
         still = ~np.isfinite(t_unit)
         t_unit[still] = np.inf
         to_edge = np.where(u > 0, [hf.cols - 1, hf.rows - 1] - g0, g0)
-        t_end = np.min(np.where(still, np.inf, to_edge * t_unit), axis=1, initial=max_range)
+        t_edge = np.where(still, np.inf, to_edge * t_unit)
+        t_end = np.minimum(t_edge[:, 0], t_edge[:, 1])
+        np.minimum(t_end, max_range, out=t_end)
         t_top = (top - origin[2]) / dz
     # a falling ray starts where it comes down to the top plane and a rising one ends where
     # it goes up through it; one above the plane that does not fall never starts
@@ -186,61 +194,86 @@ def march_rays(
     t_end = np.where(dz > 0, np.minimum(t_end, t_top), t_end)
 
     t_hit = np.full(n, np.inf)
-    rays = np.flatnonzero(np.isfinite(directions).all(axis=1) & (t_cur < t_end))
+    finite = np.isfinite(directions)
+    rays = np.flatnonzero(finite[:, 0] & finite[:, 1] & finite[:, 2] & (t_cur < t_end))
     flat = hf.elevations.reshape(-1)
     cols = hf.cols
     # tops[k]: the highest corner of the cell whose first corner is flat[k]
-    tops = np.maximum.reduce([flat[: -cols - 1], flat[1:-cols], flat[cols:-1], flat[cols + 1 :]])
-    width = 2
+    tops = np.maximum(flat[: -cols - 1], flat[1:-cols])
+    np.maximum(tops, flat[cols:-1], out=tops)
+    np.maximum(tops, flat[cols + 1 :], out=tops)
+    u_x, u_y = u.T.copy()  # contiguous, for the per-cell work
+    width = 4
     while rays.size:
         per_block = _BLOCK_RAY_CELLS // width
+        # 0 .. width - 1 once per ray and axis, for the largest block of this width
+        steps = np.tile(np.arange(width, dtype=np.float64), 2 * min(per_block, rays.size))
         for s in range(0, rays.size, per_block):
             r = rays[s : s + per_block]
-            tc, te = t_cur[r, None], t_end[r, None]
-            ur = u[r]
+            tc, te, dzr = t_cur.take(r), t_end.take(r), dz.take(r)
+            ur, ux, uy = u.take(r, axis=0), u_x.take(r), u_y.take(r)
             # the next `width` grid lines crossed on each axis, merged in order
-            g = g0 + ur * tc
+            g = g0 + ur * tc[:, None]
             ahead = np.abs(np.where(ur > 0, np.floor(g) + 1, np.ceil(g) - 1) - g0)
-            cross = ((ahead[:, :, None] + np.arange(width)) * t_unit[r, :, None]).reshape(r.size, -1)
-            bounds = np.clip(np.concatenate([tc, np.sort(cross, axis=1)[:, :width]], axis=1), tc, te)
-            cuts = np.ascontiguousarray(bounds.T)  # a row per cut: operations run along the rays
+            cross = np.repeat(ahead.reshape(-1), width)
+            cross += steps[: cross.size]
+            cross *= np.repeat(t_unit.take(r, axis=0).reshape(-1), width)
+            cross = cross.reshape(r.size, -1)
+            cross.sort(axis=1)
+            # a row per cut, clamped to [tc, te]: operations run along the rays
+            cuts = np.empty((width + 1, r.size))
+            cuts[0] = tc
+            cuts[1:] = cross[:, :width].T
+            np.maximum(cuts, tc, out=cuts)
+            np.minimum(cuts, te, out=cuts)
             lo, seg = cuts[:-1], cuts[1:] - cuts[:-1]
-            ux, uy, dzr = ur[:, 0], ur[:, 1], dz[r]
             # each segment lies in one cell, found from its midpoint as _node_bilinear finds it
-            mid = lo + 0.5 * seg
-            j0 = np.clip(g0[0] + ux * mid, 0, cols - 2).astype(np.intp)
-            i0 = np.clip(g0[1] + uy * mid, 0, hf.rows - 2).astype(np.intp)
-            k = i0 * cols + j0
-            z_lo = origin[2] + dzr * lo
+            mid = 0.5 * seg
+            mid += lo
+            j0 = _cell_index(ux * mid, g0[0], cols - 2)
+            i0 = _cell_index(uy * mid, g0[1], hf.rows - 2)
+            k = i0 * cols
+            k += j0
+            z_lo = dzr * lo
+            z_lo += origin[2]
             # only a segment that gets down to its cell's highest corner can meet the surface
-            w, m = np.nonzero((seg > 0) & (np.minimum(z_lo, z_lo + dzr * seg) <= tops.take(k)))
-            fx = g0[0] + ux[m] * lo[w, m] - j0[w, m]  # the segment's start in its cell
-            fy = g0[1] + uy[m] * lo[w, m] - i0[w, m]
-            root = _patch_root(flat, cols, k[w, m], fx, fy, ur[m], dzr[m], z_lo[w, m], seg[w, m])
+            z_min = dzr * seg
+            z_min += z_lo
+            np.minimum(z_min, z_lo, out=z_min)
+            near = np.flatnonzero((z_min <= tops.take(k)) & (seg > 0))  # flat (cut, ray) indices
+            m = near % r.size
+            lo_near, ux_near, uy_near = lo.take(near), ux.take(m), uy.take(m)
+            fx = g0[0] + ux_near * lo_near - j0.take(near)  # the segment's start in its cell
+            fy = g0[1] + uy_near * lo_near - i0.take(near)
+            root = _patch_root(flat, cols, k.take(near), fx, fy, ux_near, uy_near, dzr.take(m),
+                               z_lo.take(near), seg.take(near))
             # segments follow each other along the ray, so the first root is the least t
-            np.minimum.at(t_hit, r[m], lo[w, m] + root)
-            t_cur[r] = bounds[:, -1]
-        rays = rays[np.isinf(t_hit[rays]) & (t_cur[rays] < t_end[rays])]
+            root += lo_near
+            np.minimum.at(t_hit, r.take(m), root)
+            t_cur.put(r, cuts[-1])
+        rays = rays[np.isinf(t_hit.take(rays)) & (t_cur.take(rays) < t_end.take(rays))]
         width = min(2 * width, 32)
 
-    hit = np.isfinite(t_hit)
+    found = np.flatnonzero(np.isfinite(t_hit))
+    found_points = directions.take(found, axis=0) * t_hit.take(found)[:, None]
+    found_points += origin
     points = np.zeros((n, 3))
-    points[hit] = origin + directions[hit] * t_hit[hit, None]
-    x, y, z = points[hit].T
+    points[found] = found_points
+    x, y, z = found_points.T
     inside = hf.contains(x, y)  # a root on the extent's edge can round to just outside it
     h = _heights_unchecked(hf, np.where(inside, x, origin[0]), np.where(inside, y, origin[1]))
-    hit[hit] = inside & (np.abs(z - h) <= tol)
+    hit = np.zeros(n, dtype=bool)
+    hit[found] = inside & (np.abs(z - h) <= tol)
     return hit, points
 
 
-def _patch_root(flat, cols, k, fx, fy, u, dz, z0, seg):
+def _patch_root(flat, cols, k, fx, fy, ux, uy, dz, z0, seg):
     """First ``s`` in ``[0, seg]`` where segments meet their cells' surface, else inf.
 
     A segment starts at ``(fx, fy)`` in cell ``k`` at height ``z0`` and moves
-    ``u`` grid units and ``dz`` meters per unit ``s``, so ``z - surface`` is a
-    quadratic ``c0 + c1 s + c2 s^2`` over the patch ``a + b fx + c fy + d fx fy``.
+    ``(ux, uy)`` grid units and ``dz`` meters per unit ``s``, so ``z - surface`` is
+    a quadratic ``c0 + c1 s + c2 s^2`` over the patch ``a + b fx + c fy + d fx fy``.
     """
-    ux, uy = u[:, 0], u[:, 1]
     a = flat.take(k)
     b = flat[1:].take(k) - a
     c = flat[cols:].take(k) - a
@@ -258,6 +291,14 @@ def _patch_root(flat, cols, k, fx, fy, u, dz, z0, seg):
     root[c0 <= 0] = 0.0  # starts under the surface
     root[~((root >= 0) & (root <= seg))] = np.inf
     return root
+
+
+def _cell_index(x, g, top):
+    """``clip(g + x, 0, top)`` as an index array; ``x`` is overwritten."""
+    x += g
+    np.maximum(x, 0, out=x)
+    np.minimum(x, top, out=x)
+    return x.astype(np.intp)
 
 
 def _heights_unchecked(hf: Heightfield, x, y):
@@ -302,12 +343,12 @@ def simulate_lidar(
     return PointCloud(pts_s, colors)
 
 
-def render_camera(hf: Heightfield, pose: Pose, h_px: int, w_px: int) -> Image:
-    """Pinhole render of the colored surface; rays that miss get the sky color."""
-    if h_px < 1 or w_px < 1:
-        raise ValueError("image dimensions must be positive")
-    if not bool(np.all(hf.contains(pose.position[0], pose.position[1]))):
-        raise ValueError("camera pose is outside the terrain extent")
+@lru_cache(maxsize=8)
+def camera_directions(h_px: int, w_px: int) -> np.ndarray:
+    """Body-frame unit ray of each pixel, row-major ``(h_px * w_px, 3)``.
+
+    Built on first use for each image size and kept read-only.
+    """
     cp, sp = np.cos(CAMERA_TILT), np.sin(CAMERA_TILT)
     fwd_b = np.array([cp, 0.0, -sp])
     right_b = np.array([0.0, -1.0, 0.0])
@@ -324,8 +365,18 @@ def render_camera(hf: Heightfield, pose: Pose, h_px: int, w_px: int) -> Image:
         - ndc_y[..., None] * tan_v * up_b[None, None, :]
     ).reshape(-1, 3)
     dirs_b /= np.linalg.norm(dirs_b, axis=1, keepdims=True)
+    dirs_b.flags.writeable = False
+    return dirs_b
+
+
+def render_camera(hf: Heightfield, pose: Pose, h_px: int, w_px: int) -> Image:
+    """Pinhole render of the colored surface; rays that miss get the sky color."""
+    if h_px < 1 or w_px < 1:
+        raise ValueError("image dimensions must be positive")
+    if not bool(np.all(hf.contains(pose.position[0], pose.position[1]))):
+        raise ValueError("camera pose is outside the terrain extent")
     r = quat_to_matrix(pose.orientation)
-    dirs_w = dirs_b @ r.T
+    dirs_w = camera_directions(h_px, w_px) @ r.T
 
     hit, pts = march_rays(hf, pose.position, dirs_w, CAMERA_RANGE_M)
     pixels = np.tile(SKY_RGB, (h_px * w_px, 1))

@@ -3,7 +3,9 @@
 The traced benchmark wraps ``marscost.<module>.<attr>`` for each target in
 ``perfbench/layers.py``; a rename or removal there would silently drop a
 traced layer. Its hooks also read some arguments by position, so those
-must keep their place and name. This test only imports the target list.
+must keep their place and name; the first test only imports the target
+list. What the benchmark counts also rests on which traced function calls
+which: the last tests pin those calls.
 """
 
 import importlib
@@ -13,7 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import marscost.dataset
+import marscost.heightfield
 import marscost.ops
+import marscost.simulate
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -60,3 +65,39 @@ def test_conv_backward_does_not_call_the_traced_forward(monkeypatch, k, stride):
     monkeypatch.setattr(marscost.ops, "conv2d_forward", lambda *a, **kw: calls.append(a) or forward(*a, **kw))
     dx, _, _ = marscost.ops.conv2d_backward(cache, rng.normal(0, 1, (*cache["out_hw"], 4)))
     assert dx.shape == (9, 8, 3) and calls == []
+
+
+def _counting(calls, func):
+    def count(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    return count
+
+
+def test_each_sensor_casts_once_through_the_module_attribute(monkeypatch):
+    """``synth`` splits camera from LiDAR rays by the traced ``render_camera`` or
+    ``simulate_lidar`` span around each ``simulate.march_rays`` call."""
+    hf = marscost.heightfield.generate_heightfield(seed=2, rows=24, cols=24, cell_size=0.25, roughness=0.5)
+    pose = marscost.simulate.generate_trajectory(hf, [(1.0, 1.0), (4.0, 4.0)], 1.0, 0.5)[2]
+    calls = []
+    monkeypatch.setattr(marscost.simulate, "march_rays", _counting(calls, marscost.simulate.march_rays))
+    marscost.simulate.simulate_lidar(hf, pose, 64, 10.0, seed=1)
+    assert len(calls) == 1 and calls[0][2].shape == (64, 3)
+    marscost.simulate.render_camera(hf, pose, 6, 9)
+    assert len(calls) == 2 and calls[1][2].shape == (54, 3)
+
+
+def test_simulate_run_senses_each_frame_once(monkeypatch):
+    """``synth`` counts frames from the ``simulate_lidar`` and ``render_camera``
+    calls that ``dataset.simulate_run`` makes."""
+    hf = marscost.heightfield.generate_heightfield(seed=2, rows=24, cols=24, cell_size=0.25, roughness=0.5)
+    sim = marscost.dataset.SimConfig(lidar_rays=32, camera_h_px=4, camera_w_px=6, sensor_stride=3)
+    lidar, camera = [], []
+    monkeypatch.setattr(marscost.dataset, "simulate_lidar", _counting(lidar, marscost.dataset.simulate_lidar))
+    monkeypatch.setattr(marscost.dataset, "render_camera", _counting(camera, marscost.dataset.render_camera))
+    traj, _, clouds, images = marscost.dataset.simulate_run(hf, [(1.0, 1.0), (4.5, 3.0)], sim, 0, lambda k: k)
+    frames = list(range(0, len(traj), 3))
+    assert len(frames) > 3 and sorted(clouds) == sorted(images) == frames
+    times = [traj.times[k] for k in frames]
+    assert [args[1].t for args in lidar] == [args[1].t for args in camera] == times

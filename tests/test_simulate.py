@@ -6,17 +6,33 @@ import pytest
 
 from marscost import simulate
 from marscost.dataset import synthesize_dataset
-from marscost.geometry import quat_rotate, quat_to_matrix
-from marscost.heightfield import Heightfield, generate_heightfield, surface_heights
+from marscost.geometry import quat_to_matrix
+from marscost.heightfield import (
+    Heightfield,
+    generate_heightfield,
+    slope_magnitudes,
+    surface_heights,
+    surface_normals,
+)
 from marscost.simulate import (
     CHASSIS_HEIGHT_M,
     RAY_TOL_M,
+    _BLOCK_RAY_CELLS,
     _heights_unchecked,
+    camera_directions,
     generate_trajectory,
     march_rays,
     render_camera,
     simulate_lidar,
     synthesize_imu,
+)
+from marscost.types import ImuLog, Trajectory
+from test_geometry import (
+    conjugate_one,
+    matrix_to_quat_one,
+    multiply_one,
+    rotation_vector_one,
+    to_matrix_one,
 )
 
 
@@ -39,7 +55,7 @@ def test_trajectory_101_poses_over_10m():
 def test_trajectory_flat_has_zero_pitch_roll(flat_field):
     traj = generate_trajectory(flat_field, [(1.0, 1.0), (6.0, 5.0)], speed=1.0, dt=0.2)
     for p in traj:
-        up = quat_rotate(p.orientation, np.array([0.0, 0.0, 1.0]))
+        up = quat_to_matrix(p.orientation)[:, 2]  # the body up-axis in the world frame
         assert np.allclose(up, [0, 0, 1], atol=1e-12)
         assert p.position[2] == pytest.approx(1.5 + CHASSIS_HEIGHT_M, abs=1e-12)
 
@@ -89,6 +105,99 @@ def test_imu_rough_segment_has_larger_accel_variance():
     flat_var = np.var(accel[xs < 10.0], axis=0).sum()
     rough_var = np.var(accel[xs > 14.0], axis=0).sum()
     assert rough_var > flat_var
+
+
+def _trajectory_reference(hf, waypoints, speed, dt, chassis_height=CHASSIS_HEIGHT_M):
+    """``generate_trajectory`` as one loop step per pose, on one-row geometry (no checks)."""
+    wp = np.asarray(waypoints, dtype=np.float64).reshape(-1, 2)
+    seg = np.diff(wp, axis=0)
+    seg_len = np.hypot(seg[:, 0], seg[:, 1])
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    step = speed * dt
+    n = int(np.floor(cum[-1] / step + 1e-9)) + 1
+    s = np.arange(n) * step
+    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(seg_len) - 1)
+    xy = wp[idx] + seg[idx] * ((s - cum[idx]) / seg_len[idx])[:, None]
+    tangents = seg[idx] / seg_len[idx][:, None]
+    z = surface_heights(hf, xy[:, 0], xy[:, 1]) + chassis_height
+    normals = surface_normals(hf, xy[:, 0], xy[:, 1])
+    quats = np.empty((n, 4))
+    for k in range(n):
+        nk = normals[k]
+        t3 = np.array([tangents[k, 0], tangents[k, 1], 0.0])
+        x_b = t3 - np.dot(t3, nk) * nk
+        x_b /= np.linalg.norm(x_b)
+        y_b = np.cross(nk, x_b)
+        quats[k] = matrix_to_quat_one(np.column_stack([x_b, y_b, nk]))
+    return Trajectory(np.arange(n) * dt, np.column_stack([xy, z]), quats)
+
+
+def _imu_reference(traj, hf, gravity=9.81, noise_scale=0.0, seed=0):
+    """``synthesize_imu`` as one loop step per pose, on one-row geometry."""
+    t, pos, quats, n = traj.times, traj.positions, traj.quaternions, len(traj)
+    accel_w = np.zeros((n, 3))
+    if n >= 3:
+        dt0 = (t[2:] - t[1:-1])[:, None]
+        dt1 = (t[1:-1] - t[:-2])[:, None]
+        accel_w[1:-1] = (
+            2.0
+            * (dt1 * pos[2:] - (dt0 + dt1) * pos[1:-1] + dt0 * pos[:-2])
+            / (dt0 * dt1 * (dt0 + dt1))
+        )
+        accel_w[0] = accel_w[1]
+        accel_w[-1] = accel_w[-2]
+    specific_w = accel_w + np.array([0.0, 0.0, gravity])
+    gyro_b = np.zeros((n, 3))
+    for k in range(n - 1):
+        rel = multiply_one(conjugate_one(quats[k]), quats[k + 1])
+        gyro_b[k] = rotation_vector_one(rel) / (t[k + 1] - t[k])
+    if n >= 2:
+        gyro_b[-1] = gyro_b[-2]
+    rng = np.random.default_rng(seed)
+    sigma = noise_scale * slope_magnitudes(hf, pos[:, 0], pos[:, 1])
+    noise = rng.standard_normal((n, 3)) * sigma[:, None]
+    accel_b = np.empty((n, 3))
+    for k in range(n):
+        accel_b[k] = to_matrix_one(quats[k]).T @ specific_w[k] + noise[k]
+    return ImuLog(t, accel_b, gyro_b)
+
+
+def _drive_case(seed: int):
+    """A seeded terrain of roughness seed / 39 and a 2- to 4-waypoint drive across it."""
+    rng = np.random.default_rng(seed)
+    size = 24 + 8 * (seed % 4)
+    hf = generate_heightfield(seed, size, size, float(rng.uniform(0.1, 0.3)), seed / 39)
+    x0, x1, y0, y1 = hf.extent
+    k = 2 + seed % 3
+    waypoints = np.column_stack([rng.uniform(x0, x1, k), rng.uniform(y0, y1, k)])
+    return hf, waypoints, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.05, 0.2))
+
+
+def test_drive_matches_the_per_pose_reference_bit_for_bit():
+    n_poses = n_turning = 0
+    for seed in range(40):
+        hf, waypoints, speed, dt = _drive_case(seed)
+        traj = generate_trajectory(hf, waypoints, speed, dt)
+        ref = _trajectory_reference(hf, waypoints, speed, dt)
+        for name in ("times", "positions", "quaternions"):
+            assert getattr(traj, name).tobytes() == getattr(ref, name).tobytes(), (seed, name)
+        imu = synthesize_imu(traj, hf, noise_scale=3.0, seed=seed)
+        ref_imu = _imu_reference(traj, hf, noise_scale=3.0, seed=seed)
+        assert imu.accel.tobytes() == ref_imu.accel.tobytes(), seed
+        assert imu.gyro.tobytes() == ref_imu.gyro.tobytes(), seed
+        n_turning += bool(np.any(imu.gyro != 0.0))  # only a straight drive on flat ground is still
+        n_poses += len(traj)
+    assert n_poses > 2000 and n_turning >= 39
+
+
+def test_imu_of_two_and_three_pose_drives(flat_field):
+    for end in [(1.15, 1.0), (1.25, 1.0)]:  # two poses, then three
+        traj = generate_trajectory(flat_field, [(1.0, 1.0), end], speed=1.0, dt=0.1)
+        imu = synthesize_imu(traj, flat_field, noise_scale=1.0, seed=2)
+        ref = _imu_reference(traj, flat_field, noise_scale=1.0, seed=2)
+        assert len(imu) == len(traj) == round((end[0] - 1.0) / 0.1) + 1
+        assert imu.accel.tobytes() == ref.accel.tobytes()
+        assert imu.gyro.tobytes() == ref.gyro.tobytes()
 
 
 def test_lidar_downward_ray_on_flat_plane(flat_field):
@@ -146,6 +255,24 @@ def test_camera_flat_field_two_colors(flat_field):
     is_surface = np.all(np.abs(px - surface_rgb) < 1e-12, axis=1)
     assert np.all(is_sky | is_surface)
     assert is_surface.any()
+
+
+def test_camera_directions_are_built_once_and_read_only(rough_field):
+    rays = camera_directions(9, 13)
+    assert rays.shape == (9 * 13, 3)
+    assert np.allclose(np.linalg.norm(rays, axis=1), 1.0, atol=1e-15)
+    with pytest.raises(ValueError, match="read-only"):
+        rays[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        rays *= 2.0
+    pose = generate_trajectory(rough_field, [(2.0, 2.0), (6.0, 6.0)], speed=1.0, dt=0.5)[1]
+    hits = camera_directions.cache_info().hits
+    render_camera(rough_field, pose, 9, 13)
+    assert camera_directions(9, 13) is rays
+    assert camera_directions.cache_info().hits == hits + 2
+    # the middle pixel column looks straight ahead, tilted down; the top row looks higher
+    mid = rays.reshape(9, 13, 3)[:, 6]
+    assert np.all(mid[:, 1] == 0.0) and np.all(np.diff(mid[:, 2]) < 0.0)
 
 
 def _march_reference(
@@ -338,6 +465,135 @@ def test_march_time_does_not_grow_with_range():
     # the extent ends 6 m ahead, so a 20 m march sees all the horizontal ray can meet
     fine = _march_reference(hf, origin, dirs[1:], 20.0, step=hf.cell_size / FINE_STEPS_PER_CELL)
     assert np.all(_agree(hit[1:], points[1:], *fine))
+
+
+def _walk_reference(
+    hf: Heightfield,
+    origin: np.ndarray,
+    directions: np.ndarray,
+    max_range: float,
+    tol: float = RAY_TOL_M,
+):
+    """``march_rays`` with its walk as it was: two crossings in the first round, ``np.clip``."""
+    directions = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
+    n = directions.shape[0]
+    if not 0 < max_range < np.inf:
+        raise ValueError("max_range must be positive and finite")
+    origin = np.asarray(origin, dtype=np.float64)
+    if not bool(np.all(hf.contains(origin[0], origin[1]))):
+        raise ValueError("ray origin is outside the terrain extent")
+
+    top = hf.elevations.max() + 1e-6 * (1.0 + np.abs(hf.elevations).max())  # above the surface
+    # in grid units a ray is g0 + u * t; an axis with no finite t per unit crosses no grid line
+    g0 = (origin[:2] - hf.origin) / hf.cell_size
+    u = directions[:, :2] / hf.cell_size
+    dz = directions[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_unit = np.abs(1.0 / u)
+        still = ~np.isfinite(t_unit)
+        t_unit[still] = np.inf
+        to_edge = np.where(u > 0, [hf.cols - 1, hf.rows - 1] - g0, g0)
+        t_end = np.min(np.where(still, np.inf, to_edge * t_unit), axis=1, initial=max_range)
+        t_top = (top - origin[2]) / dz
+    # a falling ray starts where it comes down to the top plane and a rising one ends where
+    # it goes up through it; one above the plane that does not fall never starts
+    t_cur = np.where(dz < 0, np.maximum(t_top, 0.0), 0.0 if origin[2] <= top else np.inf)
+    t_end = np.where(dz > 0, np.minimum(t_end, t_top), t_end)
+
+    t_hit = np.full(n, np.inf)
+    rays = np.flatnonzero(np.isfinite(directions).all(axis=1) & (t_cur < t_end))
+    flat = hf.elevations.reshape(-1)
+    cols = hf.cols
+    # tops[k]: the highest corner of the cell whose first corner is flat[k]
+    tops = np.maximum.reduce([flat[: -cols - 1], flat[1:-cols], flat[cols:-1], flat[cols + 1 :]])
+    width = 2
+    while rays.size:
+        per_block = _BLOCK_RAY_CELLS // width
+        for s in range(0, rays.size, per_block):
+            r = rays[s : s + per_block]
+            tc, te = t_cur[r, None], t_end[r, None]
+            ur = u[r]
+            # the next `width` grid lines crossed on each axis, merged in order
+            g = g0 + ur * tc
+            ahead = np.abs(np.where(ur > 0, np.floor(g) + 1, np.ceil(g) - 1) - g0)
+            cross = ((ahead[:, :, None] + np.arange(width)) * t_unit[r, :, None]).reshape(r.size, -1)
+            bounds = np.clip(np.concatenate([tc, np.sort(cross, axis=1)[:, :width]], axis=1), tc, te)
+            cuts = np.ascontiguousarray(bounds.T)  # a row per cut: operations run along the rays
+            lo, seg = cuts[:-1], cuts[1:] - cuts[:-1]
+            ux, uy, dzr = ur[:, 0], ur[:, 1], dz[r]
+            # each segment lies in one cell, found from its midpoint as _node_bilinear finds it
+            mid = lo + 0.5 * seg
+            j0 = np.clip(g0[0] + ux * mid, 0, cols - 2).astype(np.intp)
+            i0 = np.clip(g0[1] + uy * mid, 0, hf.rows - 2).astype(np.intp)
+            k = i0 * cols + j0
+            z_lo = origin[2] + dzr * lo
+            # only a segment that gets down to its cell's highest corner can meet the surface
+            w, m = np.nonzero((seg > 0) & (np.minimum(z_lo, z_lo + dzr * seg) <= tops.take(k)))
+            fx = g0[0] + ux[m] * lo[w, m] - j0[w, m]  # the segment's start in its cell
+            fy = g0[1] + uy[m] * lo[w, m] - i0[w, m]
+            root = _patch_root_reference(flat, cols, k[w, m], fx, fy, ur[m], dzr[m], z_lo[w, m], seg[w, m])
+            # segments follow each other along the ray, so the first root is the least t
+            np.minimum.at(t_hit, r[m], lo[w, m] + root)
+            t_cur[r] = bounds[:, -1]
+        rays = rays[np.isinf(t_hit[rays]) & (t_cur[rays] < t_end[rays])]
+        width = min(2 * width, 32)
+
+    hit = np.isfinite(t_hit)
+    points = np.zeros((n, 3))
+    points[hit] = origin + directions[hit] * t_hit[hit, None]
+    x, y, z = points[hit].T
+    inside = hf.contains(x, y)  # a root on the extent's edge can round to just outside it
+    h = _heights_unchecked(hf, np.where(inside, x, origin[0]), np.where(inside, y, origin[1]))
+    hit[hit] = inside & (np.abs(z - h) <= tol)
+    return hit, points
+
+
+def _patch_root_reference(flat, cols, k, fx, fy, u, dz, z0, seg):
+    """``_patch_root`` as it was, for ``_walk_reference``."""
+    ux, uy = u[:, 0], u[:, 1]
+    a = flat.take(k)
+    b = flat[1:].take(k) - a
+    c = flat[cols:].take(k) - a
+    d = flat[cols + 1 :].take(k) - a - b - c
+    slope_x = b + d * fy  # surface slopes per grid unit at the segment's start
+    slope_y = c + d * fx
+    c0 = z0 - (a + slope_x * fx + c * fy)
+    c1 = dz - (slope_x * ux + slope_y * uy)
+    c2 = -d * ux * uy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # q / c2 and c0 / q are the roots without cancellation; for c0 > 0 the
+        # first one ahead is c0 / q if c1 < 0 (-c0 / c1 when c2 = 0), else q / c2
+        q = -0.5 * (c1 + np.copysign(np.sqrt(c1 * c1 - 4.0 * c2 * c0), c1))
+        root = np.where(c1 < 0, c0 / q, q / c2)
+    root[c0 <= 0] = 0.0  # starts under the surface
+    root[~((root >= 0) & (root <= seg))] = np.inf
+    return root
+
+
+
+@pytest.mark.parametrize("case", MARCH_CASES)
+def test_walk_matches_the_reference_walk_bit_for_bit(case):
+    hf, (x, y), above, max_range, kwargs = MARCH_CASES[case]
+    origin = np.array([x, y, surface_heights(hf, x, y) + above])
+    dirs = _ray_set(seed=list(MARCH_CASES).index(case))
+    hit, points = march_rays(hf, origin, dirs, max_range, **kwargs)
+    ref_hit, ref_points = _walk_reference(hf, origin, dirs, max_range, **kwargs)
+    assert hit.tobytes() == ref_hit.tobytes()
+    assert points.tobytes() == ref_points.tobytes()
+
+
+def test_walk_matches_the_reference_walk_on_a_synthesized_run(monkeypatch):
+    calls = []
+    monkeypatch.setattr(simulate, "march_rays", _recording(march_rays, calls))
+    synthesize_dataset(seed=29, n_runs=1)
+    camera = [c for c in calls if c[3] == simulate.CAMERA_RANGE_M]
+    assert 0 < len(camera) and 2 * len(camera) == len(calls)
+    for hf, origin, dirs, max_range, (hit, points) in calls:
+        ref_hit, ref_points = _walk_reference(hf, origin, dirs, max_range)
+        assert hit.tobytes() == ref_hit.tobytes()
+        assert points.tobytes() == ref_points.tobytes()
+    # enough rays walk past the first rounds for the start width to matter
+    assert sum(c[2].shape[0] for c in calls) > 50_000
 
 
 def _recording(cast, calls):
