@@ -34,7 +34,7 @@ def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
 
 def save_checkpoint(params: ModelParams, path):
     tensors = params.named_tensors() + [
-        (_MAX_POINTS_KEY, np.array(float(params.max_points_per_pillar)))
+        (_MAX_POINTS_KEY, np.array(float(params.config.max_points_per_pillar)))
     ]
     blob = MAGIC + struct.pack("<I", len(tensors))
     for name, arr in tensors:
@@ -67,15 +67,17 @@ def load_checkpoint(path) -> ModelParams:
         (ndim,) = struct.unpack("<B", take(1, f"tensor {name!r}"))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"tensor {name!r}"))
         raw = take(8 * math.prod(shape), f"tensor {name!r}")
-        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape)
         if not np.all(np.isfinite(tensors[name])):
             raise FormatError(f"{path}: tensor {name!r} holds non-finite values")
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} byte(s) after the last tensor")
-    max_points = tensors.pop(_MAX_POINTS_KEY, np.array([32.0])).reshape(-1)
+    if _MAX_POINTS_KEY not in tensors:
+        raise FormatError(f"{path}: tensor {_MAX_POINTS_KEY!r} is missing")
+    max_points = tensors.pop(_MAX_POINTS_KEY).reshape(-1)
     if max_points.size != 1 or not float(max_points[0]).is_integer():
         raise FormatError(f"{path}: tensor {_MAX_POINTS_KEY!r} is not one whole number")
     try:
-        return ModelParams.from_named(tensors, max_points_per_pillar=int(max_points[0]))
+        return ModelParams.from_named(tensors, int(max_points[0]))
     except ValueError as e:
         raise FormatError(f"{path}: {e}") from None

@@ -154,7 +154,7 @@ def cmd_eval(cfg) -> int:
     export_costmap(pred, cfg.report_dir / "prediction_0.csv", "csv")
     export_costmap(first.target, cfg.report_dir / "target_0.pgm", "pgm")
     print(report.format_table())
-    cap = params.max_points_per_pillar
+    cap = params.config.max_points_per_pillar
     # the evaluation above already built these pillars; they are memoised per cloud
     pts = [pillarize(s.cloud, s.target.grid, cap) for s in heldout]
     print(f"held-out points: {sum(pt.n_kept for pt in pts)} kept, "

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import BevLayout, SimConfig, _cells_per_bev
+from .dataset import BevLayout, SimConfig, _cells_per_bev, split_samples
 from .evaluation import ABLATION_MODES, AblationSpec
 from .labeling import LabelingConfig
 from .net import NetConfig
@@ -211,6 +211,7 @@ def validate_config(data: dict, source: str = "<dict>") -> RunConfig:
         if value < 0:
             raise ConfigError(f"config key {key!r} must be nonnegative")
     cfg.trajectories()  # fail fast on malformed waypoint lists
+    cfg.sim_config()
     lab = cfg.labeling_config()
     cfg.net_config()
     layout = cfg.bev_layout()
@@ -220,6 +221,10 @@ def validate_config(data: dict, source: str = "<dict>") -> RunConfig:
         _cells_per_bev(layout, lab.fine_res)
     except ValueError as e:
         raise ConfigError(f"model.bev_resolution: {e}") from e
+    try:
+        split_samples([], cfg.raw["train"]["holdout_fraction"], cfg.seed)  # its range check alone
+    except ValueError as e:
+        raise ConfigError(f"train.holdout_fraction: {e}") from e
     return cfg
 
 

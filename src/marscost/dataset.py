@@ -51,6 +51,14 @@ class SimConfig:
     camera_w_px: int = 48
     sensor_stride: int = 8  # poses between sensed frames
 
+    def __post_init__(self):
+        for name in ("speed", "dt", "lidar_rays", "lidar_max_range", "camera_h_px", "camera_w_px",
+                     "sensor_stride"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not self.imu_noise_scale >= 0:
+            raise ValueError("imu_noise_scale must be nonnegative")
+
 
 def _cells_per_bev(layout: BevLayout, label_res: float) -> int:
     ratio = layout.resolution / label_res
@@ -111,14 +119,13 @@ def localize_cloud(cloud: PointCloud, pose: Pose, window_origin) -> PointCloud:
 MIN_VALID_CELLS = 8
 
 
-def build_samples(traj, labels: DenseCostmap, clouds: dict, images: dict,
-                  layout: BevLayout, min_valid_cells: int = MIN_VALID_CELLS):
+def build_samples(traj, labels: DenseCostmap, clouds: dict, images: dict, layout: BevLayout):
     """Pair each sensed frame with its label window; skip windows with too few labels."""
     samples = []
     for k in sorted(clouds.keys() & images.keys()):
         pose = traj[k]
         target, origin = extract_target(labels, pose.position[:2], layout)
-        if int(target.valid.sum()) < min_valid_cells:
+        if int(target.valid.sum()) < MIN_VALID_CELLS:
             continue
         samples.append(
             Sample(localize_cloud(clouds[k], pose, origin), images[k], target)
@@ -176,35 +183,24 @@ def synthesize_dataset(
     seed: int,
     n_runs: int = 4,
     terrain_size: int = 96,
-    cell_size: float = 0.2,
-    roughness: float = 0.6,
-    speed: float = 1.0,
-    dt: float = 0.1,
-    imu_noise_scale: float = 3.0,
     lidar_rays: int = 700,
     camera_px: tuple = (32, 48),
     sensor_stride: int = 6,
-    layout: BevLayout = BevLayout(),
-    labeling: LabelingConfig = None,
 ):
     """End-to-end in-memory dataset: terrain -> drives -> labels -> samples.
 
-    Drives diagonal-ish paths across one shared procedural terrain, labels
-    each run, normalizes jointly, and cuts one sample per sensed frame.
-    Deterministic per seed.
+    Drives diagonal-ish paths across one shared procedural terrain (0.2 m
+    cells, roughness 0.6), labels each run on a 0.1 m grid, normalizes
+    jointly, and cuts one sample per sensed frame in the default
+    :class:`BevLayout`. Deterministic per seed.
     """
-    if labeling is None:
-        labeling = LabelingConfig(fine_res=0.1)
     sim = SimConfig(
-        speed=speed,
-        dt=dt,
-        imu_noise_scale=imu_noise_scale,
         lidar_rays=lidar_rays,
         camera_h_px=camera_px[0],
         camera_w_px=camera_px[1],
         sensor_stride=sensor_stride,
     )
-    hf = generate_heightfield(seed, terrain_size, terrain_size, cell_size, roughness)
+    hf = generate_heightfield(seed, terrain_size, terrain_size, cell_size=0.2, roughness=0.6)
     x0, x1, y0, y1 = hf.extent
     margin = 2.5
     lo_x, hi_x = x0 + margin, x1 - margin
@@ -224,9 +220,9 @@ def synthesize_dataset(
         drives.append(
             simulate_run(hf, waypoints, sim, seed + 101 * r, lambda k: seed + 7 * r + k)
         )
-    _, norm = label_runs(drives, labeling)
+    _, norm = label_runs(drives, LabelingConfig(fine_res=0.1))
 
     samples = []
     for (traj, _, clouds, images), labels in zip(drives, norm.maps):
-        samples.extend(build_samples(traj, labels, clouds, images, layout))
+        samples.extend(build_samples(traj, labels, clouds, images, BevLayout()))
     return samples

@@ -7,7 +7,8 @@ sigmoid -> bilinear upsample back to the BEV grid. Everything is float64 and
 deterministic; gradients are exact for the architecture as written.
 """
 
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,60 +51,55 @@ class NetConfig:
                 raise ValueError(f"{f.name} must be positive")
 
 
-@dataclass
 class ModelParams:
-    """Every trainable tensor of the regressor."""
+    """Every trainable tensor of the regressor, as views of one flat float64 vector.
 
-    pillar_w: np.ndarray  # (9, C)
-    pillar_b: np.ndarray  # (C,)
-    conv1_w: np.ndarray  # (3, 3, C, C2)
-    conv1_b: np.ndarray
-    conv2_w: np.ndarray  # (3, 3, C2, C3)
-    conv2_b: np.ndarray
-    film3_w1: np.ndarray  # (384, hidden)
-    film3_b1: np.ndarray
-    film3_w2: np.ndarray  # (hidden, 2*C2)
-    film3_b2: np.ndarray
-    film4_w1: np.ndarray
-    film4_b1: np.ndarray
-    film4_w2: np.ndarray  # (hidden, 2*C3)
-    film4_b2: np.ndarray
-    head_w1: np.ndarray  # (3, 3, C2+C3, Ch)
-    head_b1: np.ndarray
-    head_w2: np.ndarray  # (1, 1, Ch, 1)
-    head_b2: np.ndarray
-    max_points_per_pillar: int = 32
+    ``theta`` is the only storage: each tensor is a view of its slice, cut in
+    the order of :func:`_layout`, and reads as ``params.conv1_w`` or
+    ``params["conv1_w"]``. Gradients and Adam's moments use the same layout.
+    """
+
+    def __init__(self, config: NetConfig, theta: np.ndarray):
+        layout = _layout(config)
+        size = sum(math.prod(shape) for _, shape in layout.values())
+        if np.shape(theta) != (size,):
+            raise ValueError(f"theta has shape {np.shape(theta)}, not ({size},) for {config}")
+        self.config = config
+        self.theta = np.ascontiguousarray(theta, dtype=np.float64)  # so every reshape is a view
+        self._tensors = {}
+        at = 0
+        for name, (_, shape) in layout.items():
+            n = math.prod(shape)
+            self._tensors[name] = self.theta[at : at + n].reshape(shape)
+            at += n
+        vars(self).update(self._tensors)  # plain attribute reads, as params.conv1_w
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._tensors[name]
 
     def named_tensors(self):
-        """Stable (name, array) iteration used by the optimizer and checkpoints."""
-        return [(name, getattr(self, name)) for name in _TENSOR_FIELDS]
+        """Stable (name, view) iteration in the order of ``theta``, used by checkpoints."""
+        return list(self._tensors.items())
 
     def n_parameters(self) -> int:
-        return sum(t.size for _, t in self.named_tensors())
+        return self.theta.size
 
-    def config(self) -> NetConfig:
-        """The widths, read from bias lengths (which any tensor shape allows)."""
-        return NetConfig(
-            channels=self.pillar_b.size,
-            stage2_channels=self.conv1_b.size,
-            stage3_channels=self.conv2_b.size,
-            film_hidden=self.film3_b1.size,
-            head_channels=self.head_b1.size,
-            max_points_per_pillar=self.max_points_per_pillar,
-        )
-
-    def with_tensors(self, tensors: dict) -> "ModelParams":
-        return replace(self, **tensors)
+    def like(self, theta: np.ndarray) -> "ModelParams":
+        """Another vector, such as a gradient, in this layout."""
+        return ModelParams(self.config, theta)
 
     def copy(self) -> "ModelParams":
-        return replace(self, **{n: t.copy() for n, t in self.named_tensors()})
+        return self.like(self.theta.copy())
 
     def without_image(self) -> "ModelParams":
         """The same weights with identity FiLM (gamma = 1, beta = 0): the image is ignored."""
-        film = {n: np.zeros_like(t) for n, t in self.named_tensors() if n.startswith("film")}
-        for b2 in (film["film3_b2"], film["film4_b2"]):
+        bypass = self.copy()
+        for name, tensor in bypass.named_tensors():
+            if name.startswith("film"):
+                tensor[...] = 0.0
+        for b2 in (bypass.film3_b2, bypass.film4_b2):
             b2[: b2.size // 2] = 1.0
-        return self.with_tensors(film)
+        return bypass
 
     def film3(self) -> FilmParams:
         return FilmParams(self.film3_w1, self.film3_b1, self.film3_w2, self.film3_b2)
@@ -112,26 +108,34 @@ class ModelParams:
         return FilmParams(self.film4_w1, self.film4_b1, self.film4_w2, self.film4_b2)
 
     @classmethod
-    def from_named(cls, tensors: dict, max_points_per_pillar: int = 32) -> "ModelParams":
+    def from_named(cls, tensors: dict, max_points_per_pillar: int) -> "ModelParams":
         """Params from ``name -> array``; every shape must be the one ``init_params`` gives."""
-        missing = sorted(set(_TENSOR_FIELDS) - set(tensors))
-        unknown = sorted(set(tensors) - set(_TENSOR_FIELDS))
+        names = _layout(NetConfig()).keys()  # the names do not depend on the widths
+        missing = sorted(names - tensors.keys())
+        unknown = sorted(tensors.keys() - names)
         if missing or unknown:
             raise ValueError(f"model tensors missing: {missing}, unknown: {unknown}")
-        params = cls(**{n: np.asarray(tensors[n], dtype=np.float64) for n in _TENSOR_FIELDS},
-                     max_points_per_pillar=max_points_per_pillar)
-        layout = _layout(params.config())  # the widths the tensors imply
-        for name, tensor in params.named_tensors():
-            if tensor.shape != layout[name][1]:
-                raise ValueError(f"tensor {name!r} has shape {tensor.shape}, not {layout[name][1]}")
-        return params
-
-
-_TENSOR_FIELDS = tuple(f.name for f in fields(ModelParams) if f.type is np.ndarray)
+        tensors = {n: np.asarray(t, dtype=np.float64) for n, t in tensors.items()}
+        config = NetConfig(  # the widths, read from bias lengths (which any tensor shape allows)
+            channels=tensors["pillar_b"].size,
+            stage2_channels=tensors["conv1_b"].size,
+            stage3_channels=tensors["conv2_b"].size,
+            film_hidden=tensors["film3_b1"].size,
+            head_channels=tensors["head_b1"].size,
+            max_points_per_pillar=max_points_per_pillar,
+        )
+        layout = _layout(config)
+        for name, (_, shape) in layout.items():
+            if tensors[name].shape != shape:
+                raise ValueError(f"tensor {name!r} has shape {tensors[name].shape}, not {shape}")
+        return cls(config, np.concatenate([tensors[n].ravel() for n in layout]))
 
 
 def _layout(cfg: NetConfig) -> dict:
-    """``name -> (fan_in, shape)`` of every tensor, in field order; ``from_named`` checks it."""
+    """``name -> (fan_in, shape)`` of every tensor, in the order of ``ModelParams.theta``.
+
+    The only list of the tensors: their names, shapes and order in the flat vector.
+    """
     c, c2, c3 = cfg.channels, cfg.stage2_channels, cfg.stage3_channels
     hid, ch = cfg.film_hidden, cfg.head_channels
     return {
@@ -170,17 +174,17 @@ def init_params(cfg: NetConfig, seed: int) -> ModelParams:
     """
     rng = np.random.default_rng(seed)
     layout = _layout(cfg)
-    first = ("film3_b2", "film4_b2")  # drawn before the rest, which follow in field order
+    first = ("film3_b2", "film4_b2")  # drawn before the rest, which follow in layout order
     order = first + tuple(n for n in layout if n not in first)
     tensors = {n: _uniform(rng, *layout[n]) for n in order}
     tensors["film3_b2"][: cfg.stage2_channels] += 1.0
     tensors["film4_b2"][: cfg.stage3_channels] += 1.0
-    return ModelParams(**tensors, max_points_per_pillar=cfg.max_points_per_pillar)
+    return ModelParams(cfg, np.concatenate([tensors[n].ravel() for n in layout]))
 
 
 def forward_cached(params: ModelParams, cloud: PointCloud, image: Image, grid: GridSpec):
     """Full forward pass; returns ``(values (rows, cols), cache)``."""
-    pt = pillarize(cloud, grid, params.max_points_per_pillar)
+    pt = pillarize(cloud, grid, params.config.max_points_per_pillar)
     pseudo, pillar_cache = pillar_encode_cached(pt, params.pillar_w, params.pillar_b, grid)
 
     z1, conv1_cache = conv2d_forward(pseudo.data, params.conv1_w, params.conv1_b, stride=2, pad=1)
@@ -226,8 +230,9 @@ def forward(params: ModelParams, cloud: PointCloud, image: Image, grid: GridSpec
     return DenseCostmap(grid, values, np.ones(values.shape, dtype=bool))
 
 
-def backward(cache, d_values: np.ndarray) -> dict:
-    """Backprop ``dL/d(values)`` to every parameter tensor; returns name -> grad."""
+def backward(cache, d_values: np.ndarray) -> np.ndarray:
+    """Backprop ``dL/d(values)`` to every parameter; returns one flat gradient in the
+    layout of ``ModelParams.theta``."""
     p = cache["p"]
     dp = resize_bilinear_backward(d_values, p.shape[0], p.shape[1])
     dlogits = (dp * p * (1.0 - p))[:, :, None]
@@ -246,9 +251,9 @@ def backward(cache, d_values: np.ndarray) -> dict:
     dz1 = (ds3 + ds3_more) * (s3 > 0.0)
     dpseudo, *dconv1 = conv2d_backward(cache["conv1_cache"], dz1)
     dpillar = pillar_encode_backward(cache["pillar_cache"], dpseudo)
-    # each layer's (weight, bias) gradients, in the field order of ModelParams
+    # each layer's (weight, bias) gradients, in the order of _layout
     grads = (*dpillar, *dconv1, *dconv2, *dfilm3, *dfilm4, *dhead1, *dhead2)
-    return dict(zip(_TENSOR_FIELDS, grads, strict=True))
+    return np.concatenate([g.ravel() for g in grads])
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +340,12 @@ def loss_and_grads(params: ModelParams, batch, delta: float, lam: float):
     """Mean batch loss and exact gradients for every parameter tensor.
 
     Returns ``(total, huber_part, smooth_part, grads)`` where the parts are
-    batch means and ``grads`` maps tensor name to the gradient array.
+    batch means and ``grads`` is a :class:`ModelParams` holding the gradients.
     """
     batch = list(batch)
     if not batch:
         raise ValueError("batch is empty")
-    total_grads = {name: np.zeros_like(t) for name, t in params.named_tensors()}
+    total_grads = np.zeros_like(params.theta)
     hub_sum = 0.0
     smo_sum = 0.0
     inv_n = 1.0 / len(batch)
@@ -348,9 +353,7 @@ def loss_and_grads(params: ModelParams, batch, delta: float, lam: float):
         hub, smo, d_values, cache = _sample_loss_grad(params, sample, delta, lam)
         hub_sum += hub
         smo_sum += smo
-        grads = backward(cache, d_values * inv_n)
-        for name in total_grads:
-            total_grads[name] += grads[name]
+        total_grads += backward(cache, d_values * inv_n)
     hub_mean = hub_sum * inv_n
     smo_mean = smo_sum * inv_n
-    return hub_mean + smo_mean, hub_mean, smo_mean, total_grads
+    return hub_mean + smo_mean, hub_mean, smo_mean, params.like(total_grads)

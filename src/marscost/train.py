@@ -1,6 +1,6 @@
 """Optimizer, data augmentation and the deterministic training loop."""
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -8,17 +8,20 @@ from .net import ModelParams, NetConfig, init_params, loss_and_grads
 from .types import DenseCostmap, GridSpec, Image, PointCloud, Sample
 
 
+# Adam's moment decay rates and the denominator's guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """First and second moments, each one flat vector over the tensors in field
-    order (as :meth:`ModelParams.named_tensors` lists them), plus the step count."""
+    """First and second moments, each one flat vector in the layout of
+    :attr:`ModelParams.theta`, plus the step count."""
 
     m: np.ndarray
     v: np.ndarray
     k: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def fresh(cls, params: ModelParams) -> "AdamState":
@@ -26,42 +29,28 @@ class AdamState:
         return cls(m=np.zeros(n), v=np.zeros(n))
 
     def copy(self) -> "AdamState":
-        return replace(self, m=self.m.copy(), v=self.v.copy())
+        return AdamState(self.m.copy(), self.v.copy(), self.k)
 
 
-def _flat_tensors(params: ModelParams, tensors: dict) -> np.ndarray:
-    """``tensors[name]`` for every tensor of ``params``, raveled into one vector in field order."""
-    return np.concatenate([tensors[name].ravel() for name, _ in params.named_tensors()])
-
-
-def adam_step(params: ModelParams, grads, state: AdamState, lr: float):
+def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: float):
     """One bias-corrected Adam update; returns new (params, state).
 
-    ``grads`` maps tensor name to gradient, or is already the flat gradient
-    that :func:`_flat_tensors` makes of such a map.
+    ``grads`` holds the gradients in the layout of ``params``, as
+    :func:`loss_and_grads` returns them.
     """
     if not lr > 0:
         raise ValueError("learning rate must be positive")
-    named = params.named_tensors()
-    g = grads if isinstance(grads, np.ndarray) else _flat_tensors(params, grads)
-    finite = np.isfinite(g)
-    if not finite.all():
-        ends = np.cumsum([t.size for _, t in named])
-        name = named[int(np.searchsorted(ends, np.argmin(finite), side="right"))][0]
+    g = grads.theta
+    if not np.isfinite(g).all():
+        name = next(n for n, t in grads.named_tensors() if not np.isfinite(t).all())
         raise FloatingPointError(f"non-finite gradient in tensor {name!r}")
     k = state.k + 1
-    bc1 = 1.0 - state.beta1**k
-    bc2 = 1.0 - state.beta2**k
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g**2
-    theta = np.concatenate([t.ravel() for _, t in named])
-    theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    new_tensors = {}
-    at = 0
-    for name, t in named:
-        new_tensors[name] = theta[at : at + t.size].reshape(t.shape)
-        at += t.size
-    return params.with_tensors(new_tensors), replace(state, m=m, v=v, k=k)
+    bc1 = 1.0 - BETA1**k
+    bc2 = 1.0 - BETA2**k
+    m = BETA1 * state.m + (1.0 - BETA1) * g
+    v = BETA2 * state.v + (1.0 - BETA2) * g**2
+    step = lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+    return params.like(params.theta - step), AdamState(m, v, k)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +196,7 @@ class StepRecord:
     grad_norm: float  # global L2 norm over every parameter gradient
 
 
-def fit(dataset, cfg: TrainConfig, net: NetConfig = NetConfig(), params: ModelParams = None):
+def fit(dataset, cfg: TrainConfig, net: NetConfig = NetConfig()):
     """Seeded mini-batch training; returns final params and per-step loss history.
 
     Each epoch reshuffles the dataset, splits it into batches of
@@ -218,8 +207,7 @@ def fit(dataset, cfg: TrainConfig, net: NetConfig = NetConfig(), params: ModelPa
     dataset = list(dataset)
     if not dataset:
         raise ValueError("dataset is empty")
-    if params is None:
-        params = init_params(net, cfg.seed)
+    params = init_params(net, cfg.seed)
     state = AdamState.fresh(params)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5EED]))
     history = []
@@ -239,8 +227,7 @@ def fit(dataset, cfg: TrainConfig, net: NetConfig = NetConfig(), params: ModelPa
             total, hub, smo, grads = loss_and_grads(
                 params, batch, cfg.huber_delta, cfg.smooth_lambda
             )
-            flat = _flat_tensors(params, grads)
-            params, state = adam_step(params, flat, state, cfg.lr)
-            history.append(StepRecord(step, hub, smo, total, float(np.linalg.norm(flat))))
+            params, state = adam_step(params, grads, state, cfg.lr)
+            history.append(StepRecord(step, hub, smo, total, float(np.linalg.norm(grads.theta))))
             step += 1
     return params, history

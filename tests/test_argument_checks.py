@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from marscost.dataset import BevLayout
+from marscost.dataset import BevLayout, SimConfig
 from marscost.evaluation import AblationSpec
 from marscost.heightfield import Heightfield, generate_heightfield
 from marscost.labeling import LabelingConfig, sparse_kernel
@@ -23,6 +23,8 @@ NAN_CALLS = {
     "GridSpec.resolution": lambda: GridSpec((0.0, 0.0), NAN, 2, 2),
     "GridSpec.origin": lambda: GridSpec((NAN, 0.0), 1.0, 2, 2),
     "BevLayout.resolution": lambda: BevLayout(resolution=NAN),
+    "SimConfig.speed": lambda: SimConfig(speed=NAN),
+    "SimConfig.imu_noise_scale": lambda: SimConfig(imu_noise_scale=NAN),
     "simulate_lidar.max_range": lambda: simulate_lidar(FIELD, POSE, 10, NAN),
     "march_rays.max_range": lambda: march_rays(FIELD, [1.0, 1.0, 1.0], [[0.0, 0.0, -1.0]], NAN),
     "march_rays.max_range=inf": lambda: march_rays(FIELD, [1.0, 1.0, 1.0], [[0.0, 0.0, -1.0]], np.inf),

@@ -17,8 +17,10 @@ import pytest
 
 import marscost.dataset
 import marscost.heightfield
+import marscost.net
 import marscost.ops
 import marscost.simulate
+import marscost.train
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -51,6 +53,19 @@ def test_benchmark_positional_arguments_keep_their_place(path, index, name):
     func = getattr(importlib.import_module(f"marscost.{module}"), attr)
     params = list(inspect.signature(func).parameters)
     assert params[index : index + 1] == [name], f"{path} parameters are now {params}"
+
+
+def test_adam_step_returns_params_and_a_state_counting_steps():
+    """The ``learn`` workload's ``train.adam_step`` hook unpacks the result as
+    ``(params, state)`` and runs its interim passes on ``state.k``."""
+    params = marscost.net.init_params(marscost.net.NetConfig(1, 1, 1, 1, 1, 1), seed=0)
+    state = marscost.train.AdamState.fresh(params)
+    zero = params.like(np.zeros_like(params.theta))
+    for step in (1, 2, 3):
+        result = marscost.train.adam_step(params, zero, state, 1e-3)
+        assert isinstance(result, tuple) and len(result) == 2
+        params, state = result
+        assert isinstance(state.k, int) and state.k == step
 
 
 @pytest.mark.parametrize("k, stride", [(3, 1), (1, 1), (3, 2)])

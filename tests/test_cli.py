@@ -255,13 +255,26 @@ def test_overflowing_config_number_exits_2(tmp_path, capsys):
     assert "'sim.lidar_max_range' must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("sim.sensor_stride", 0, "sensor_stride must be positive"),
+    ("sim.dt", -0.1, "dt must be positive"),
+    ("sim.camera_w_px", 0, "camera_w_px must be positive"),
+    ("sim.imu_noise_scale", -1.0, "imu_noise_scale must be nonnegative"),
+    ("train.holdout_fraction", 1.5, "train.holdout_fraction: holdout_fraction must lie in"),
+])
+def test_simulate_rejects_out_of_range_values_before_any_work(tmp_path, capsys, key, value, message):
+    cfg, workdir = _tiny_config(tmp_path, **{key: value})
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not workdir.exists()
+
+
 def test_eval_non_finite_checkpoint_exits_2(tmp_path, capsys):
     cfg, workdir = _tiny_config(tmp_path)
     workdir.mkdir(parents=True)
     ckpt = workdir / "model.ckpt"
     params = init_params(NetConfig(1, 1, 1, 1, 1, 1), seed=0)
-    all_nan = {name: np.full_like(t, np.nan) for name, t in params.named_tensors()}
-    save_checkpoint(params.with_tensors(all_nan), ckpt)
+    save_checkpoint(params.like(np.full_like(params.theta, np.nan)), ckpt)
     assert main(["eval", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err and "non-finite" in err

@@ -1,8 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from conftest import TOY_NET, make_toy_instance, random_sample
-from marscost.checkpoint import load_checkpoint, save_checkpoint
+from marscost.checkpoint import MAGIC, _pack_tensor, load_checkpoint, save_checkpoint
 from marscost.net import (
     ModelParams,
     NetConfig,
@@ -21,7 +23,7 @@ LAM = 0.1
 
 
 def _zeroed(params: ModelParams) -> ModelParams:
-    return params.with_tensors({n: np.zeros_like(t) for n, t in params.named_tensors()})
+    return params.like(np.zeros_like(params.theta))
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +188,8 @@ def test_batch_mean_semantics():
     total_1, _, _, grads_1 = loss_and_grads(params, [sample], DELTA, LAM)
     total_2, _, _, grads_2 = loss_and_grads(params, [sample, sample], DELTA, LAM)
     assert total_2 == pytest.approx(total_1, abs=1e-14)
-    for name in grads_1:
-        assert np.allclose(grads_1[name], grads_2[name], atol=1e-13)
+    for name, grad_1 in grads_1.named_tensors():
+        assert np.allclose(grad_1, grads_2[name], atol=1e-13)
 
 
 def test_batch_permutation_invariance():
@@ -258,6 +260,35 @@ def test_param_count_toy_under_5k():
     assert init_params(TOY_NET, seed=0).n_parameters() <= 5000
 
 
+def test_params_are_views_of_one_vector_in_layout_order():
+    params = init_params(TOY_NET, seed=2)
+    at = 0
+    for name, tensor in params.named_tensors():
+        assert params[name] is tensor and getattr(params, name) is tensor
+        assert np.array_equal(tensor.ravel(), params.theta[at : at + tensor.size])
+        at += tensor.size
+    assert at == params.n_parameters() == params.theta.size
+    other = params.like(np.arange(float(at)))
+    assert other.config == params.config and other.pillar_w[0, 1] == 1.0
+    with pytest.raises(AttributeError, match="conv9_w"):
+        params.conv9_w
+    for bad in (np.zeros(at - 1), np.zeros(at + 1), np.zeros((1, at))):
+        with pytest.raises(ValueError, match="theta has shape"):
+            params.like(bad)
+
+
+def test_from_named_reads_widths_and_names_wrong_tensors():
+    params = init_params(TOY_NET, seed=2)
+    named = dict(params.named_tensors())
+    back = ModelParams.from_named(named, TOY_NET.max_points_per_pillar)
+    assert back.config == TOY_NET and np.array_equal(back.theta, params.theta)
+    incomplete = {n: t for n, t in named.items() if n != "head_b2"}
+    with pytest.raises(ValueError, match=r"missing: \['head_b2'\], unknown: \['extra'\]"):
+        ModelParams.from_named({**incomplete, "extra": np.zeros(1)}, 8)
+    with pytest.raises(ValueError, match=r"tensor 'conv1_w' has shape \(3, 3, 4, 5\)"):
+        ModelParams.from_named({**named, "conv1_w": np.zeros((3, 3, 4, 5))}, 8)
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     params = init_params(TOY_NET, seed=11)
     path = tmp_path / "model.ckpt"
@@ -267,8 +298,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert na == nb
         assert ta.shape == tb.shape
         assert np.array_equal(ta, tb)  # bit-exact float64 round trip
-    assert back.max_points_per_pillar == params.max_points_per_pillar
-    assert back.config() == params.config()
+    assert back.config == params.config  # the widths and max_points_per_pillar
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -291,6 +321,12 @@ def test_checkpoint_truncated_anywhere_names_the_file(tmp_path):
             load_checkpoint(bad)
 
 
+def _write_checkpoint(path, tensors: dict):
+    """A checkpoint holding exactly ``tensors``, in the format ``save_checkpoint`` writes."""
+    blob = MAGIC + struct.pack("<I", len(tensors))
+    path.write_bytes(blob + b"".join(_pack_tensor(n, t) for n, t in tensors.items()))
+
+
 def test_checkpoint_trailing_byte_and_wrong_shape_name_the_file(tmp_path):
     params = init_params(TOY_NET, seed=0)
     path = tmp_path / "model.ckpt"
@@ -298,16 +334,24 @@ def test_checkpoint_trailing_byte_and_wrong_shape_name_the_file(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(FormatError, match=r"model\.ckpt: 1 byte\(s\) after the last tensor"):
         load_checkpoint(path)
-    save_checkpoint(params.with_tensors({"head_w2": np.zeros((1, 1, 8, 2))}), path)
+    _write_checkpoint(path, dict(params.named_tensors(), head_w2=np.zeros((1, 1, 8, 2)),
+                                 max_points_per_pillar=np.array(8.0)))
     with pytest.raises(FormatError, match=r"model\.ckpt: tensor 'head_w2' has shape \(1, 1, 8, 2"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_without_max_points_per_pillar_names_the_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _write_checkpoint(path, dict(init_params(TOY_NET, seed=0).named_tensors()))
+    with pytest.raises(FormatError, match=r"model\.ckpt: tensor 'max_points_per_pillar' is missing"):
         load_checkpoint(path)
 
 
 def test_checkpoint_rejects_non_finite_values_naming_the_tensor(tmp_path):
     params = init_params(TOY_NET, seed=0)
     path = tmp_path / "model.ckpt"
-    conv2_w = params.conv2_w.copy()
-    conv2_w[0, 0, 0, 1] = np.inf
-    save_checkpoint(params.with_tensors({"conv2_w": conv2_w}), path)
+    bad = params.copy()
+    bad.conv2_w[0, 0, 0, 1] = np.inf
+    save_checkpoint(bad, path)
     with pytest.raises(FormatError, match=r"model\.ckpt: tensor 'conv2_w' holds non-finite values"):
         load_checkpoint(path)

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import TOY_NET, random_sample
+from conftest import TOY_NET, make_toy_instance, random_sample
 from marscost.bev import embed_image
+from marscost.checkpoint import load_checkpoint, save_checkpoint
 from marscost.net import init_params, loss_and_grads
 from marscost.train import (
     AdamState,
@@ -29,7 +30,7 @@ NO_AUG = AugmentConfig(rotate=False, translate=False, noise_sigma=0.0)
 
 
 def _zero_grads(params):
-    return {n: np.zeros_like(t) for n, t in params.named_tensors()}
+    return params.like(np.zeros_like(params.theta))
 
 
 def test_adam_zero_grads_leave_params_unchanged():
@@ -46,7 +47,7 @@ def test_adam_first_step_is_signed_lr():
     params = init_params(TOY_NET, seed=0)
     state = AdamState.fresh(params)
     grads = _zero_grads(params)
-    grads["head_b2"] = np.array([0.37])
+    grads.head_b2[0] = 0.37
     lr = 1e-3
     new_params, _ = adam_step(params, grads, state, lr)
     delta = new_params.head_b2[0] - params.head_b2[0]
@@ -56,7 +57,7 @@ def test_adam_first_step_is_signed_lr():
 def test_adam_deterministic_with_cloned_state():
     params = init_params(TOY_NET, seed=1)
     rng = np.random.default_rng(2)
-    grads = {n: rng.normal(0, 1e-3, t.shape) for n, t in params.named_tensors()}
+    grads = params.like(rng.normal(0, 1e-3, params.theta.shape))
     s1 = AdamState.fresh(params)
     p_a, s_a = adam_step(params, grads, s1.copy(), 1e-3)
     p_b, s_b = adam_step(params, grads, s1.copy(), 1e-3)
@@ -88,11 +89,46 @@ def test_adam_step_does_not_mutate_inputs():
     params = init_params(TOY_NET, seed=3)
     before = params.copy()
     state = AdamState.fresh(params)
-    grads = {n: np.full(t.shape, 0.1) for n, t in params.named_tensors()}
+    grads = params.like(np.full(params.theta.shape, 0.1))
     adam_step(params, grads, state, 1e-2)
     for (_, a), (_, b) in zip(params.named_tensors(), before.named_tensors()):
         assert np.array_equal(a, b)
     assert state.k == 0
+
+
+def test_adam_matches_a_per_tensor_reference_bit_for_bit():
+    params = init_params(TOY_NET, seed=4)
+    rng = np.random.default_rng(8)
+    state = AdamState.fresh(params)
+    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    ref = {n: t.copy() for n, t in params.named_tensors()}
+    ref_m = {n: np.zeros_like(t) for n, t in ref.items()}
+    ref_v = {n: np.zeros_like(t) for n, t in ref.items()}
+    for k in (1, 2, 3):
+        grads = params.like(rng.normal(0, 1e-2, params.theta.shape))
+        params, state = adam_step(params, grads, state, lr)
+        for name, g in grads.named_tensors():
+            ref_m[name] = b1 * ref_m[name] + (1.0 - b1) * g
+            ref_v[name] = b2 * ref_v[name] + (1.0 - b2) * g**2
+            m_hat = ref_m[name] / (1.0 - b1**k)
+            v_hat = ref_v[name] / (1.0 - b2**k)
+            ref[name] = ref[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    assert state.k == 3
+    for name, tensor in params.named_tensors():
+        assert tensor.tobytes() == ref[name].tobytes(), name
+    assert state.m.tobytes() == np.concatenate([m.ravel() for m in ref_m.values()]).tobytes()
+    assert state.v.tobytes() == np.concatenate([v.ravel() for v in ref_v.values()]).tobytes()
+
+
+def test_every_tensor_is_a_view_of_its_theta(tmp_path):
+    params, sample = make_toy_instance(3)
+    _, _, _, grads = loss_and_grads(params, [sample], 0.1, 0.1)
+    stepped, _ = adam_step(params, grads, AdamState.fresh(params), 1e-3)
+    save_checkpoint(stepped, tmp_path / "model.ckpt")
+    loaded = load_checkpoint(tmp_path / "model.ckpt")
+    for p in (init_params(TOY_NET, seed=0), stepped, loaded, grads):
+        for name, tensor in p.named_tensors():
+            assert np.shares_memory(tensor, p.theta), name
 
 
 # ---------------------------------------------------------------------------
