@@ -18,17 +18,10 @@ from .bev import pillarize
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, load_config
 from .dataset import MIN_VALID_CELLS, build_samples, label_runs, simulate_run, split_samples
-from .evaluation import AblationSpec, export_costmap, import_costmap, predict, run_ablation_suite
-from .heightfield import generate_heightfield, load_heightfield
+from .evaluation import export_costmap, import_costmap, predict, run_ablation_suite
+from .heightfield import build_terrain
 from .train import fit
 from .types import FormatError
-
-
-def _terrain_for(cfg):
-    t = cfg.sim["terrain"]
-    if t["heightmap_path"]:
-        return load_heightfield(t["heightmap_path"])
-    return generate_heightfield(cfg.seed, t["rows"], t["cols"], t["cell_size"], t["roughness"])
 
 
 def _run_seeds(seed: int, run: int):
@@ -45,21 +38,19 @@ def _run_dirs(cfg):
 
 
 def cmd_simulate(cfg) -> int:
-    hf = _terrain_for(cfg)
-    sim = cfg.sim_config()
-    paths = cfg.trajectories()
+    hf = build_terrain(cfg.terrain, cfg.seed)
     n_clouds = 0
     n_images = 0
-    for r, waypoints in enumerate(paths):
-        traj, imu, clouds, images = simulate_run(hf, waypoints, sim, *_run_seeds(cfg.seed, r))
+    for r, waypoints in enumerate(cfg.trajectories):
+        traj, imu, clouds, images = simulate_run(hf, waypoints, cfg.sim, *_run_seeds(cfg.seed, r))
         mio.write_run_dir(cfg.data_dir / f"run_{r:03d}", traj, imu, clouds, images)
         n_clouds += len(clouds)
         n_images += len(images)
         hits = sum(len(c) for c in clouds.values())
-        rays = len(clouds) * sim.lidar_rays
+        rays = len(clouds) * cfg.sim.lidar_rays
         print(f"run_{r:03d}: {len(traj)} poses, {len(clouds)} clouds ({hits} of {rays} LiDAR rays "
               f"hit, {100.0 * hits / max(rays, 1):.1f} %), {len(images)} images")
-    print(f"simulated {len(paths)} runs -> {cfg.data_dir} "
+    print(f"simulated {len(cfg.trajectories)} runs -> {cfg.data_dir} "
           f"({n_clouds} clouds, {n_images} images)")
     return 0
 
@@ -74,7 +65,7 @@ def cmd_label(cfg) -> int:
         (mio.read_trajectory_csv(d / "trajectory.csv"), mio.read_imu_csv(d / "imu.csv"))
         for d in runs
     ]
-    sparse, norm = label_runs(drives, cfg.labeling_config())
+    sparse, norm = label_runs(drives, cfg.labeling)
     for run_dir, labels in zip(runs, sparse):
         mio.write_sparse_csv(labels.xy, labels.tc, cfg.labels_dir / f"{run_dir.name}.sparse.csv")
     for run_dir, dense in zip(runs, norm.maps):
@@ -93,7 +84,6 @@ def _load_samples(cfg):
     runs = _run_dirs(cfg)
     if not runs:
         raise FileNotFoundError(f"no simulation runs under {cfg.data_dir}")
-    layout = cfg.bev_layout()
     samples = []
     n_frames = 0
     for run_dir in runs:
@@ -103,7 +93,7 @@ def _load_samples(cfg):
         labels = mio.read_costmap_pgm(label_path)
         traj, clouds, images = mio.read_run_dir(run_dir)
         n_frames += len(clouds.keys() & images.keys())  # the frames build_samples pairs
-        samples.extend(build_samples(traj, labels, clouds, images, layout))
+        samples.extend(build_samples(traj, labels, clouds, images, cfg.layout))
     print(f"samples: {len(samples)} of {n_frames} sensed frames kept "
           f"({n_frames - len(samples)} under min_valid_cells={MIN_VALID_CELLS})")
     if not samples:
@@ -114,7 +104,7 @@ def _load_samples(cfg):
 def _split(cfg):
     """(train, held-out) samples; the held-out side falls back to every sample if empty."""
     samples = _load_samples(cfg)
-    train_set, heldout = split_samples(samples, cfg.raw["train"]["holdout_fraction"], cfg.seed)
+    train_set, heldout = split_samples(samples, cfg.holdout_fraction, cfg.seed)
     return train_set, heldout or samples
 
 
@@ -123,7 +113,7 @@ def cmd_train(cfg) -> int:
     if not train_set:
         print("error: training split is empty", file=sys.stderr)
         return 2
-    params, history = fit(train_set, cfg.train_config(), cfg.net_config())
+    params, history = fit(train_set, cfg.train, cfg.net)
     save_checkpoint(params, cfg.checkpoint_path)
     lines = ["step,huber,smooth,total,grad_norm"]
     for r in history:
@@ -145,7 +135,7 @@ def _model_and_heldout(cfg):
 
 def cmd_eval(cfg) -> int:
     params, heldout = _model_and_heldout(cfg)
-    report = run_ablation_suite(params, heldout, [cfg.build(AblationSpec, mode="baseline")])
+    report = run_ablation_suite(params, heldout, [cfg.baseline])
     cfg.report_dir.mkdir(parents=True, exist_ok=True)
     mio.atomic_write_text(cfg.report_dir / "eval.csv", report.to_csv_text())
     first = heldout[0]
@@ -166,7 +156,7 @@ def cmd_eval(cfg) -> int:
 
 def cmd_ablate(cfg) -> int:
     params, heldout = _model_and_heldout(cfg)
-    report = run_ablation_suite(params, heldout, cfg.ablation_specs())
+    report = run_ablation_suite(params, heldout, cfg.ablations)
     cfg.report_dir.mkdir(parents=True, exist_ok=True)
     mio.atomic_write_text(cfg.report_dir / "ablation.csv", report.to_csv_text())
     print(report.format_table())

@@ -14,6 +14,7 @@ import numpy as np
 
 from .dataset import BevLayout, SimConfig, _cells_per_bev, split_samples
 from .evaluation import ABLATION_MODES, AblationSpec
+from .heightfield import TerrainConfig
 from .labeling import LabelingConfig
 from .net import NetConfig
 from .train import TrainConfig
@@ -24,7 +25,7 @@ class ConfigError(ValueError):
 
 
 _NUMBER = (int, float)
-_FIELD_TYPES = {int: int, float: _NUMBER, bool: bool}
+_FIELD_TYPES = {int: int, float: _NUMBER, bool: bool, str | None: (str, type(None))}
 
 # schema: key -> (type, default) where default=_REQUIRED means the key must be present
 _REQUIRED = object()
@@ -41,46 +42,55 @@ def _fields_schema(cls, prefix: str = "") -> dict:
     return out
 
 
-# dataclass -> (config section, key prefix) it is built from
+# RunConfig field -> (dataclass, config section, key prefix) it is built from
 _SECTIONS = {
-    SimConfig: ("sim", ""),
-    LabelingConfig: ("labeling", ""),
-    NetConfig: ("model", ""),
-    BevLayout: ("model", "bev_"),
-    TrainConfig: ("train", ""),
-    AblationSpec: ("eval", ""),
+    "terrain": (TerrainConfig, "sim.terrain", ""),
+    "sim": (SimConfig, "sim", ""),
+    "labeling": (LabelingConfig, "labeling", ""),
+    "net": (NetConfig, "model", ""),
+    "layout": (BevLayout, "model", "bev_"),
+    "train": (TrainConfig, "train", ""),
 }
+_EVAL = (AblationSpec, "eval", "")
 
 _SCHEMA = {
     "seed": (int, 7),
     "workdir": (str, "runs/default"),
-    "sim": {
-        "terrain": {
-            "rows": (int, 96),
-            "cols": (int, 96),
-            "cell_size": (_NUMBER, 0.2),
-            "roughness": (_NUMBER, 0.6),
-            "heightmap_path": ((str, type(None)), None),
-        },
-        "trajectories": (list, _REQUIRED),
-    },
+    "sim": {"terrain": {}, "trajectories": (list, _REQUIRED)},
     "labeling": {},
     "model": {},
     "train": {"holdout_fraction": (_NUMBER, 0.25)},
     "eval": {"modes": (list, list(ABLATION_MODES))},
 }
+
+
+def _lookup(tree: dict, dotted: str):
+    """The entry of a nested dict at a dotted key path."""
+    for part in dotted.split("."):
+        tree = tree[part]
+    return tree
+
+
 # every other key and default comes from the dataclass the section builds
-for _cls, (_section, _prefix) in _SECTIONS.items():
-    _SCHEMA[_section].update(_fields_schema(_cls, _prefix))
+for _cls, _name, _prefix in (*_SECTIONS.values(), _EVAL):
+    _lookup(_SCHEMA, _name).update(_fields_schema(_cls, _prefix))
 
 
-def _build(cls, values: dict, prefix: str = "", **given):
+def _build_fields(cls, values: dict, prefix: str = "", **given):
     kwargs = dict(given)
     for f in fields(cls):
         if f.name not in given:
             value = values[prefix + f.name]
-            kwargs[f.name] = _build(f.type, value) if is_dataclass(f.type) else value
+            kwargs[f.name] = _build_fields(f.type, value) if is_dataclass(f.type) else value
     return cls(**kwargs)
+
+
+def _build(values: dict, cls, section: str, prefix: str, **given):
+    """One section's dataclass from the validated values; ``given`` fills the rest."""
+    try:
+        return _build_fields(cls, _lookup(values, section), prefix, **given)
+    except ValueError as e:
+        raise ConfigError(f"{section} section: {e}") from e
 
 
 def _validate(node, schema, path=""):
@@ -120,64 +130,39 @@ def _validate(node, schema, path=""):
     return out
 
 
-@dataclass
+def _trajectories(paths: list) -> tuple:
+    """Each waypoint path as a read-only ``(n, 2)`` array, ``n >= 2``."""
+    if not paths:
+        raise ConfigError("sim.trajectories must list at least one waypoint path")
+    out = []
+    for t_idx, wp in enumerate(paths):
+        arr = np.asarray(wp, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] != 2:
+            raise ConfigError(
+                f"sim.trajectories[{t_idx}] must be a list of >= 2 [x, y] waypoints"
+            )
+        arr.flags.writeable = False
+        out.append(arr)
+    return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)  # the waypoint arrays have no truth value, so no __eq__
 class RunConfig:
-    """Validated run configuration with typed section accessors."""
+    """A validated run configuration: every section built once, when the file loads."""
 
-    raw: dict
+    seed: int
+    workdir: Path
+    terrain: TerrainConfig
+    trajectories: tuple  # one read-only (n, 2) waypoint array per run
+    sim: SimConfig
+    labeling: LabelingConfig
+    net: NetConfig
+    layout: BevLayout
+    train: TrainConfig
+    holdout_fraction: float
+    baseline: AblationSpec  # the spec `eval` runs
+    ablations: tuple  # one AblationSpec per mode of `eval.modes`, for `ablate`
     source: str = "<dict>"
-
-    @property
-    def seed(self) -> int:
-        return self.raw["seed"]
-
-    @property
-    def workdir(self) -> Path:
-        return Path(self.raw["workdir"])
-
-    @property
-    def sim(self) -> dict:
-        return self.raw["sim"]
-
-    def trajectories(self):
-        wps = self.raw["sim"]["trajectories"]
-        if not wps:
-            raise ConfigError("sim.trajectories must list at least one waypoint path")
-        out = []
-        for t_idx, wp in enumerate(wps):
-            arr = np.asarray(wp, dtype=np.float64)
-            if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] != 2:
-                raise ConfigError(
-                    f"sim.trajectories[{t_idx}] must be a list of >= 2 [x, y] waypoints"
-                )
-            out.append(arr)
-        return out
-
-    def build(self, cls, **given):
-        """One section's dataclass from the validated values; ``given`` fills the rest."""
-        section, prefix = _SECTIONS[cls]
-        try:
-            return _build(cls, self.raw[section], prefix, **given)
-        except ValueError as e:
-            raise ConfigError(f"{section} section: {e}") from e
-
-    def sim_config(self) -> SimConfig:
-        return self.build(SimConfig)
-
-    def labeling_config(self) -> LabelingConfig:
-        return self.build(LabelingConfig)
-
-    def net_config(self) -> NetConfig:
-        return self.build(NetConfig)
-
-    def bev_layout(self) -> BevLayout:
-        return self.build(BevLayout)
-
-    def train_config(self) -> TrainConfig:
-        return self.build(TrainConfig)
-
-    def ablation_specs(self):
-        return [self.build(AblationSpec, mode=mode) for mode in self.raw["eval"]["modes"]]
 
     # artifact locations under the workdir
     @property
@@ -202,30 +187,26 @@ class RunConfig:
 
 
 def validate_config(data: dict, source: str = "<dict>") -> RunConfig:
-    cfg = RunConfig(_validate(data, _SCHEMA), source)
-    for key, value in [
-        ("seed", cfg.raw["seed"]),
-        ("train.seed", cfg.raw["train"]["seed"]),
-        ("eval.seed", cfg.raw["eval"]["seed"]),
-    ]:
-        if value < 0:
+    values = _validate(data, _SCHEMA)
+    for key in ("seed", "train.seed", "eval.seed"):
+        if _lookup(values, key) < 0:
             raise ConfigError(f"config key {key!r} must be nonnegative")
-    cfg.trajectories()  # fail fast on malformed waypoint lists
-    cfg.sim_config()
-    lab = cfg.labeling_config()
-    cfg.net_config()
-    layout = cfg.bev_layout()
-    cfg.train_config()
-    cfg.ablation_specs()
+    trajectories = _trajectories(values["sim"]["trajectories"])
+    sections = {name: _build(values, *rule) for name, rule in _SECTIONS.items()}
+    baseline = _build(values, *_EVAL, mode="baseline")
+    ablations = tuple(_build(values, *_EVAL, mode=mode) for mode in values["eval"]["modes"])
     try:
-        _cells_per_bev(layout, lab.fine_res)
+        _cells_per_bev(sections["layout"], sections["labeling"].fine_res)
     except ValueError as e:
         raise ConfigError(f"model.bev_resolution: {e}") from e
+    holdout_fraction = values["train"]["holdout_fraction"]
     try:
-        split_samples([], cfg.raw["train"]["holdout_fraction"], cfg.seed)  # its range check alone
+        split_samples([], holdout_fraction, values["seed"])  # its range check alone
     except ValueError as e:
         raise ConfigError(f"train.holdout_fraction: {e}") from e
-    return cfg
+    return RunConfig(seed=values["seed"], workdir=Path(values["workdir"]),
+                     trajectories=trajectories, holdout_fraction=holdout_fraction,
+                     baseline=baseline, ablations=ablations, source=source, **sections)
 
 
 def load_config(path, seed_override: int = None, workdir_override=None) -> RunConfig:

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import quat_to_matrix
-from .heightfield import generate_heightfield
+from .heightfield import TerrainConfig, build_terrain
 from .labeling import LabelingConfig, build_labels, normalize_labels
-from .simulate import CHASSIS_HEIGHT_M, generate_trajectory, render_camera, simulate_lidar, synthesize_imu
+from .simulate import (CHASSIS_HEIGHT_M, GRAVITY_M_S2, generate_trajectory, render_camera,
+                       simulate_lidar, synthesize_imu)
 from .types import DenseCostmap, GridSpec, PointCloud, Pose, Sample
 
 
@@ -43,7 +44,7 @@ class SimConfig:
     chassis_height: float = CHASSIS_HEIGHT_M  # meters above the surface
     speed: float = 1.0  # m/s
     dt: float = 0.1  # seconds between poses
-    gravity: float = 9.81  # m/s^2
+    gravity: float = GRAVITY_M_S2  # m/s^2
     imu_noise_scale: float = 3.0  # IMU noise std per unit of local slope
     lidar_rays: int = 900
     lidar_max_range: float = 18.0  # meters
@@ -52,8 +53,8 @@ class SimConfig:
     sensor_stride: int = 8  # poses between sensed frames
 
     def __post_init__(self):
-        for name in ("speed", "dt", "lidar_rays", "lidar_max_range", "camera_h_px", "camera_w_px",
-                     "sensor_stride"):
+        for name in ("chassis_height", "speed", "dt", "gravity", "lidar_rays", "lidar_max_range",
+                     "camera_h_px", "camera_w_px", "sensor_stride"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not self.imu_noise_scale >= 0:
@@ -189,9 +190,9 @@ def synthesize_dataset(
 ):
     """End-to-end in-memory dataset: terrain -> drives -> labels -> samples.
 
-    Drives diagonal-ish paths across one shared procedural terrain (0.2 m
-    cells, roughness 0.6), labels each run on a 0.1 m grid, normalizes
-    jointly, and cuts one sample per sensed frame in the default
+    Drives diagonal-ish paths across one shared procedural terrain (the
+    :class:`TerrainConfig` defaults at the given size), labels each run on a
+    0.1 m grid, normalizes jointly, and cuts one sample per sensed frame in the default
     :class:`BevLayout`. Deterministic per seed.
     """
     sim = SimConfig(
@@ -200,7 +201,7 @@ def synthesize_dataset(
         camera_w_px=camera_px[1],
         sensor_stride=sensor_stride,
     )
-    hf = generate_heightfield(seed, terrain_size, terrain_size, cell_size=0.2, roughness=0.6)
+    hf = build_terrain(TerrainConfig(rows=terrain_size, cols=terrain_size), seed)
     x0, x1, y0, y1 = hf.extent
     margin = 2.5
     lo_x, hi_x = x0 + margin, x1 - margin

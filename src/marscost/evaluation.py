@@ -155,6 +155,8 @@ def run_ablation_suite(params: ModelParams, dataset, specs) -> MetricsReport:
         raise ValueError("dataset is empty")
     rows = []
     for spec in specs:
+        # the image bypass is the same for every sample, so it is built once per pass
+        weights = params.without_image() if spec.mode == "no_image_encoder" else params
         abs_sum = 0.0
         sq_sum = 0.0
         n_cells = 0
@@ -163,7 +165,7 @@ def run_ablation_suite(params: ModelParams, dataset, specs) -> MetricsReport:
                 spec, seed=np.random.SeedSequence([spec.seed, idx]).generate_state(1)[0]
             )
             ablated = apply_ablation(sample, per_sample)
-            pred = predict(params, ablated, spec.mode)
+            pred = predict(weights, ablated)
             err = _valid_errors(pred, ablated.target)
             abs_sum += float(np.abs(err).sum())
             sq_sum += float((err**2).sum())

@@ -71,6 +71,25 @@ class Heightfield:
         return (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
 
 
+@dataclass
+class TerrainConfig:
+    """Terrain of a run: value noise, or a heightmap raster when ``heightmap_path`` is set."""
+
+    rows: int = 96
+    cols: int = 96
+    cell_size: float = 0.2  # meters
+    roughness: float = 0.6  # noise amplitude in [0, 1]; 0 is flat
+    heightmap_path: str | None = None  # PGM with a .meta.json sidecar (see load_heightfield)
+
+    def __post_init__(self):
+        if self.rows < 2 or self.cols < 2:
+            raise ValueError("rows and cols must be at least 2")
+        if not self.cell_size > 0:
+            raise ValueError("cell_size must be positive")
+        if not 0.0 <= self.roughness <= 1.0:
+            raise ValueError("roughness must lie in [0, 1]")
+
+
 def _smooth_lattice_sample(lattice: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Sample a value-noise lattice at fractional coordinates with smoothstep blending."""
     nu = lattice.shape[0] - 1
@@ -98,12 +117,7 @@ def generate_heightfield(
     Deterministic for a fixed seed. ``roughness`` in [0, 1] scales the noise
     amplitude; zero yields a perfectly flat field.
     """
-    if rows < 2 or cols < 2:
-        raise ValueError("rows and cols must be at least 2")
-    if not cell_size > 0:
-        raise ValueError("cell_size must be positive")
-    if not 0.0 <= roughness <= 1.0:
-        raise ValueError("roughness must lie in [0, 1]")
+    TerrainConfig(rows, cols, cell_size, roughness)  # its range checks
     rng = np.random.default_rng(seed)
     z = np.zeros((rows, cols))
     amp = roughness * ROUGHNESS_AMPLITUDE_M
@@ -140,6 +154,14 @@ def load_heightfield(path) -> Heightfield:
     lo, hi = meta["min_height_m"], meta["max_height_m"]
     z = lo + pixels.astype(np.float64) / maxval * (hi - lo)
     return _build(f"{path} with {meta_path}", Heightfield, z, meta["cell_size_m"])
+
+
+def build_terrain(terrain: TerrainConfig, seed: int) -> Heightfield:
+    """The heightmap at ``terrain.heightmap_path`` if one is set, else noise terrain from ``seed``."""
+    if terrain.heightmap_path:
+        return load_heightfield(terrain.heightmap_path)
+    return generate_heightfield(seed, terrain.rows, terrain.cols, terrain.cell_size,
+                                terrain.roughness)
 
 
 def _node_bilinear(hf: Heightfield, grid: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from .heightfield import (
 from .types import Image, ImuLog, PointCloud, Pose, Trajectory
 
 CHASSIS_HEIGHT_M = 0.35  # chassis origin above the surface; free design constant
+GRAVITY_M_S2 = 9.81  # the IMU's gravity
 
 # LiDAR field of view (matches a 360 deg dome unit with -7..52 deg elevation)
 LIDAR_AZ_SPAN = 2.0 * np.pi
@@ -102,7 +103,7 @@ def generate_trajectory(
 def synthesize_imu(
     traj: Trajectory,
     hf: Heightfield,
-    gravity: float = 9.81,
+    gravity: float = GRAVITY_M_S2,
     noise_scale: float = 0.0,
     seed: int = 0,
 ) -> ImuLog:
@@ -206,8 +207,6 @@ def march_rays(
     width = 4
     while rays.size:
         per_block = _BLOCK_RAY_CELLS // width
-        # 0 .. width - 1 once per ray and axis, for the largest block of this width
-        steps = np.tile(np.arange(width, dtype=np.float64), 2 * min(per_block, rays.size))
         for s in range(0, rays.size, per_block):
             r = rays[s : s + per_block]
             tc, te, dzr = t_cur.take(r), t_end.take(r), dz.take(r)
@@ -215,9 +214,8 @@ def march_rays(
             # the next `width` grid lines crossed on each axis, merged in order
             g = g0 + ur * tc[:, None]
             ahead = np.abs(np.where(ur > 0, np.floor(g) + 1, np.ceil(g) - 1) - g0)
-            cross = np.repeat(ahead.reshape(-1), width)
-            cross += steps[: cross.size]
-            cross *= np.repeat(t_unit.take(r, axis=0).reshape(-1), width)
+            cross = ahead[:, :, None] + np.arange(width)
+            cross *= t_unit.take(r, axis=0)[:, :, None]
             cross = cross.reshape(r.size, -1)
             cross.sort(axis=1)
             # a row per cut, clamped to [tc, te]: operations run along the rays

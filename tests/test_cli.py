@@ -1,11 +1,12 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from marscost import cli
+from marscost import cli, config
 from marscost import io as mio
 from marscost.checkpoint import save_checkpoint
 from marscost.cli import main
@@ -14,6 +15,7 @@ from marscost.dataset import (
     MIN_VALID_CELLS, BevLayout, SimConfig, build_samples, label_runs, simulate_run,
 )
 from marscost.evaluation import ABLATION_MODES, AblationSpec
+from marscost.heightfield import TerrainConfig, build_terrain
 from marscost.io import COSTMAP_MAXVAL, read_run_dir
 from marscost.labeling import LabelingConfig
 from marscost.net import NetConfig, init_params
@@ -85,7 +87,7 @@ def test_full_pipeline_end_to_end(tmp_path, capsys):
 def _held_out_point_line(cfg_path) -> str:
     """The counter line ``eval`` should print, counted here by brute force per cell."""
     cfg = load_config(cfg_path)
-    cap = cfg.net_config().max_points_per_pillar
+    cap = cfg.net.max_points_per_pillar
     kept = outside = dropped = 0
     for sample in cli._split(cfg)[1]:
         grid = sample.target.grid
@@ -144,7 +146,7 @@ def test_train_eval_ablate_report_the_kept_samples(tmp_path, capsys):
                           label_path)
     # and a cloud without its image is no sensed frame
     (workdir / "data" / "run_000" / "image_72.ppm").unlink()
-    expected = _sample_count_line(workdir, load_config(cfg).bev_layout())
+    expected = _sample_count_line(workdir, load_config(cfg).layout)
     assert expected.startswith("samples: 3 of 4 ")  # the damage skips some frames, not all
     capsys.readouterr()
     for command in ("train", "eval", "ablate"):
@@ -260,6 +262,12 @@ def test_overflowing_config_number_exits_2(tmp_path, capsys):
     ("sim.dt", -0.1, "dt must be positive"),
     ("sim.camera_w_px", 0, "camera_w_px must be positive"),
     ("sim.imu_noise_scale", -1.0, "imu_noise_scale must be nonnegative"),
+    ("sim.chassis_height", -1.0, "sim section: chassis_height must be positive"),
+    ("sim.gravity", 0.0, "sim section: gravity must be positive"),
+    ("sim.gravity", -9.81, "sim section: gravity must be positive"),
+    ("sim.terrain.roughness", 5.0, "sim.terrain section: roughness must lie in [0, 1]"),
+    ("sim.terrain.rows", 1, "sim.terrain section: rows and cols must be at least 2"),
+    ("sim.terrain.cell_size", -0.2, "sim.terrain section: cell_size must be positive"),
     ("train.holdout_fraction", 1.5, "train.holdout_fraction: holdout_fraction must lie in"),
 ])
 def test_simulate_rejects_out_of_range_values_before_any_work(tmp_path, capsys, key, value, message):
@@ -267,6 +275,15 @@ def test_simulate_rejects_out_of_range_values_before_any_work(tmp_path, capsys, 
     assert main(["simulate", "--config", str(cfg)]) == 2
     assert message in capsys.readouterr().err
     assert not workdir.exists()
+
+
+def test_label_rejects_out_of_range_terrain_before_any_work(tmp_path, capsys):
+    cfg, workdir = _tiny_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    _tiny_config(tmp_path, **{"sim.terrain.roughness": 5.0})  # rewrites the same config file
+    assert main(["label", "--config", str(cfg)]) == 2
+    assert "sim.terrain section: roughness must lie in [0, 1]" in capsys.readouterr().err
+    assert (workdir / "data").exists() and not (workdir / "labels").exists()
 
 
 def test_eval_non_finite_checkpoint_exits_2(tmp_path, capsys):
@@ -324,16 +341,16 @@ def test_cli_dataset_matches_in_memory_stages(tmp_path):
     cfg = load_config(cfg_path)
     on_disk = cli._load_samples(cfg)
 
-    hf = cli._terrain_for(cfg)
+    hf = build_terrain(cfg.terrain, cfg.seed)
     drives = [
-        simulate_run(hf, waypoints, cfg.sim_config(), *cli._run_seeds(cfg.seed, r))
-        for r, waypoints in enumerate(cfg.trajectories())
+        simulate_run(hf, waypoints, cfg.sim, *cli._run_seeds(cfg.seed, r))
+        for r, waypoints in enumerate(cfg.trajectories)
     ]
-    _, norm = label_runs(drives, cfg.labeling_config())
+    _, norm = label_runs(drives, cfg.labeling)
     in_memory = []
     spans = []
     for (traj, _, clouds, images), labels in zip(drives, norm.maps):
-        run = build_samples(traj, labels, clouds, images, cfg.bev_layout())
+        run = build_samples(traj, labels, clouds, images, cfg.layout)
         in_memory.extend(run)
         vals = labels.values[labels.valid]
         spans.extend([vals.max() - vals.min()] * len(run))
@@ -350,12 +367,48 @@ def test_cli_dataset_matches_in_memory_stages(tmp_path):
 
 def test_config_defaults_are_dataclass_defaults():
     cfg = validate_config({"sim": {"trajectories": [[[2.0, 2.0], [7.0, 7.0]]]}})
-    assert cfg.train_config() == TrainConfig()
-    assert cfg.labeling_config() == LabelingConfig()
-    assert cfg.net_config() == NetConfig()
-    assert cfg.bev_layout() == BevLayout()
-    assert cfg.sim_config() == SimConfig()
-    assert cfg.ablation_specs()[0] == AblationSpec(ABLATION_MODES[0])
+    assert cfg.terrain == TerrainConfig()
+    assert cfg.sim == SimConfig()
+    assert cfg.labeling == LabelingConfig()
+    assert cfg.net == NetConfig()
+    assert cfg.layout == BevLayout()
+    assert cfg.train == TrainConfig()
+    assert cfg.baseline == AblationSpec("baseline")
+    assert cfg.ablations == tuple(AblationSpec(mode) for mode in ABLATION_MODES)
+
+
+def _leaf_keys(schema: dict, prefix: str = "") -> list:
+    out = []
+    for key, rule in schema.items():
+        out += _leaf_keys(rule, f"{prefix}{key}.") if isinstance(rule, dict) else [prefix + key]
+    return out
+
+
+def _readme_config_keys() -> list:
+    """Dotted keys of the README's config table; ``a`` (``b``, ``c``) lists a.b and a.c."""
+    text = (TINY.parent.parent / "README.md").read_text()
+    table = re.search(r"^\| section +\| keys \|\n\|[-|]+\|\n((?:\|.*\n)+)", text, flags=re.M)
+    keys = []
+    for row in table.group(1).splitlines():
+        section, cell = (c.strip() for c in row.strip("|").split("|"))
+        path = [] if section == "top level" else [section.strip("`")]
+        last = None
+        for name, paren in re.findall(r"`(\w+)`|([()])", cell):
+            if name:
+                keys.append(".".join(path + [name]))
+                last = name
+            elif paren == "(":
+                path.append(last)
+            else:
+                path.pop()
+    return [k for k in keys if not any(other.startswith(k + ".") for other in keys)]
+
+
+def test_readme_config_table_lists_exactly_the_schema_keys():
+    readme = _readme_config_keys()
+    assert len(readme) == len(set(readme))
+    assert sorted(readme) == sorted(_leaf_keys(config._SCHEMA))
+    assert len(readme) == 50
 
 
 def test_heightmap_cell_size_comes_from_its_sidecar(tmp_path):
@@ -366,7 +419,7 @@ def test_heightmap_cell_size_comes_from_its_sidecar(tmp_path):
     )
     cfg = validate_config({"sim": {"terrain": {"heightmap_path": str(pgm)},
                                    "trajectories": [[[0.2, 0.2], [0.8, 0.8]]]}})
-    assert cli._terrain_for(cfg).cell_size == 0.5
+    assert build_terrain(cfg.terrain, cfg.seed).cell_size == 0.5
 
 
 # sha256 of every file that simulate and label write for _tiny_config

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from marscost.evaluation import (
     predict,
     run_ablation_suite,
 )
+from marscost.net import ModelParams
 from marscost.types import DenseCostmap, GridSpec, PointCloud, Sample
 
 
@@ -195,6 +198,26 @@ def test_suite_one_row_per_mode_and_deterministic():
     assert [r.mode for r in r1.rows] == list(ABLATION_MODES)
     assert r1.to_csv_text() == r2.to_csv_text()
     assert all(0.0 <= r.mae <= 1.0 for r in r1.rows)
+
+
+def test_suite_builds_the_image_bypass_once_per_pass(monkeypatch):
+    params, sample = make_toy_instance(4)
+    dataset = [sample, random_sample(12, grid_size=16), random_sample(13, grid_size=16)]
+    spec = AblationSpec("no_image_encoder", seed=7)
+    # oracle: the per-sample bypass that predict's mode argument builds
+    abs_sum = n = 0
+    for idx, s in enumerate(dataset):
+        seed = np.random.SeedSequence([spec.seed, idx]).generate_state(1)[0]
+        ablated = apply_ablation(s, replace(spec, seed=seed))
+        err = (predict(params, ablated, spec.mode).values - ablated.target.values)[ablated.target.valid]
+        abs_sum += np.abs(err).sum()
+        n += err.size
+    built = []
+    without_image = ModelParams.without_image
+    monkeypatch.setattr(ModelParams, "without_image", lambda p: built.append(p) or without_image(p))
+    report = run_ablation_suite(params, dataset, [spec, AblationSpec("baseline"), spec])
+    assert len(built) == 2  # one per no_image_encoder pass, not one per sample
+    assert report.rows[0].mae == report.rows[2].mae == abs_sum / n
 
 
 def test_report_csv_shape():
