@@ -19,7 +19,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, load_config
 from .dataset import MIN_VALID_CELLS, build_samples, label_runs, simulate_run, split_samples
 from .evaluation import export_costmap, import_costmap, predict, run_ablation_suite
-from .heightfield import build_terrain
+from .heightfield import _require_inside, build_terrain
 from .train import fit
 from .types import FormatError
 
@@ -39,6 +39,11 @@ def _run_dirs(cfg):
 
 def cmd_simulate(cfg) -> int:
     hf = build_terrain(cfg.terrain, cfg.seed)
+    for i, wp in enumerate(cfg.trajectories):  # every path, before any run is written
+        try:
+            _require_inside(hf, wp[:, 0], wp[:, 1], "waypoint")
+        except ValueError as e:
+            raise ConfigError(f"sim.trajectories[{i}]: {e}") from e
     n_clouds = 0
     n_images = 0
     for r, waypoints in enumerate(cfg.trajectories):

@@ -10,14 +10,13 @@ import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .dataset import BevLayout, SimConfig, _cells_per_bev, split_samples
+from .dataset import BevLayout, SimConfig, _cells_per_bev
 from .evaluation import ABLATION_MODES, AblationSpec
 from .heightfield import TerrainConfig
 from .labeling import LabelingConfig
 from .net import NetConfig
 from .train import TrainConfig
+from .types import _read_only
 
 
 class ConfigError(ValueError):
@@ -136,12 +135,11 @@ def _trajectories(paths: list) -> tuple:
         raise ConfigError("sim.trajectories must list at least one waypoint path")
     out = []
     for t_idx, wp in enumerate(paths):
-        arr = np.asarray(wp, dtype=np.float64)
+        arr = _read_only(wp)
         if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] != 2:
             raise ConfigError(
                 f"sim.trajectories[{t_idx}] must be a list of >= 2 [x, y] waypoints"
             )
-        arr.flags.writeable = False
         out.append(arr)
     return tuple(out)
 
@@ -200,10 +198,8 @@ def validate_config(data: dict, source: str = "<dict>") -> RunConfig:
     except ValueError as e:
         raise ConfigError(f"model.bev_resolution: {e}") from e
     holdout_fraction = values["train"]["holdout_fraction"]
-    try:
-        split_samples([], holdout_fraction, values["seed"])  # its range check alone
-    except ValueError as e:
-        raise ConfigError(f"train.holdout_fraction: {e}") from e
+    if not 0.0 <= holdout_fraction < 1.0:
+        raise ConfigError("train.holdout_fraction: holdout_fraction must lie in [0, 1)")
     return RunConfig(seed=values["seed"], workdir=Path(values["workdir"]),
                      trajectories=trajectories, holdout_fraction=holdout_fraction,
                      baseline=baseline, ablations=ablations, source=source, **sections)

@@ -65,16 +65,17 @@ def _valid_errors(pred: DenseCostmap, target: DenseCostmap) -> np.ndarray:
 
 
 def apply_ablation(sample: Sample, spec: AblationSpec) -> Sample:
-    """Corrupt one sample's inputs per the spec; the target is never modified.
+    """Corrupt one sample's inputs per the spec; the target is passed on as it is.
 
-    Deterministic for a fixed seed. ``no_image_encoder`` additionally requires
-    bypassing the image conditioning at prediction time (see
-    :func:`predict`); here it writes the mean image color into the points.
+    Deterministic for a fixed seed; ``baseline`` returns ``sample`` itself.
+    ``no_image_encoder`` also needs the image conditioning bypassed at
+    prediction time (see :func:`predict`); here it writes the mean image
+    color into the points.
     """
     rng = np.random.default_rng(spec.seed)
     cloud, image = sample.cloud, sample.image
     if spec.mode == "baseline":
-        return sample.copy()
+        return sample
     if spec.mode == "no_color_pointcloud":
         cloud = PointCloud(cloud.xyz, np.zeros_like(cloud.rgb))
     elif spec.mode == "no_image_encoder":
@@ -104,7 +105,7 @@ def apply_ablation(sample: Sample, spec: AblationSpec) -> Sample:
         xyz = cloud.xyz + rng.standard_normal(cloud.xyz.shape) * spec.noise_sigma_points
         image = Image(px)
         cloud = PointCloud(xyz, cloud.rgb)
-    return Sample(cloud, image, sample.target.copy())
+    return Sample(cloud, image, sample.target)
 
 
 def predict(params: ModelParams, sample: Sample, mode: str = "baseline") -> DenseCostmap:

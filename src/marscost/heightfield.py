@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .io import _build, read_pgm, read_sidecar
+from .types import _frozen, _hold, _read_only
 
 SAND_RGB = np.array([0.72, 0.55, 0.40])
 DEFAULT_GRAY = 0.5
@@ -19,7 +20,7 @@ BASE_LATTICE = 4  # noise lattice cells across the grid at the first octave
 ROUGHNESS_AMPLITUDE_M = 1.2  # first-octave amplitude at roughness = 1
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Heightfield:
     """Elevation grid with per-node color; node (i, j) sits at origin + (j, i) * cell_size."""
 
@@ -29,18 +30,15 @@ class Heightfield:
     colors: np.ndarray = None  # (rows, cols, 3) in [0, 1]
 
     def __post_init__(self):
-        self.elevations = np.asarray(self.elevations, dtype=np.float64)
-        if self.elevations.ndim != 2 or min(self.elevations.shape) < 2:
+        z = _frozen(self.elevations, None, "heights")
+        if z.ndim != 2 or min(z.shape) < 2:
             raise ValueError("heightfield needs a grid of at least 2x2 nodes")
         if not self.cell_size > 0:
             raise ValueError("cell_size must be positive")
-        if not np.all(np.isfinite(self.elevations)):
-            raise ValueError("heights must be finite")
-        self.origin = (float(self.origin[0]), float(self.origin[1]))
-        if self.colors is None:
-            self.colors = np.full(self.elevations.shape + (3,), DEFAULT_GRAY)
-        self.colors = np.asarray(self.colors, dtype=np.float64)
-        if self.colors.shape != self.elevations.shape + (3,):
+        colors = np.full(z.shape + (3,), DEFAULT_GRAY) if self.colors is None else self.colors
+        _hold(self, elevations=z, origin=(float(self.origin[0]), float(self.origin[1])),
+              colors=_read_only(colors))
+        if self.colors.shape != z.shape + (3,):
             raise ValueError("colors must be (rows, cols, 3) aligned with elevations")
         if self.colors.min() < 0.0 or self.colors.max() > 1.0:
             raise ValueError("colors must lie in [0, 1]")
@@ -198,7 +196,9 @@ def _require_inside(hf: Heightfield, x: np.ndarray, y: np.ndarray, what: str = "
     inside = hf.contains(x, y)
     if not np.all(inside):
         k = int(np.argmin(np.asarray(inside).reshape(-1)))
-        raise ValueError(f"{what} {k} at ({np.ravel(x)[k]}, {np.ravel(y)[k]}) is outside the terrain extent")
+        x0, x1, y0, y1 = map(float, hf.extent)
+        raise ValueError(f"{what} {k} at ({float(np.ravel(x)[k])}, {float(np.ravel(y)[k])}) is "
+                         f"outside the terrain extent x [{x0}, {x1}], y [{y0}, {y1}]")
 
 
 def surface_heights(hf: Heightfield, x: np.ndarray, y: np.ndarray) -> np.ndarray:

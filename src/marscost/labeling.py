@@ -209,7 +209,7 @@ def normalize_labels(maps) -> LabelNormalization:
             values[m.valid] = 0.0
         else:
             values[m.valid] = (values[m.valid] - lo) / (hi - lo)
-        out.append(DenseCostmap(m.grid, values, m.valid.copy()))
+        out.append(DenseCostmap(m.grid, values, m.valid))
     return LabelNormalization(out, lo, hi, degenerate)
 
 

@@ -21,6 +21,7 @@ from .geometry import (
 from .heightfield import (
     Heightfield,
     _node_bilinear,
+    _require_inside,
     slope_magnitudes,
     surface_colors,
     surface_heights,
@@ -65,10 +66,7 @@ def generate_trajectory(
         raise ValueError("need at least 2 waypoints")
     if not (speed > 0 and dt > 0):
         raise ValueError("speed and dt must be positive")
-    inside = hf.contains(wp[:, 0], wp[:, 1])
-    if not np.all(inside):
-        k = int(np.argmin(inside))
-        raise ValueError(f"waypoint {k} at {tuple(wp[k])} is outside the terrain extent")
+    _require_inside(hf, wp[:, 0], wp[:, 1], "waypoint")
 
     seg = np.diff(wp, axis=0)
     seg_len = np.hypot(seg[:, 0], seg[:, 1])

@@ -90,7 +90,7 @@ def rotate_sample(sample: Sample, quarter_turns: int) -> Sample:
     k = quarter_turns % 4
     grid = sample.target.grid
     if k == 0:
-        return sample.copy()
+        return sample
     if grid.rows != grid.cols:
         raise ValueError("rotation augmentation requires a square grid")
     cx, cy = _grid_center(grid)
@@ -99,13 +99,9 @@ def rotate_sample(sample: Sample, quarter_turns: int) -> Sample:
         xy = np.column_stack([-xy[:, 1], xy[:, 0]])  # +90 deg about +z
     new_xyz = np.column_stack([xy + np.array([cx, cy]), sample.cloud.xyz[:, 2]])
     # +90 deg world rotation on row=y/col=x storage is one clockwise array turn
-    values = np.rot90(sample.target.values, -k).copy()
-    valid = np.rot90(sample.target.valid, -k).copy()
-    return Sample(
-        PointCloud(new_xyz, sample.cloud.rgb),
-        sample.image,
-        DenseCostmap(grid, values, valid),
-    )
+    t = sample.target
+    return Sample(PointCloud(new_xyz, sample.cloud.rgb), sample.image,
+                  DenseCostmap(grid, np.rot90(t.values, -k), np.rot90(t.valid, -k)))
 
 
 def translate_sample(sample: Sample, shift_cols: int, shift_rows: int) -> Sample:
@@ -136,7 +132,8 @@ def augment(sample: Sample, seed, cfg: AugmentConfig = AugmentConfig()) -> Sampl
 
     Rotation and translation move the cloud and the label raster together so
     supervision stays consistent; noise perturbs the image pixels (clamped to
-    [0, 1]) and the point coordinates but never the label values.
+    [0, 1]) and the point coordinates but never the label values. A draw
+    that changes nothing returns ``sample`` itself.
     """
     rng = np.random.default_rng(seed)
     out = sample
@@ -149,8 +146,6 @@ def augment(sample: Sample, seed, cfg: AugmentConfig = AugmentConfig()) -> Sampl
         if sc or sr:
             out = translate_sample(out, int(sc), int(sr))
     if cfg.noise_sigma > 0:
-        if out is sample:
-            out = sample.copy()
         pixels = np.clip(
             out.image.pixels + rng.standard_normal(out.image.pixels.shape) * cfg.noise_sigma,
             0.0,
@@ -158,7 +153,7 @@ def augment(sample: Sample, seed, cfg: AugmentConfig = AugmentConfig()) -> Sampl
         )
         xyz = out.cloud.xyz + rng.standard_normal(out.cloud.xyz.shape) * cfg.noise_sigma
         out = Sample(PointCloud(xyz, out.cloud.rgb), Image(pixels), out.target)
-    return out.copy() if out is sample else out
+    return out
 
 
 # ---------------------------------------------------------------------------

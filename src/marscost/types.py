@@ -16,23 +16,39 @@ class FormatError(ValueError):
     """Raised for malformed file contents (rasters, sidecars, checkpoints)."""
 
 
-def _as_float_array(a, shape=None, name="array") -> np.ndarray:
-    out = np.asarray(a, dtype=np.float64)
-    if shape is not None and out.shape != shape:
-        raise ValueError(f"{name} has shape {out.shape}, expected {shape}")
-    return out
+def _read_only(a, shape=None, name="array", dtype=np.float64) -> np.ndarray:
+    """``a`` as a read-only ``dtype`` array: the ownership rule of every value type.
+
+    An array read-only all the way down its ``.base`` chain to memory numpy
+    owns is held as given; anything else (a writable array or a view of one,
+    a list, ``bytes``, an ``mmap``) is copied once and the copy made read-only.
+    """
+    base = a
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    if base is not None or a.dtype != dtype:
+        a = np.array(a, dtype=dtype)
+        a.flags.writeable = False
+    if shape is not None and a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    return a
+
+
+def _hold(obj, **fields):
+    """Set the fields of a frozen dataclass from its ``__post_init__``."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
 
 
 def _frozen(a, shape, name) -> np.ndarray:
-    """Read-only float64 copy of ``a``, which must be finite."""
-    out = _as_float_array(a, shape, name).copy()
+    """:func:`_read_only` float64 ``a``, which must be finite."""
+    out = _read_only(a, shape, name)
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{name} must be finite")
-    out.flags.writeable = False
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pose:
     """Time-stamped rigid transform: world position and world-from-body quaternion."""
 
@@ -41,32 +57,32 @@ class Pose:
     orientation: np.ndarray  # (4,) unit quaternion, scalar first
 
     def __post_init__(self):
-        object.__setattr__(self, "position", _as_float_array(self.position, (3,), "position"))
-        object.__setattr__(
-            self, "orientation", _as_float_array(self.orientation, (4,), "orientation")
-        )
+        _hold(self, position=_frozen(self.position, (3,), "pose position"),
+              orientation=_read_only(self.orientation, (4,), "orientation"))
         if not np.isfinite(self.t):
             raise ValueError("pose timestamp must be finite")
-        if not np.all(np.isfinite(self.position)):
-            raise ValueError("pose position must be finite")
         n = np.linalg.norm(self.orientation)
         if not abs(n - 1.0) <= 1e-9:  # written so that a NaN norm fails
             raise ValueError(f"orientation quaternion norm {n} is not within 1e-9 of 1")
 
 
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Drive record: pose times (n,), positions (n, 3) and world-from-body quaternions (n, 4).
 
-    Validated once on construction (n >= 2, finite values, strictly
-    increasing times, unit quaternions within 1e-9); the stored arrays are
-    read-only. ``traj[k]`` is the :class:`Pose` at index ``k``.
+    Validated once (n >= 2, finite values, strictly increasing times, unit
+    quaternions within 1e-9). ``traj[k]`` is the :class:`Pose` at index ``k``.
     """
 
-    def __init__(self, times, positions, quaternions):
-        self.times = _frozen(times, (np.size(times),), "times")
-        n = self.times.shape[0]
-        self.positions = _frozen(positions, (n, 3), "positions")
-        self.quaternions = _frozen(quaternions, (n, 4), "quaternions")
+    times: np.ndarray
+    positions: np.ndarray
+    quaternions: np.ndarray
+
+    def __post_init__(self):
+        times = _frozen(self.times, (np.size(self.times),), "times")
+        n = times.shape[0]
+        _hold(self, times=times, positions=_frozen(self.positions, (n, 3), "positions"),
+              quaternions=_frozen(self.quaternions, (n, 4), "quaternions"))
         if n < 2:
             raise ValueError("trajectory needs at least 2 poses")
         if not np.all(np.diff(self.times) > 0):
@@ -81,14 +97,19 @@ class Trajectory:
         return Pose(float(self.times[k]), self.positions[k], self.quaternions[k])
 
 
+@dataclass(frozen=True, eq=False)
 class ImuLog:
     """Ego-frame inertial stream: times (n,), specific force (gravity included), angular rate."""
 
-    def __init__(self, times, accel, gyro):
-        self.times = _frozen(times, (np.size(times),), "times")
-        n = self.times.shape[0]
-        self.accel = _frozen(accel, (n, 3), "accel")  # m/s^2
-        self.gyro = _frozen(gyro, (n, 3), "gyro")  # rad/s
+    times: np.ndarray
+    accel: np.ndarray  # (n, 3) m/s^2
+    gyro: np.ndarray  # (n, 3) rad/s
+
+    def __post_init__(self):
+        times = _frozen(self.times, (np.size(self.times),), "times")
+        n = times.shape[0]
+        _hold(self, times=times, accel=_frozen(self.accel, (n, 3), "accel"),
+              gyro=_frozen(self.gyro, (n, 3), "gyro"))
         if n < 1:
             raise ValueError("IMU log needs at least 1 reading")
 
@@ -96,33 +117,28 @@ class ImuLog:
         return self.times.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
-    """Colored points in the sensor frame; may be empty; immutable.
+    """Colored points in the sensor frame; may be empty.
 
-    ``xyz`` and ``rgb`` are read-only copies of the arrays given, so a cloud
-    never changes and its pillars (see :func:`marscost.bev.pillarize`) are
-    built at most once per object and grid layout and kept in ``_pillars``.
+    A cloud never changes, so its pillars (see :func:`marscost.bev.pillarize`)
+    are built at most once per object and grid layout and kept in ``_pillars``.
     """
 
     xyz: np.ndarray  # (n, 3) meters
     rgb: np.ndarray  # (n, 3) in [0, 1]
-    _pillars: dict = field(init=False, repr=False, compare=False, default=None)
+    _pillars: dict = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        xyz = np.array(self.xyz, dtype=np.float64).reshape(-1, 3)
-        rgb = np.array(self.rgb, dtype=np.float64).reshape(-1, 3)
+        xyz, rgb = (a if a.shape[1:] == (3,) else a.reshape(-1, 3)  # an (n, 3) array is kept
+                    for a in map(_read_only, (self.xyz, self.rgb)))
         if xyz.shape[0] != rgb.shape[0]:
             raise ValueError("xyz and rgb must have the same number of points")
         if not np.all(np.isfinite(xyz)):
             raise ValueError("point coordinates must be finite")
         if rgb.size and not (rgb.min() >= 0.0 and rgb.max() <= 1.0):
             raise ValueError("point colors must lie in [0, 1]")
-        xyz.flags.writeable = False
-        rgb.flags.writeable = False
-        object.__setattr__(self, "xyz", xyz)
-        object.__setattr__(self, "rgb", rgb)
-        object.__setattr__(self, "_pillars", {})
+        _hold(self, xyz=xyz, rgb=rgb, _pillars={})
 
     def __len__(self):
         return self.xyz.shape[0]
@@ -132,28 +148,26 @@ class PointCloud:
         return PointCloud(np.zeros((0, 3)), np.zeros((0, 3)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Image:
-    """Row-major RGB raster with values in [0, 1]; immutable.
+    """Row-major RGB raster with values in [0, 1].
 
-    The pixels are a read-only copy of the array given, so an image never
-    changes and its embedding (see :func:`marscost.bev.embed_image`) is
-    computed at most once per object and kept in ``_embedding``.
+    An image never changes, so :func:`marscost.bev.embed_image` computes its
+    embedding at most once per object and keeps it in ``_embedding``.
     """
 
     pixels: np.ndarray  # (rows, cols, 3)
-    _embedding: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _embedding: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        pixels = np.array(self.pixels, dtype=np.float64)
+        pixels = _read_only(self.pixels)
         if pixels.ndim != 3 or pixels.shape[2] != 3:
             raise ValueError("image pixels must have shape (rows, cols, 3)")
         if pixels.shape[0] < 1 or pixels.shape[1] < 1:
             raise ValueError("image must have at least one pixel")
         if not (pixels.min() >= 0.0 and pixels.max() <= 1.0):
             raise ValueError("pixel values must lie in [0, 1]")
-        pixels.flags.writeable = False
-        object.__setattr__(self, "pixels", pixels)
+        _hold(self, pixels=pixels)
 
     @property
     def rows(self) -> int:
@@ -209,7 +223,7 @@ class GridSpec:
         )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SparseCostmap:
     """Scattered traversability-cost observations ``(x, y, tc)``."""
 
@@ -217,8 +231,7 @@ class SparseCostmap:
     tc: np.ndarray  # (n,) nonnegative costs
 
     def __post_init__(self):
-        self.xy = np.asarray(self.xy, dtype=np.float64).reshape(-1, 2)
-        self.tc = np.asarray(self.tc, dtype=np.float64).reshape(-1)
+        _hold(self, xy=_read_only(self.xy).reshape(-1, 2), tc=_read_only(self.tc).reshape(-1))
         if self.xy.shape[0] != self.tc.shape[0]:
             raise ValueError("xy and tc must have matching lengths")
         if not np.all(np.isfinite(self.xy)):
@@ -230,7 +243,7 @@ class SparseCostmap:
         return self.tc.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DenseCostmap:
     """Per-cell cost raster with a validity mask marking where values are defined."""
 
@@ -239,22 +252,16 @@ class DenseCostmap:
     valid: np.ndarray = None  # (rows, cols) bool
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.grid.rows, self.grid.cols):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid "
-                f"({self.grid.rows}, {self.grid.cols})"
-            )
-        if self.valid is None:
-            self.valid = np.ones(self.values.shape, dtype=bool)
-        self.valid = np.asarray(self.valid, dtype=bool)
+        values = _read_only(self.values)
+        if values.shape != (self.grid.rows, self.grid.cols):
+            raise ValueError(f"values shape {values.shape} does not match grid "
+                             f"({self.grid.rows}, {self.grid.cols})")
+        valid = np.ones(values.shape, dtype=bool) if self.valid is None else self.valid
+        _hold(self, values=values, valid=_read_only(valid, dtype=bool))
         if self.valid.shape != self.values.shape:
             raise ValueError("valid mask shape must match values")
         if not np.all(np.isfinite(self.values[self.valid])):
             raise ValueError("values must be finite wherever valid")
-
-    def copy(self) -> "DenseCostmap":
-        return DenseCostmap(self.grid, self.values.copy(), self.valid.copy())
 
 
 @dataclass
@@ -279,14 +286,10 @@ class BevFeatureMap:
         return self.data.shape[2]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Sample:
     """One training/evaluation example: sensing plus its label raster."""
 
     cloud: PointCloud
     image: Image
     target: DenseCostmap
-
-    def copy(self) -> "Sample":
-        # the cloud and image are immutable, so shared along with their memos
-        return Sample(self.cloud, self.image, self.target.copy())

@@ -15,10 +15,13 @@ from marscost.bev import (
     pillar_encode_cached,
     pillarize,
 )
+from marscost.evaluation import AblationSpec, apply_ablation
 from marscost.ops import resize_bilinear
+from marscost.train import AugmentConfig, augment
 from marscost.types import BevFeatureMap, GridSpec, Image, PointCloud
 
 GRID = GridSpec((0.0, 0.0), 0.5, 8, 8)
+NO_AUG = AugmentConfig(rotate=False, translate=False, noise_sigma=0.0)
 
 
 def _cloud(xy, z=None, rgb=None):
@@ -194,12 +197,15 @@ def test_point_cloud_arrays_are_read_only_copies():
     assert cloud.xyz[0, 0] != 0.125
 
 
-def test_sample_copy_shares_the_cloud_and_its_pillars():
+def test_unchanged_sample_shares_the_cloud_and_its_pillars():
     sample = random_sample(19)
     grid = sample.target.grid
     pt = pillarize(sample.cloud, grid, 8)
-    copy = sample.copy()
-    assert copy.cloud is sample.cloud and pillarize(copy.cloud, grid, 8) is pt
+    for same in (apply_ablation(sample, AblationSpec("baseline")), augment(sample, 0, NO_AUG)):
+        assert same is sample and pillarize(same.cloud, grid, 8) is pt
+    for mode in ("no_color_pointcloud", "no_image_encoder"):  # recoloured, same points
+        cloud = apply_ablation(sample, AblationSpec(mode)).cloud
+        assert cloud is not sample.cloud and cloud.xyz is sample.cloud.xyz
     fresh = pillarize(PointCloud(sample.cloud.xyz, sample.cloud.rgb), grid, 8)
     assert fresh is not pt
     for name in ("indices", "features", "counts"):
@@ -414,11 +420,11 @@ def test_image_pixels_are_a_read_only_copy():
     assert img.pixels[0, 0, 0] != 0.25
 
 
-def test_sample_copy_reuses_the_memoised_embedding():
+def test_unchanged_sample_reuses_the_memoised_embedding():
     sample = random_sample(18)
     emb = embed_image(sample.image)
-    copy = sample.copy()
-    assert copy.image is sample.image and embed_image(copy.image) is emb
+    for same in (apply_ablation(sample, AblationSpec("baseline")), augment(sample, 0, NO_AUG)):
+        assert same is sample and embed_image(same.image) is emb
     fresh = embed_image(Image(sample.image.pixels))
     assert fresh is not emb and fresh.tobytes() == emb.tobytes()
     assert not emb.flags.writeable

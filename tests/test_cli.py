@@ -277,6 +277,36 @@ def test_simulate_rejects_out_of_range_values_before_any_work(tmp_path, capsys, 
     assert not workdir.exists()
 
 
+def _tiny_heightmap(tmp_path):
+    """A 3 x 3 node heightmap with 0.5 m cells: extent x [0, 1], y [0, 1]."""
+    pgm = tmp_path / "terrain.pgm"
+    pgm.write_text("P2\n3 3\n255\n0 1 2\n3 4 5\n6 7 8\n")
+    (tmp_path / "terrain.meta.json").write_text(
+        json.dumps({"min_height_m": 0.0, "max_height_m": 1.0, "cell_size_m": 0.5})
+    )
+    return str(pgm)
+
+
+@pytest.mark.parametrize("terrain, paths, message", [
+    ("generated", [[[2.0, 2.0], [7.2, 7.4]], [[2.0, 7.2], [17.4, 2.2]]],
+     "sim.trajectories[1]: waypoint 1 at (17.4, 2.2) is outside the terrain extent "
+     "x [0.0, 9.4], y [0.0, 9.4]"),
+    ("heightmap", [[[0.2, 0.2], [0.8, 0.8]], [[0.2, 0.2], [0.6, 0.9], [0.5, -0.25]]],
+     "sim.trajectories[1]: waypoint 2 at (0.5, -0.25) is outside the terrain extent "
+     "x [0.0, 1.0], y [0.0, 1.0]"),
+])
+def test_simulate_rejects_waypoints_off_the_terrain_before_writing_any_run(
+        tmp_path, capsys, terrain, paths, message):
+    overrides = {"sim.trajectories": paths}
+    if terrain == "heightmap":
+        overrides["sim.terrain.heightmap_path"] = _tiny_heightmap(tmp_path)
+    cfg, workdir = _tiny_config(tmp_path, **overrides)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "np.float64" not in err
+    assert not list(workdir.glob("data/run_*"))
+
+
 def test_label_rejects_out_of_range_terrain_before_any_work(tmp_path, capsys):
     cfg, workdir = _tiny_config(tmp_path)
     assert main(["simulate", "--config", str(cfg)]) == 0

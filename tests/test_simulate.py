@@ -65,6 +65,11 @@ def test_trajectory_waypoint_outside_extent(flat_field):
         generate_trajectory(flat_field, [(1.0, 1.0), (99.0, 1.0)], speed=1.0, dt=0.1)
 
 
+def test_trajectory_waypoint_message_prints_plain_floats(flat_field):
+    with pytest.raises(ValueError, match=r"waypoint 1 at \(99\.5, 1\.0\) is outside"):
+        generate_trajectory(flat_field, [(1.0, 1.0), (99.5, 1.0)], speed=1.0, dt=0.1)
+
+
 def test_trajectory_rejects_degenerate_input(flat_field):
     with pytest.raises(ValueError):
         generate_trajectory(flat_field, [(1.0, 1.0)], speed=1.0, dt=0.1)
