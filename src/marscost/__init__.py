@@ -33,7 +33,7 @@ def _pin_one_blas_thread() -> None:
 
 _pin_one_blas_thread()
 
-from .bev import FilmParams, PillarTensor, embed_image, film_modulate, pillar_encode, pillarize
+from .bev import PillarTensor, embed_image, pillarize
 from .checkpoint import load_checkpoint, save_checkpoint
 from .evaluation import (
     AblationSpec,
@@ -68,7 +68,6 @@ from .net import (
 from .simulate import generate_trajectory, render_camera, simulate_lidar, synthesize_imu
 from .train import AdamState, AugmentConfig, TrainConfig, adam_step, augment, fit
 from .types import (
-    BevFeatureMap,
     DenseCostmap,
     GridSpec,
     Image,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ops import resize_bilinear
-from .types import BevFeatureMap, GridSpec, Image, PointCloud
+from .types import GridSpec, Image, PointCloud
 
 EMBED_DIM = 384
 _HIST_BINS = 64
@@ -101,14 +101,11 @@ def _pillarize(cloud: PointCloud, grid: GridSpec, max_points: int) -> PillarTens
     return PillarTensor(indices, features, counts, max_points, n_outside, n_dropped)
 
 
-def pillar_encode(pt: PillarTensor, w: np.ndarray, b: np.ndarray, grid: GridSpec) -> BevFeatureMap:
-    """Affine + ReLU per point, channelwise max per pillar, scattered to the grid."""
-    out, _ = pillar_encode_cached(pt, w, b, grid)
-    return out
-
-
 def pillar_encode_cached(pt: PillarTensor, w: np.ndarray, b: np.ndarray, grid: GridSpec):
-    """Like :func:`pillar_encode` but also returns the cache needed for backprop."""
+    """Affine + ReLU per point, channelwise max per pillar, scattered to the grid.
+
+    Returns the ``(rows, cols, C)`` map and the cache needed for backprop.
+    """
     w = np.asarray(w, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != 9 or b.shape != (w.shape[1],):
@@ -117,7 +114,7 @@ def pillar_encode_cached(pt: PillarTensor, w: np.ndarray, b: np.ndarray, grid: G
     data = np.zeros((grid.rows, grid.cols, c))
     cache = {"pt": pt, "w": w, "z_pos": None, "argmax": None}
     if pt.n_pillars == 0:
-        return BevFeatureMap(grid, data), cache
+        return data, cache
     p, slots, _ = pt.features.shape
     z = (pt.features.reshape(p * slots, 9) @ w + b).reshape(p, slots, c)
     a = np.maximum(z, 0.0)
@@ -127,7 +124,7 @@ def pillar_encode_cached(pt: PillarTensor, w: np.ndarray, b: np.ndarray, grid: G
     pooled = np.take_along_axis(a_masked, argmax[:, None, :], axis=1)[:, 0, :]
     data[pt.indices[:, 0], pt.indices[:, 1], :] = pooled
     cache.update(z_pos=z > 0.0, argmax=argmax)
-    return BevFeatureMap(grid, data), cache
+    return data, cache
 
 
 def pillar_encode_backward(cache, d_map: np.ndarray):
@@ -191,73 +188,35 @@ def _embed_pixels(px: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class FilmParams:
-    """Two affine layers mapping an embedding to per-channel (gamma, beta).
+def film_gamma_beta(emb: np.ndarray, w1, b1, w2, b2):
+    """Evaluate the modulation MLP ``relu(emb @ w1 + b1) @ w2 + b2``; returns (gamma, beta, cache).
 
     The second layer emits 2C values: the first C are gamma, the last C beta.
     """
-
-    w1: np.ndarray  # (d, hidden)
-    b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (hidden, 2C)
-    b2: np.ndarray  # (2C,)
-
-    def __post_init__(self):
-        self.w1 = np.asarray(self.w1, dtype=np.float64)
-        self.b1 = np.asarray(self.b1, dtype=np.float64)
-        self.w2 = np.asarray(self.w2, dtype=np.float64)
-        self.b2 = np.asarray(self.b2, dtype=np.float64)
-        if self.w1.ndim != 2 or self.b1.shape != (self.w1.shape[1],):
-            raise ValueError("film layer 1 shapes are inconsistent")
-        if self.w2.shape[0] != self.w1.shape[1] or self.b2.shape != (self.w2.shape[1],):
-            raise ValueError("film layer 2 shapes are inconsistent")
-        if self.w2.shape[1] % 2 != 0:
-            raise ValueError("film output must have even size (gamma and beta halves)")
-
-    @property
-    def channels(self) -> int:
-        return self.w2.shape[1] // 2
-
-
-def film_gamma_beta(emb: np.ndarray, params: FilmParams):
-    """Evaluate the modulation MLP; returns (gamma, beta, cache)."""
     emb = np.asarray(emb, dtype=np.float64)
-    if emb.shape != (params.w1.shape[0],):
-        raise ValueError(f"embedding has shape {emb.shape}, expected ({params.w1.shape[0]},)")
-    pre = emb @ params.w1 + params.b1
+    if emb.shape != (w1.shape[0],):
+        raise ValueError(f"embedding has shape {emb.shape}, expected ({w1.shape[0]},)")
+    pre = emb @ w1 + b1
     h = np.maximum(pre, 0.0)
-    gb = h @ params.w2 + params.b2
-    c = params.channels
-    cache = {"emb": emb, "h": h, "pre_pos": pre > 0.0, "params": params}
+    gb = h @ w2 + b2
+    c = w2.shape[1] // 2
+    cache = {"emb": emb, "h": h, "pre_pos": pre > 0.0, "w2": w2}
     return gb[:c], gb[c:], cache
 
 
-def film_modulate(feat: BevFeatureMap, emb: np.ndarray, params: FilmParams) -> BevFeatureMap:
-    """Channel-wise affine modulation: out[..., c] = gamma_c * feat[..., c] + beta_c."""
-    if params.channels != feat.channels:
-        raise ValueError(
-            f"film emits {params.channels} channels but the feature map has {feat.channels}"
-        )
-    gamma, beta, _ = film_gamma_beta(emb, params)
-    return BevFeatureMap(feat.grid, gamma[None, None, :] * feat.data + beta[None, None, :])
-
-
 def film_backward(cache, feat_data: np.ndarray, gamma: np.ndarray, d_out: np.ndarray):
-    """Backprop through the modulation and its MLP.
+    """Backprop through the modulation ``gamma * feat + beta`` and its MLP.
 
     Returns ``(d_feat, dw1, db1, dw2, db2)`` given the upstream gradient on
     the modulated map.
     """
-    params = cache["params"]
-    c = params.channels
     d_feat = d_out * gamma[None, None, :]
     d_gamma = np.sum(d_out * feat_data, axis=(0, 1))
     d_beta = np.sum(d_out, axis=(0, 1))
     d_gb = np.concatenate([d_gamma, d_beta])
     dw2 = np.outer(cache["h"], d_gb)
     db2 = d_gb
-    dh = params.w2 @ d_gb
+    dh = cache["w2"] @ d_gb
     dpre = dh * cache["pre_pos"]
     dw1 = np.outer(cache["emb"], dpre)
     db1 = dpre

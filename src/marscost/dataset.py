@@ -105,6 +105,7 @@ def extract_target(labels: DenseCostmap, pose_xy, layout: BevLayout):
     mesh = np.ix_(ok_r, ok_c)
     valid[mesh] = sub_valid
     values[mesh] = np.where(sub_valid, sub_values, 0.0)
+    values.flags.writeable = valid.flags.writeable = False  # held by the costmap uncopied
     return DenseCostmap(grid, values, valid), origin
 
 

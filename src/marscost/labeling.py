@@ -175,6 +175,7 @@ def interpolate_costmap(sparse: SparseCostmap, grid: GridSpec, cfg: LabelingConf
     valid = den > WEIGHT_FLOOR
     values = np.zeros_like(num)
     values[valid] = num[valid] / den[valid]
+    values.flags.writeable = valid.flags.writeable = False  # held by the costmap uncopied
     return DenseCostmap(grid, values, valid)
 
 
@@ -209,6 +210,7 @@ def normalize_labels(maps) -> LabelNormalization:
             values[m.valid] = 0.0
         else:
             values[m.valid] = (values[m.valid] - lo) / (hi - lo)
+        values.flags.writeable = False  # held by the costmap uncopied
         out.append(DenseCostmap(m.grid, values, m.valid))
     return LabelNormalization(out, lo, hi, degenerate)
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from .bev import (
     EMBED_DIM,
-    FilmParams,
     embed_image,
     film_backward,
     film_gamma_beta,
@@ -50,6 +49,10 @@ class NetConfig:
             if getattr(self, f.name) < 1:
                 raise ValueError(f"{f.name} must be positive")
 
+    def n_parameters(self) -> int:
+        """Length of ``ModelParams.theta`` at these widths."""
+        return sum(math.prod(shape) for _, shape in _layout(self).values())
+
 
 class ModelParams:
     """Every trainable tensor of the regressor, as views of one flat float64 vector.
@@ -60,15 +63,14 @@ class ModelParams:
     """
 
     def __init__(self, config: NetConfig, theta: np.ndarray):
-        layout = _layout(config)
-        size = sum(math.prod(shape) for _, shape in layout.values())
+        size = config.n_parameters()
         if np.shape(theta) != (size,):
             raise ValueError(f"theta has shape {np.shape(theta)}, not ({size},) for {config}")
         self.config = config
         self.theta = np.ascontiguousarray(theta, dtype=np.float64)  # so every reshape is a view
         self._tensors = {}
         at = 0
-        for name, (_, shape) in layout.items():
+        for name, (_, shape) in _layout(config).items():
             n = math.prod(shape)
             self._tensors[name] = self.theta[at : at + n].reshape(shape)
             at += n
@@ -78,7 +80,7 @@ class ModelParams:
         return self._tensors[name]
 
     def named_tensors(self):
-        """Stable (name, view) iteration in the order of ``theta``, used by checkpoints."""
+        """Stable (name, view) iteration in the order of ``theta``."""
         return list(self._tensors.items())
 
     def n_parameters(self) -> int:
@@ -100,35 +102,6 @@ class ModelParams:
         for b2 in (bypass.film3_b2, bypass.film4_b2):
             b2[: b2.size // 2] = 1.0
         return bypass
-
-    def film3(self) -> FilmParams:
-        return FilmParams(self.film3_w1, self.film3_b1, self.film3_w2, self.film3_b2)
-
-    def film4(self) -> FilmParams:
-        return FilmParams(self.film4_w1, self.film4_b1, self.film4_w2, self.film4_b2)
-
-    @classmethod
-    def from_named(cls, tensors: dict, max_points_per_pillar: int) -> "ModelParams":
-        """Params from ``name -> array``; every shape must be the one ``init_params`` gives."""
-        names = _layout(NetConfig()).keys()  # the names do not depend on the widths
-        missing = sorted(names - tensors.keys())
-        unknown = sorted(tensors.keys() - names)
-        if missing or unknown:
-            raise ValueError(f"model tensors missing: {missing}, unknown: {unknown}")
-        tensors = {n: np.asarray(t, dtype=np.float64) for n, t in tensors.items()}
-        config = NetConfig(  # the widths, read from bias lengths (which any tensor shape allows)
-            channels=tensors["pillar_b"].size,
-            stage2_channels=tensors["conv1_b"].size,
-            stage3_channels=tensors["conv2_b"].size,
-            film_hidden=tensors["film3_b1"].size,
-            head_channels=tensors["head_b1"].size,
-            max_points_per_pillar=max_points_per_pillar,
-        )
-        layout = _layout(config)
-        for name, (_, shape) in layout.items():
-            if tensors[name].shape != shape:
-                raise ValueError(f"tensor {name!r} has shape {tensors[name].shape}, not {shape}")
-        return cls(config, np.concatenate([tensors[n].ravel() for n in layout]))
 
 
 def _layout(cfg: NetConfig) -> dict:
@@ -187,14 +160,18 @@ def forward_cached(params: ModelParams, cloud: PointCloud, image: Image, grid: G
     pt = pillarize(cloud, grid, params.config.max_points_per_pillar)
     pseudo, pillar_cache = pillar_encode_cached(pt, params.pillar_w, params.pillar_b, grid)
 
-    z1, conv1_cache = conv2d_forward(pseudo.data, params.conv1_w, params.conv1_b, stride=2, pad=1)
+    z1, conv1_cache = conv2d_forward(pseudo, params.conv1_w, params.conv1_b, stride=2, pad=1)
     s3 = np.maximum(z1, 0.0)
     z2, conv2_cache = conv2d_forward(s3, params.conv2_w, params.conv2_b, stride=2, pad=1)
     s4 = np.maximum(z2, 0.0)
 
     emb = embed_image(image)
-    gamma3, beta3, f3_cache = film_gamma_beta(emb, params.film3())
-    gamma4, beta4, f4_cache = film_gamma_beta(emb, params.film4())
+    gamma3, beta3, f3_cache = film_gamma_beta(
+        emb, params.film3_w1, params.film3_b1, params.film3_w2, params.film3_b2
+    )
+    gamma4, beta4, f4_cache = film_gamma_beta(
+        emb, params.film4_w1, params.film4_b1, params.film4_w2, params.film4_b2
+    )
     m3 = gamma3[None, None, :] * s3 + beta3[None, None, :]
     m4 = gamma4[None, None, :] * s4 + beta4[None, None, :]
 
@@ -227,7 +204,8 @@ def forward_cached(params: ModelParams, cloud: PointCloud, image: Image, grid: G
 def forward(params: ModelParams, cloud: PointCloud, image: Image, grid: GridSpec) -> DenseCostmap:
     """Predict a costmap on ``grid``; every cell is marked valid, values in (0, 1)."""
     values, _ = forward_cached(params, cloud, image, grid)
-    return DenseCostmap(grid, values, np.ones(values.shape, dtype=bool))
+    values.flags.writeable = False  # nothing else holds it: DenseCostmap keeps it uncopied
+    return DenseCostmap(grid, values)
 
 
 def backward(cache, d_values: np.ndarray) -> np.ndarray:

@@ -120,6 +120,7 @@ def translate_sample(sample: Sample, shift_cols: int, shift_rows: int) -> Sample
     elif shift_cols < 0:
         valid[:, shift_cols:] = False
     values = np.where(valid, values, 0.0)
+    values.flags.writeable = valid.flags.writeable = False  # held by the costmap uncopied
     return Sample(
         PointCloud(new_xyz, sample.cloud.rgb),
         sample.image,

@@ -256,34 +256,15 @@ class DenseCostmap:
         if values.shape != (self.grid.rows, self.grid.cols):
             raise ValueError(f"values shape {values.shape} does not match grid "
                              f"({self.grid.rows}, {self.grid.cols})")
-        valid = np.ones(values.shape, dtype=bool) if self.valid is None else self.valid
+        valid = self.valid
+        if valid is None:
+            valid = np.ones(values.shape, dtype=bool)
+            valid.flags.writeable = False  # fresh and unshared, so held without a copy
         _hold(self, values=values, valid=_read_only(valid, dtype=bool))
         if self.valid.shape != self.values.shape:
             raise ValueError("valid mask shape must match values")
         if not np.all(np.isfinite(self.values[self.valid])):
             raise ValueError("values must be finite wherever valid")
-
-
-@dataclass
-class BevFeatureMap:
-    """Multi-channel pillar pseudo-image aligned with a BEV grid."""
-
-    grid: GridSpec
-    data: np.ndarray  # (rows, cols, channels)
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 3 or self.data.shape[:2] != (self.grid.rows, self.grid.cols):
-            raise ValueError(
-                f"feature data shape {self.data.shape} does not match grid "
-                f"({self.grid.rows}, {self.grid.cols}, C)"
-            )
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("feature values must be finite")
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import make_toy_instance
-from marscost.bev import PillarTensor, embed_image, film_modulate, pillar_encode, pillarize
+from marscost.bev import PillarTensor, embed_image, film_gamma_beta, pillar_encode_cached, pillarize
 from marscost.checkpoint import load_checkpoint, save_checkpoint
 from marscost.cli import main as cli_main
 from marscost.dataset import split_samples, synthesize_dataset
@@ -290,29 +290,31 @@ def test_criterion_7_invariances(flat_field):
         from marscost.types import PointCloud
 
         base_pt = pillarize(PointCloud(np.column_stack([pts, z]), rgb), grid, 64)
-        base = pillar_encode(base_pt, w, b, grid)
+        base, _ = pillar_encode_cached(base_pt, w, b, grid)
         for _ in range(100):
             perm = rng.permutation(60)
             cloud = PointCloud(np.column_stack([pts[perm], z[perm]]), rgb[perm])
-            enc = pillar_encode(pillarize(cloud, grid, 64), w, b, grid)
-            assert np.array_equal(enc.data, base.data)
+            enc, _ = pillar_encode_cached(pillarize(cloud, grid, 64), w, b, grid)
+            assert np.array_equal(enc, base)
             pperm = rng.permutation(base_pt.n_pillars)
             shuffled = PillarTensor(
                 base_pt.indices[pperm], base_pt.features[pperm], base_pt.counts[pperm],
                 base_pt.max_points,
             )
-            assert np.array_equal(pillar_encode(shuffled, w, b, grid).data, base.data)
+            assert np.array_equal(pillar_encode_cached(shuffled, w, b, grid)[0], base)
 
         # FiLM identity
-        from marscost.bev import EMBED_DIM, FilmParams
-        from marscost.types import BevFeatureMap, Image
+        from marscost.bev import EMBED_DIM
+        from marscost.types import Image
 
-        feat = BevFeatureMap(grid, rng.normal(0, 1, (8, 8, 5)))
+        feat = rng.normal(0, 1, (8, 8, 5))
         b2 = np.zeros(10)
         b2[:5] = 1.0
-        identity = FilmParams(np.zeros((EMBED_DIM, 3)), np.zeros(3), np.zeros((3, 10)), b2)
         emb = embed_image(Image(rng.uniform(0, 1, (8, 8, 3))))
-        assert np.array_equal(film_modulate(feat, emb, identity).data, feat.data)
+        gamma, beta, _ = film_gamma_beta(emb, np.zeros((EMBED_DIM, 3)), np.zeros(3),
+                                         np.zeros((3, 10)), b2)
+        assert np.all(gamma == 1.0) and np.all(beta == 0.0)
+        assert np.array_equal(gamma[None, None, :] * feat + beta[None, None, :], feat)
 
         # Huber C1 continuity at |e| = delta
         delta = 0.1

@@ -6,11 +6,9 @@ import pytest
 from conftest import random_sample
 from marscost.bev import (
     EMBED_DIM,
-    FilmParams,
     PillarTensor,
     embed_image,
-    film_modulate,
-    pillar_encode,
+    film_gamma_beta,
     pillar_encode_backward,
     pillar_encode_cached,
     pillarize,
@@ -18,7 +16,7 @@ from marscost.bev import (
 from marscost.evaluation import AblationSpec, apply_ablation
 from marscost.ops import resize_bilinear
 from marscost.train import AugmentConfig, augment
-from marscost.types import BevFeatureMap, GridSpec, Image, PointCloud
+from marscost.types import GridSpec, Image, PointCloud
 
 GRID = GridSpec((0.0, 0.0), 0.5, 8, 8)
 NO_AUG = AugmentConfig(rotate=False, translate=False, noise_sigma=0.0)
@@ -279,7 +277,7 @@ def test_encode_and_backward_match_cap_padded_reference_bit_for_bit():
         d_map = rng.normal(0, 1, (grid.rows, grid.cols, c))
         enc, cache = pillar_encode_cached(pillarize(cloud, grid, max_points), w, b, grid)
         dw, db = pillar_encode_backward(cache, d_map)
-        got = (enc.data, cache["argmax"], dw, db)
+        got = (enc, cache["argmax"], dw, db)
         ref = _pillarize_reference(cloud, grid, max_points)
         filled = _encode_reference(ref, w, b, grid, d_map, int(ref.counts.max(initial=0)))
         for g, want in zip(got, filled):
@@ -305,8 +303,8 @@ def test_encode_and_backward_match_cap_padded_reference_bit_for_bit():
 def test_pillarize_empty_cloud():
     pt = pillarize(PointCloud.empty(), GRID, max_points=4)
     assert pt.n_pillars == 0
-    enc = pillar_encode(pt, np.ones((9, 5)), np.zeros(5), GRID)
-    assert np.all(enc.data == 0.0)
+    enc, _ = pillar_encode_cached(pt, np.ones((9, 5)), np.zeros(5), GRID)
+    assert enc.shape == (8, 8, 5) and np.all(enc == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +315,8 @@ def test_pillarize_empty_cloud():
 def test_encode_zero_weights_zero_map():
     rng = np.random.default_rng(5)
     pt = pillarize(_cloud(rng.uniform(0, 4, (30, 2))), GRID, max_points=8)
-    enc = pillar_encode(pt, np.zeros((9, 6)), np.zeros(6), GRID)
-    assert np.all(enc.data == 0.0)
+    enc, _ = pillar_encode_cached(pt, np.zeros((9, 6)), np.zeros(6), GRID)
+    assert np.all(enc == 0.0)
 
 
 def test_encode_single_point_is_relu_affine():
@@ -327,9 +325,9 @@ def test_encode_single_point_is_relu_affine():
     b = rng.normal(0, 1, 5)
     cloud = _cloud([[1.25, 2.25]], z=[0.7], rgb=[[0.2, 0.4, 0.6]])
     pt = pillarize(cloud, GRID, max_points=4)
-    enc = pillar_encode(pt, w, b, GRID)
+    enc, _ = pillar_encode_cached(pt, w, b, GRID)
     feat = np.array([1.25, 2.25, 0.7, 0.2, 0.4, 0.6, 0.0, 0.0, 0.0])
-    assert np.allclose(enc.data[4, 2], np.maximum(feat @ w + b, 0.0), atol=1e-12)
+    assert np.allclose(enc[4, 2], np.maximum(feat @ w + b, 0.0), atol=1e-12)
 
 
 def test_encode_point_order_invariance():
@@ -339,11 +337,12 @@ def test_encode_point_order_invariance():
     rgb = rng.uniform(0, 1, (40, 3))
     w = rng.normal(0, 1, (9, 4))
     b = rng.normal(0, 1, 4)
-    base = pillar_encode(pillarize(_cloud(pts, z, rgb), GRID, 64), w, b, GRID)
+    base, _ = pillar_encode_cached(pillarize(_cloud(pts, z, rgb), GRID, 64), w, b, GRID)
     for _ in range(20):
         perm = rng.permutation(40)
-        enc = pillar_encode(pillarize(_cloud(pts[perm], z[perm], rgb[perm]), GRID, 64), w, b, GRID)
-        assert np.array_equal(enc.data, base.data)
+        pt = pillarize(_cloud(pts[perm], z[perm], rgb[perm]), GRID, 64)
+        enc, _ = pillar_encode_cached(pt, w, b, GRID)
+        assert np.array_equal(enc, base)
 
 
 def test_encode_pillar_order_invariance():
@@ -351,20 +350,20 @@ def test_encode_pillar_order_invariance():
     pt = pillarize(_cloud(rng.uniform(0, 4, (30, 2)), rng.uniform(-1, 1, 30)), GRID, 8)
     w = rng.normal(0, 1, (9, 4))
     b = rng.normal(0, 1, 4)
-    base = pillar_encode(pt, w, b, GRID)
+    base, _ = pillar_encode_cached(pt, w, b, GRID)
     perm = rng.permutation(pt.n_pillars)
     shuffled = PillarTensor(
         pt.indices[perm], pt.features[perm], pt.counts[perm], pt.max_points
     )
-    assert np.array_equal(pillar_encode(shuffled, w, b, GRID).data, base.data)
+    assert np.array_equal(pillar_encode_cached(shuffled, w, b, GRID)[0], base)
 
 
 def test_encode_rejects_bad_shapes():
     pt = pillarize(_cloud([[1.0, 1.0]]), GRID, 4)
     with pytest.raises(ValueError):
-        pillar_encode(pt, np.zeros((8, 4)), np.zeros(4), GRID)
+        pillar_encode_cached(pt, np.zeros((8, 4)), np.zeros(4), GRID)
     with pytest.raises(ValueError):
-        pillar_encode(pt, np.zeros((9, 4)), np.zeros(5), GRID)
+        pillar_encode_cached(pt, np.zeros((9, 4)), np.zeros(5), GRID)
 
 
 def test_encode_padding_does_not_leak():
@@ -373,9 +372,9 @@ def test_encode_padding_does_not_leak():
     b = np.array([5.0, -1.0])
     cloud = _cloud([[0.1, 0.1]], z=[-100.0])
     pt = pillarize(cloud, GRID, max_points=8)
-    enc = pillar_encode(pt, w, b, GRID)
-    assert np.allclose(enc.data[0, 0], [5.0, 0.0])
-    assert np.count_nonzero(enc.data) == 1
+    enc, _ = pillar_encode_cached(pt, w, b, GRID)
+    assert np.allclose(enc[0, 0], [5.0, 0.0])
+    assert np.count_nonzero(enc) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -481,52 +480,59 @@ def test_embedding_matches_histogram_oracle_bit_for_bit():
 
 
 def _feature_map(seed, channels=5):
-    rng = np.random.default_rng(seed)
-    return BevFeatureMap(GRID, rng.normal(0, 1, (8, 8, channels)))
+    return np.random.default_rng(seed).normal(0, 1, (8, 8, channels))
 
 
 def _identity_params(channels, hidden=3, d=EMBED_DIM):
     b2 = np.zeros(2 * channels)
     b2[:channels] = 1.0
-    return FilmParams(np.zeros((d, hidden)), np.zeros(hidden), np.zeros((hidden, 2 * channels)), b2)
+    return np.zeros((d, hidden)), np.zeros(hidden), np.zeros((hidden, 2 * channels)), b2
+
+
+def _modulate(feat, emb, film):
+    """``gamma * feat + beta`` per channel, as the regressor applies it."""
+    gamma, beta, _ = film_gamma_beta(emb, *film)
+    return gamma[None, None, :] * feat + beta[None, None, :]
 
 
 def test_film_identity_params():
     feat = _feature_map(10)
     emb = embed_image(Image(np.random.default_rng(0).uniform(0, 1, (8, 8, 3))))
-    out = film_modulate(feat, emb, _identity_params(feat.channels))
-    assert np.array_equal(out.data, feat.data)
+    film = _identity_params(feat.shape[2])
+    gamma, beta, _ = film_gamma_beta(emb, *film)
+    assert np.all(gamma == 1.0) and np.all(beta == 0.0)
+    assert np.array_equal(_modulate(feat, emb, film), feat)
 
 
 def test_film_gamma_zero_broadcasts_beta():
     feat = _feature_map(11)
-    c = feat.channels
+    c = feat.shape[2]
     beta = np.arange(c, dtype=np.float64)
     b2 = np.concatenate([np.zeros(c), beta])
-    params = FilmParams(np.zeros((EMBED_DIM, 2)), np.zeros(2), np.zeros((2, 2 * c)), b2)
-    out = film_modulate(feat, np.zeros(EMBED_DIM), params)
-    assert np.allclose(out.data, np.broadcast_to(beta, out.data.shape))
+    film = (np.zeros((EMBED_DIM, 2)), np.zeros(2), np.zeros((2, 2 * c)), b2)
+    out = _modulate(feat, np.zeros(EMBED_DIM), film)
+    assert np.allclose(out, np.broadcast_to(beta, out.shape))
 
 
 def test_film_matches_scalar_loop_oracle():
     rng = np.random.default_rng(12)
     feat = _feature_map(12, channels=4)
     emb = rng.normal(0, 1, EMBED_DIM)
-    params = FilmParams(
+    w1, b1, w2, b2 = film = (
         rng.normal(0, 0.1, (EMBED_DIM, 6)),
         rng.normal(0, 0.1, 6),
         rng.normal(0, 0.1, (6, 8)),
         rng.normal(0, 0.1, 8),
     )
-    out = film_modulate(feat, emb, params)
-    h = np.maximum(emb @ params.w1 + params.b1, 0.0)
-    gb = h @ params.w2 + params.b2
-    expected = np.empty_like(feat.data)
+    out = _modulate(feat, emb, film)
+    h = np.maximum(emb @ w1 + b1, 0.0)
+    gb = h @ w2 + b2
+    expected = np.empty_like(feat)
     for i in range(8):
         for j in range(8):
             for c in range(4):
-                expected[i, j, c] = gb[c] * feat.data[i, j, c] + gb[4 + c]
-    assert np.max(np.abs(out.data - expected)) <= 1e-12
+                expected[i, j, c] = gb[c] * feat[i, j, c] + gb[4 + c]
+    assert np.max(np.abs(out - expected)) <= 1e-12
 
 
 def test_film_additivity_residual_is_beta():
@@ -534,21 +540,18 @@ def test_film_additivity_residual_is_beta():
     f1 = _feature_map(14, channels=3)
     f2 = _feature_map(15, channels=3)
     emb = rng.normal(0, 1, EMBED_DIM)
-    params = FilmParams(
+    film = (
         rng.normal(0, 0.2, (EMBED_DIM, 4)),
         rng.normal(0, 0.2, 4),
         rng.normal(0, 0.2, (4, 6)),
         rng.normal(0, 0.2, 6),
     )
-    from marscost.bev import film_gamma_beta
-
-    _, beta, _ = film_gamma_beta(emb, params)
-    both = film_modulate(BevFeatureMap(GRID, f1.data + f2.data), emb, params)
-    residual = both.data - film_modulate(f1, emb, params).data - film_modulate(f2, emb, params).data
+    _, beta, _ = film_gamma_beta(emb, *film)
+    both = _modulate(f1 + f2, emb, film)
+    residual = both - _modulate(f1, emb, film) - _modulate(f2, emb, film)
     assert np.allclose(residual, -beta[None, None, :], atol=1e-12)
 
 
-def test_film_rejects_channel_mismatch():
-    feat = _feature_map(16, channels=5)
-    with pytest.raises(ValueError):
-        film_modulate(feat, np.zeros(EMBED_DIM), _identity_params(4))
+def test_film_rejects_wrong_embedding_width():
+    with pytest.raises(ValueError, match="embedding has shape"):
+        film_gamma_beta(np.zeros(EMBED_DIM), *_identity_params(4, d=EMBED_DIM + 1))

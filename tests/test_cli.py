@@ -229,8 +229,10 @@ def test_export_bad_costmap_csv_exits_2(tmp_path, capsys):
     assert "bad.csv:3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", [lambda b: b[:-5], lambda b: b + b"\x00"],
-                         ids=["truncated", "padded"])
+@pytest.mark.parametrize("damage", [lambda b: b[:-5], lambda b: b + b"\x00",
+                                    lambda b: b"MCCKPT\x01\x00" + b[8:], lambda b: b[:20],
+                                    lambda b: b[:8] + bytes(4) + b[12:]],
+                         ids=["truncated", "padded", "version_1", "short_header", "zero_width"])
 def test_eval_damaged_checkpoint_exits_2(tmp_path, capsys, damage):
     cfg, workdir = _tiny_config(tmp_path)
     workdir.mkdir(parents=True)

@@ -1,10 +1,12 @@
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
 
 from conftest import TOY_NET, make_toy_instance, random_sample
-from marscost.checkpoint import MAGIC, _pack_tensor, load_checkpoint, save_checkpoint
+from marscost import net
+from marscost.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from marscost.net import (
     ModelParams,
     NetConfig,
@@ -45,6 +47,16 @@ def test_forward_output_dims_and_range():
     assert pred.valid.all()
     assert np.all(pred.values > 0.0) and np.all(pred.values < 1.0)
     assert np.all(np.isfinite(pred.values))
+
+
+def test_forward_hands_its_values_to_the_costmap_uncopied(monkeypatch):
+    params, sample = make_toy_instance(3)
+    grid = sample.target.grid
+    values = np.full((grid.rows, grid.cols), 0.25)
+    monkeypatch.setattr(net, "forward_cached", lambda *args: (values, {}))
+    pred = forward(params, sample.cloud, sample.image, grid)
+    assert pred.values is values and not values.flags.writeable
+    assert pred.valid.all() and not pred.valid.flags.writeable
 
 
 def test_forward_empty_cloud_defined():
@@ -277,28 +289,29 @@ def test_params_are_views_of_one_vector_in_layout_order():
             params.like(bad)
 
 
-def test_from_named_reads_widths_and_names_wrong_tensors():
-    params = init_params(TOY_NET, seed=2)
-    named = dict(params.named_tensors())
-    back = ModelParams.from_named(named, TOY_NET.max_points_per_pillar)
-    assert back.config == TOY_NET and np.array_equal(back.theta, params.theta)
-    incomplete = {n: t for n, t in named.items() if n != "head_b2"}
-    with pytest.raises(ValueError, match=r"missing: \['head_b2'\], unknown: \['extra'\]"):
-        ModelParams.from_named({**incomplete, "extra": np.zeros(1)}, 8)
-    with pytest.raises(ValueError, match=r"tensor 'conv1_w' has shape \(3, 3, 4, 5\)"):
-        ModelParams.from_named({**named, "conv1_w": np.zeros((3, 3, 4, 5))}, 8)
-
-
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     params = init_params(TOY_NET, seed=11)
     path = tmp_path / "model.ckpt"
     save_checkpoint(params, path)
     back = load_checkpoint(path)
-    for (na, ta), (nb, tb) in zip(params.named_tensors(), back.named_tensors()):
-        assert na == nb
-        assert ta.shape == tb.shape
-        assert np.array_equal(ta, tb)  # bit-exact float64 round trip
-    assert back.config == params.config  # the widths and max_points_per_pillar
+    assert back.config == params.config  # every width, max_points_per_pillar included
+    assert back.theta.tobytes() == params.theta.tobytes()  # bit-exact float64 round trip
+    assert back.theta.flags.writeable and back.theta.flags.owndata
+
+
+def test_checkpoint_header_is_the_net_config_widths(tmp_path):
+    """The header holds the fields of NetConfig in order; a new width needs a new version."""
+    names = [f.name for f in dataclasses.fields(NetConfig)]
+    assert (MAGIC, names) == (b"MCCKPT\x02\x00", [
+        "channels", "stage2_channels", "stage3_channels", "film_hidden", "head_channels",
+        "max_points_per_pillar",
+    ])
+    cfg = NetConfig(1, 2, 3, 4, 5, 6)
+    params = init_params(cfg, seed=0)
+    save_checkpoint(params, tmp_path / "model.ckpt")
+    blob = (tmp_path / "model.ckpt").read_bytes()
+    theta = params.theta.astype("<f8").tobytes()
+    assert blob == MAGIC + struct.pack("<6I", 1, 2, 3, 4, 5, 6) + theta
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -321,29 +334,46 @@ def test_checkpoint_truncated_anywhere_names_the_file(tmp_path):
             load_checkpoint(bad)
 
 
-def _write_checkpoint(path, tensors: dict):
-    """A checkpoint holding exactly ``tensors``, in the format ``save_checkpoint`` writes."""
-    blob = MAGIC + struct.pack("<I", len(tensors))
-    path.write_bytes(blob + b"".join(_pack_tensor(n, t) for n, t in tensors.items()))
-
-
 def test_checkpoint_trailing_byte_and_wrong_shape_name_the_file(tmp_path):
     params = init_params(TOY_NET, seed=0)
     path = tmp_path / "model.ckpt"
     save_checkpoint(params, path)
-    path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(FormatError, match=r"model\.ckpt: 1 byte\(s\) after the last tensor"):
+    data = path.read_bytes()
+    size = 8 * params.n_parameters()
+    path.write_bytes(data + b"\x00")
+    with pytest.raises(FormatError, match=rf"model\.ckpt: {size + 1} bytes of parameters, "
+                                          rf"but the widths in its header take {size}"):
         load_checkpoint(path)
-    _write_checkpoint(path, dict(params.named_tensors(), head_w2=np.zeros((1, 1, 8, 2)),
-                                 max_points_per_pillar=np.array(8.0)))
-    with pytest.raises(FormatError, match=r"model\.ckpt: tensor 'head_w2' has shape \(1, 1, 8, 2"):
+    wider = dataclasses.replace(TOY_NET, head_channels=TOY_NET.head_channels + 1)
+    header = struct.pack("<6I", *dataclasses.astuple(wider))
+    path.write_bytes(MAGIC + header + data[len(MAGIC) + len(header) :])
+    with pytest.raises(FormatError, match=rf"model\.ckpt: {size} bytes of parameters, but the "
+                                          rf"widths in its header take {8 * wider.n_parameters()}"):
         load_checkpoint(path)
 
 
-def test_checkpoint_without_max_points_per_pillar_names_the_file(tmp_path):
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(NetConfig)])
+def test_checkpoint_zero_width_names_the_file(tmp_path, field):
     path = tmp_path / "model.ckpt"
-    _write_checkpoint(path, dict(init_params(TOY_NET, seed=0).named_tensors()))
-    with pytest.raises(FormatError, match=r"model\.ckpt: tensor 'max_points_per_pillar' is missing"):
+    save_checkpoint(init_params(TOY_NET, seed=0), path)
+    data = bytearray(path.read_bytes())
+    at = len(MAGIC) + 4 * [f.name for f in dataclasses.fields(NetConfig)].index(field)
+    data[at : at + 4] = bytes(4)
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=rf"model\.ckpt: {field} must be positive"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_old_version_and_short_header_name_the_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(TOY_NET, seed=0), path)
+    data = path.read_bytes()
+    path.write_bytes(b"MCCKPT\x01\x00" + data[len(MAGIC) :])
+    with pytest.raises(FormatError, match=r"model\.ckpt: model checkpoint version 1, "
+                                          r"this program reads version 2"):
+        load_checkpoint(path)
+    path.write_bytes(data[: len(MAGIC) + 23])
+    with pytest.raises(FormatError, match=r"model\.ckpt: truncated in the widths header"):
         load_checkpoint(path)
 
 
