@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL line
 for every criterion alongside its runtime.
 """
 
+import ctypes
 import hashlib
 import json
 import math
@@ -357,19 +358,26 @@ def _tree_bytes(root: Path) -> dict:
     }
 
 
+def _tiny_pipeline_config(tmp_path, tag: str) -> Path:
+    """``configs/tiny.json`` cut to one run, fewer frames and rays and 2 epochs,
+    with its workdir at ``tmp_path / tag``."""
+    tiny = Path(__file__).resolve().parent.parent / "configs" / "tiny.json"
+    cfg = json.loads(tiny.read_text())
+    cfg["sim"]["trajectories"] = cfg["sim"]["trajectories"][:1]
+    cfg["sim"]["sensor_stride"] = 18
+    cfg["sim"]["lidar_rays"] = 250
+    cfg["train"]["epochs"] = 2
+    cfg["workdir"] = str(tmp_path / tag)
+    path = tmp_path / f"cfg_{tag}.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 def test_criterion_8_determinism_and_round_trips(tmp_path):
     with criterion(8, "seeded determinism and artifact round trips"):
-        tiny = Path(__file__).resolve().parent.parent / "configs" / "tiny.json"
-        cfg = json.loads(tiny.read_text())
-        cfg["sim"]["trajectories"] = cfg["sim"]["trajectories"][:1]
-        cfg["sim"]["sensor_stride"] = 18
-        cfg["sim"]["lidar_rays"] = 250
-        cfg["train"]["epochs"] = 2
         trees = []
         for tag in ("a", "b"):
-            cfg["workdir"] = str(tmp_path / tag)
-            path = tmp_path / f"cfg_{tag}.json"
-            path.write_text(json.dumps(cfg))
+            path = _tiny_pipeline_config(tmp_path, tag)
             for cmd in ("simulate", "label", "train"):
                 assert cli_main([cmd, "--config", str(path)]) == 0
             tree = _tree_bytes(tmp_path / tag)
@@ -390,3 +398,78 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
         export_costmap(labels, tmp_path / "rt.pgm", "pgm")
         back_pgm = import_costmap(tmp_path / "rt.pgm")
         assert np.max(np.abs(back_pgm.values[labels.valid] - labels.values[labels.valid])) <= 1.6e-5
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes of the BLAS-dependent stages
+# ---------------------------------------------------------------------------
+
+
+def _blas_config() -> str:
+    """The configuration string of numpy's bundled scipy-openblas, which names the
+    kernel core it picked for this CPU; ``"unknown"`` for any other BLAS."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+    get = getattr(ctypes.CDLL(str(libs[0])), "scipy_openblas_get_config64_", None) if libs else None
+    if get is None:
+        return "unknown"
+    get.restype = ctypes.c_char_p
+    return get().decode()
+
+
+# sha256 of what train, eval and ablate write for the tiny pipeline, and of
+# criterion 5's weights and loss history, per (numpy version, BLAS configuration):
+# GEMM results, and so these bytes, depend on the kernels OpenBLAS picks per CPU
+GOLDEN_TRAIN_EVAL = {
+    ("2.4.6", "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"): {
+        "model.ckpt": "3dfb2f37204db8ad0f87e6ecff0f157f3d45362d4350342a6b169eb1969d7229",
+        "train_log.csv": "87be10bed42189e15244e7618c3d688ef3978423ab7e3609fab9781d271d602f",
+        "report/eval.csv": "ce94e4285a96adf8b6991f989f04af33ba84ad05210f1c525eeadd96291584fd",
+        "report/ablation.csv": "5796ae30bd5e70e1753e167c4c78a786b7e12c2283e3a2f18624464591f2fd7d",
+        "report/prediction_0.pgm": "d6fe7e420462c11eeb3e47c7accf85fccdc3a5fef06a92a1abee56c65517a087",
+        "report/prediction_0.mask.pbm": "cbe4fa1585971dc8ef73a1e4ab99a6797d86f92017c989dd7c9f8d72a63b0f08",
+        "report/prediction_0.meta.json": "37c45980e70cc0c861bde5ce145b8eda43552c4b39968e72527e6dfbb7a1c7f9",
+        "report/prediction_0.csv": "6ffdaadcf91c71c3296cdc4128141f40e34cd0dbda30d585a0a51b7228d03255",
+        "report/target_0.pgm": "6cc0200b2b0559751299d079d6afb6fe15faf347f3d352c1c17fc23101ccdc33",
+        "report/target_0.mask.pbm": "9613aa464659ac6519a08e847a4d615aec37845d63ad81f215cea194f7d8bab6",
+        "report/target_0.meta.json": "22260eed0478fd22ff6a8547eb55297651c26cf6d5d48161b4d0143b0c09c5cb",
+        "criterion_5/theta": "fdee626aa4ee407e793d5b087e48cc83d506ca957dd8f5d0f4bdc8f736992371",
+        "criterion_5/history": "94d99bc4b295436f27b7d71f9915e9e418ff0802f0dd20db42c74ef168236c85",
+    },
+}
+
+TRAIN_EVAL_FILES = (
+    "model.ckpt",
+    "train_log.csv",
+    "report/eval.csv",
+    "report/ablation.csv",
+    "report/prediction_0.pgm",
+    "report/prediction_0.mask.pbm",
+    "report/prediction_0.meta.json",
+    "report/prediction_0.csv",
+    "report/target_0.pgm",
+    "report/target_0.mask.pbm",
+    "report/target_0.meta.json",
+)
+
+
+def test_train_eval_golden_fingerprints(tmp_path, trained_model):
+    """``train``, ``eval`` and ``ablate`` are meant to be bit-stable on one BLAS build,
+    as is criterion 5's fit. A changed hash means a stage changed its output bytes; a
+    change made on purpose updates this table and says so in CHANGES.md. A host with
+    another BLAS build or numpy version has no entry: the test skips and prints the
+    key and the digests to add."""
+    workdir = tmp_path / "tiny"
+    path = _tiny_pipeline_config(tmp_path, "tiny")
+    for cmd in ("simulate", "label", "train", "eval", "ablate"):
+        assert cli_main([cmd, "--config", str(path)]) == 0
+    digests = {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+               for name in TRAIN_EVAL_FILES}
+    params, history = trained_model[:2]
+    digests["criterion_5/theta"] = hashlib.sha256(params.theta.tobytes()).hexdigest()
+    steps = np.array([(h.step, h.huber, h.smooth, h.total, h.grad_norm) for h in history])
+    digests["criterion_5/history"] = hashlib.sha256(steps.tobytes()).hexdigest()
+    key = (np.__version__, _blas_config())
+    if key not in GOLDEN_TRAIN_EVAL:
+        pytest.skip(f"no GOLDEN_TRAIN_EVAL entry for {key!r}; its digests: "
+                    + json.dumps(digests, indent=1))
+    assert digests == GOLDEN_TRAIN_EVAL[key]
