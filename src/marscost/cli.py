@@ -34,7 +34,10 @@ def _run_seeds(seed: int, run: int):
 
 
 def _run_dirs(cfg):
-    return sorted(p for p in cfg.data_dir.glob("run_*") if p.is_dir())
+    runs = sorted(p for p in cfg.data_dir.glob("run_*") if p.is_dir())
+    if not runs:
+        raise FileNotFoundError(f"no simulation runs under {cfg.data_dir}; run 'simulate' first")
+    return runs
 
 
 def cmd_simulate(cfg) -> int:
@@ -62,10 +65,6 @@ def cmd_simulate(cfg) -> int:
 
 def cmd_label(cfg) -> int:
     runs = _run_dirs(cfg)
-    if not runs:
-        print(f"error: no simulation runs under {cfg.data_dir}; run 'simulate' first",
-              file=sys.stderr)
-        return 2
     drives = [
         (mio.read_trajectory_csv(d / "trajectory.csv"), mio.read_imu_csv(d / "imu.csv"))
         for d in runs
@@ -87,8 +86,6 @@ def cmd_label(cfg) -> int:
 def _load_samples(cfg):
     """Every run's samples; prints how many of the sensed frames they are."""
     runs = _run_dirs(cfg)
-    if not runs:
-        raise FileNotFoundError(f"no simulation runs under {cfg.data_dir}")
     samples = []
     n_frames = 0
     for run_dir in runs:
@@ -116,8 +113,7 @@ def _split(cfg):
 def cmd_train(cfg) -> int:
     train_set, _ = _split(cfg)
     if not train_set:
-        print("error: training split is empty", file=sys.stderr)
-        return 2
+        raise RuntimeError("training split is empty")
     params, history = fit(train_set, cfg.train, cfg.net)
     save_checkpoint(params, cfg.checkpoint_path)
     lines = ["step,huber,smooth,total,grad_norm"]
@@ -141,7 +137,6 @@ def _model_and_heldout(cfg):
 def cmd_eval(cfg) -> int:
     params, heldout = _model_and_heldout(cfg)
     report = run_ablation_suite(params, heldout, [cfg.baseline])
-    cfg.report_dir.mkdir(parents=True, exist_ok=True)
     mio.atomic_write_text(cfg.report_dir / "eval.csv", report.to_csv_text())
     first = heldout[0]
     pred = predict(params, first)
@@ -162,7 +157,6 @@ def cmd_eval(cfg) -> int:
 def cmd_ablate(cfg) -> int:
     params, heldout = _model_and_heldout(cfg)
     report = run_ablation_suite(params, heldout, cfg.ablations)
-    cfg.report_dir.mkdir(parents=True, exist_ok=True)
     mio.atomic_write_text(cfg.report_dir / "ablation.csv", report.to_csv_text())
     print(report.format_table())
     print(f"ablation report -> {cfg.report_dir / 'ablation.csv'}")
@@ -176,9 +170,7 @@ def cmd_export(cfg, map_path, fmt) -> int:
             raise FileNotFoundError(f"no costmap to export under {cfg.labels_dir}")
         map_path = candidates[0]
     cmap = import_costmap(map_path)
-    out_dir = cfg.report_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / (Path(map_path).stem + "." + fmt)
+    out_path = cfg.report_dir / (Path(map_path).stem + "." + fmt)
     export_costmap(cmap, out_path, fmt)
     print(f"exported {map_path} -> {out_path}")
     return 0

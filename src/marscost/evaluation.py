@@ -12,6 +12,7 @@ import numpy as np
 
 from . import io as mio
 from .net import ModelParams, forward
+from .train import sensor_noise
 from .types import DenseCostmap, Image, PointCloud, Sample
 
 ABLATION_MODES = (
@@ -68,9 +69,9 @@ def apply_ablation(sample: Sample, spec: AblationSpec) -> Sample:
     """Corrupt one sample's inputs per the spec; the target is passed on as it is.
 
     Deterministic for a fixed seed; ``baseline`` returns ``sample`` itself.
-    ``no_image_encoder`` also needs the image conditioning bypassed at
-    prediction time (see :func:`predict`); here it writes the mean image
-    color into the points.
+    ``no_image_encoder`` writes the mean image color into the points; the
+    image conditioning it also needs bypassed comes from the weights, which
+    :func:`run_ablation_suite` picks once per pass.
     """
     rng = np.random.default_rng(spec.seed)
     cloud, image = sample.cloud, sample.image
@@ -97,21 +98,12 @@ def apply_ablation(sample: Sample, spec: AblationSpec) -> Sample:
         idx = np.sort(rng.choice(n, size=keep, replace=False)) if n else np.zeros(0, int)
         cloud = PointCloud(cloud.xyz[idx], cloud.rgb[idx])
     elif spec.mode == "gaussian_noise":
-        px = np.clip(
-            image.pixels + rng.standard_normal(image.pixels.shape) * spec.noise_sigma_image,
-            0.0,
-            1.0,
-        )
-        xyz = cloud.xyz + rng.standard_normal(cloud.xyz.shape) * spec.noise_sigma_points
-        image = Image(px)
-        cloud = PointCloud(xyz, cloud.rgb)
+        return sensor_noise(sample, rng, spec.noise_sigma_image, spec.noise_sigma_points)
     return Sample(cloud, image, sample.target)
 
 
-def predict(params: ModelParams, sample: Sample, mode: str = "baseline") -> DenseCostmap:
-    """Run the model on a (possibly ablated) sample; ``no_image_encoder`` uses identity FiLM."""
-    if mode == "no_image_encoder":
-        params = params.without_image()
+def predict(params: ModelParams, sample: Sample) -> DenseCostmap:
+    """Run the model on a (possibly ablated) sample."""
     return forward(params, sample.cloud, sample.image, sample.target.grid)
 
 

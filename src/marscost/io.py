@@ -254,6 +254,8 @@ def read_costmap_csv(path) -> DenseCostmap:
         keys = dict(kv.split("=") for kv in lines[0][7:].split())
         grid = GridSpec((float(keys["origin_x"]), float(keys["origin_y"])),
                         float(keys["resolution"]), int(keys["rows"]), int(keys["cols"]))
+        if max(grid.rows, grid.cols) > 999_999_999:  # 9 digits, as a Netpbm header field
+            raise ValueError(f"a {grid.rows}x{grid.cols} grid is too large")
     except KeyError as e:
         raise FormatError(f"{path}:1: missing grid key {e}") from None
     except ValueError as e:
@@ -274,10 +276,9 @@ def read_costmap_csv(path) -> DenseCostmap:
         r = int(np.argmax(repeat))
         raise FormatError(f"{path}:{numbers[r]}: cell ({int(i[r])}, {int(j[r])}) repeats line "
                           f"{numbers[int(np.argmax(cell == cell[r]))]}")
-    if cell.size != grid.rows * grid.cols:
-        present = np.zeros(grid.rows * grid.cols, dtype=bool)
-        present[cell] = True
-        gap = divmod(int(np.argmin(present)), grid.cols)
+    if cell.size != grid.rows * grid.cols:  # sized by the file, not by the declared grid
+        missing = np.flatnonzero(np.sort(cell) != np.arange(cell.size))
+        gap = divmod(int(missing[0]) if missing.size else cell.size, grid.cols)
         raise FormatError(f"{path}:{len(lines)}: table ends after {cell.size} of "
                           f"{grid.rows * grid.cols} cells; cell {gap} is missing")
     values = np.zeros(grid.rows * grid.cols)
@@ -425,7 +426,6 @@ def write_run_dir(run_dir, traj: Trajectory, imu: ImuLog, clouds: dict, images: 
     captured at that pose; files are named cloud_<k>.csv and image_<k>.ppm.
     """
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, run_dir / "trajectory.csv")
     write_imu_csv(imu, run_dir / "imu.csv")
     for k, cloud in clouds.items():

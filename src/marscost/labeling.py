@@ -223,19 +223,10 @@ def label_grids_for(traj: Trajectory, cfg: LabelingConfig):
     y0 = float(pos[:, 1].min()) - pad
     ext_x = float(pos[:, 0].max()) + pad - x0
     ext_y = float(pos[:, 1].max()) + pad - y0
-    coarse = GridSpec(
-        (x0, y0),
-        cfg.coarse_res,
-        max(int(np.ceil(ext_y / cfg.coarse_res)), 1),
-        max(int(np.ceil(ext_x / cfg.coarse_res)), 1),
+    return tuple(
+        GridSpec((x0, y0), res, max(int(np.ceil(ext_y / res)), 1), max(int(np.ceil(ext_x / res)), 1))
+        for res in (cfg.coarse_res, cfg.fine_res)
     )
-    fine = GridSpec(
-        (x0, y0),
-        cfg.fine_res,
-        max(int(np.ceil(ext_y / cfg.fine_res)), 1),
-        max(int(np.ceil(ext_x / cfg.fine_res)), 1),
-    )
-    return coarse, fine
 
 
 def build_labels(traj: Trajectory, imu: ImuLog, cfg: LabelingConfig):
@@ -247,15 +238,9 @@ def build_labels(traj: Trajectory, imu: ImuLog, cfg: LabelingConfig):
     """
     coarse, fine = label_grids_for(traj, cfg)
     cells = bin_trajectory(traj, imu, coarse)
-    xy = np.array(
-        [
-            [
-                coarse.origin[0] + (c.index[1] + 0.5) * coarse.resolution,
-                coarse.origin[1] + (c.index[0] + 0.5) * coarse.resolution,
-            ]
-            for c in cells
-        ]
-    )
+    xs, ys = coarse.cell_centers()
+    rows, cols = np.array([c.index for c in cells]).T
+    xy = np.column_stack([xs[cols], ys[rows]])
     tc = np.array([cell_cost(c, cfg) for c in cells])
     sparse = SparseCostmap(xy, tc)
     dense = interpolate_costmap(sparse, fine, cfg)

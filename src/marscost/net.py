@@ -28,7 +28,7 @@ from .ops import (
     resize_bilinear_backward,
     sigmoid,
 )
-from .types import DenseCostmap, GridSpec, Image, PointCloud, Sample
+from .types import DenseCostmap, GridSpec, Image, PointCloud
 
 POINT_FEATURE_DIM = 9
 
@@ -300,20 +300,6 @@ def smoothness_loss(pred: DenseCostmap, lam: float) -> float:
     return value
 
 
-def _sample_loss_grad(params: ModelParams, sample: Sample, delta: float, lam: float):
-    """Forward one sample; returns ``(huber, smooth, dL/d(values), cache)``."""
-    values, cache = forward_cached(params, sample.cloud, sample.image, sample.target.grid)
-    hub, dhub = _huber_value_grad(values, sample.target.values, sample.target.valid, delta)
-    smo, dsmo = _smoothness_value_grad(values, lam)
-    return hub, smo, dhub + dsmo, cache
-
-
-def sample_loss(params: ModelParams, sample: Sample, delta: float, lam: float) -> float:
-    """Huber + smoothness of one sample (no gradients); used by the FD oracle."""
-    hub, smo, _, _ = _sample_loss_grad(params, sample, delta, lam)
-    return hub + smo
-
-
 def loss_and_grads(params: ModelParams, batch, delta: float, lam: float):
     """Mean batch loss and exact gradients for every parameter tensor.
 
@@ -328,10 +314,12 @@ def loss_and_grads(params: ModelParams, batch, delta: float, lam: float):
     smo_sum = 0.0
     inv_n = 1.0 / len(batch)
     for sample in batch:
-        hub, smo, d_values, cache = _sample_loss_grad(params, sample, delta, lam)
+        values, cache = forward_cached(params, sample.cloud, sample.image, sample.target.grid)
+        hub, dhub = _huber_value_grad(values, sample.target.values, sample.target.valid, delta)
+        smo, dsmo = _smoothness_value_grad(values, lam)
         hub_sum += hub
         smo_sum += smo
-        total_grads += backward(cache, d_values * inv_n)
+        total_grads += backward(cache, (dhub + dsmo) * inv_n)
     hub_mean = hub_sum * inv_n
     smo_mean = smo_sum * inv_n
     return hub_mean + smo_mean, hub_mean, smo_mean, params.like(total_grads)

@@ -322,12 +322,11 @@ def simulate_lidar(
     """Cast a deterministic ray fan from the pose; hits carry surface color.
 
     Returned points are expressed in the sensor frame; rays that miss (leave
-    the extent or exceed ``max_range``) are omitted.
+    the extent or exceed ``max_range``) are omitted. :func:`march_rays`
+    rejects a pose outside the terrain extent, as it does for the camera.
     """
     if rays <= 0:
         raise ValueError("rays must be positive")
-    if not bool(np.all(hf.contains(pose.position[0], pose.position[1]))):
-        raise ValueError("sensor pose is outside the terrain extent")
     r = quat_to_matrix(pose.orientation)
     dirs_world = lidar_directions(rays, seed) @ r.T
     hit, pts_w = march_rays(hf, pose.position, dirs_world, max_range)
@@ -369,8 +368,6 @@ def render_camera(hf: Heightfield, pose: Pose, h_px: int, w_px: int) -> Image:
     """Pinhole render of the colored surface; rays that miss get the sky color."""
     if h_px < 1 or w_px < 1:
         raise ValueError("image dimensions must be positive")
-    if not bool(np.all(hf.contains(pose.position[0], pose.position[1]))):
-        raise ValueError("camera pose is outside the terrain extent")
     r = quat_to_matrix(pose.orientation)
     dirs_w = camera_directions(h_px, w_px) @ r.T
 

@@ -28,9 +28,6 @@ class AdamState:
         n = params.n_parameters()
         return cls(m=np.zeros(n), v=np.zeros(n))
 
-    def copy(self) -> "AdamState":
-        return AdamState(self.m.copy(), self.v.copy(), self.k)
-
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: float):
     """One bias-corrected Adam update; returns new (params, state).
@@ -147,14 +144,20 @@ def augment(sample: Sample, seed, cfg: AugmentConfig = AugmentConfig()) -> Sampl
         if sc or sr:
             out = translate_sample(out, int(sc), int(sr))
     if cfg.noise_sigma > 0:
-        pixels = np.clip(
-            out.image.pixels + rng.standard_normal(out.image.pixels.shape) * cfg.noise_sigma,
-            0.0,
-            1.0,
-        )
-        xyz = out.cloud.xyz + rng.standard_normal(out.cloud.xyz.shape) * cfg.noise_sigma
-        out = Sample(PointCloud(xyz, out.cloud.rgb), Image(pixels), out.target)
+        out = sensor_noise(out, rng, cfg.noise_sigma, cfg.noise_sigma)
     return out
+
+
+def sensor_noise(sample: Sample, rng, sigma_image: float, sigma_points: float) -> Sample:
+    """Gaussian noise on the image pixels (clamped to [0, 1]), then on the point
+    coordinates, both drawn from ``rng``; the target is passed on as it is."""
+    pixels = np.clip(
+        sample.image.pixels + rng.standard_normal(sample.image.pixels.shape) * sigma_image,
+        0.0,
+        1.0,
+    )
+    xyz = sample.cloud.xyz + rng.standard_normal(sample.cloud.xyz.shape) * sigma_points
+    return Sample(PointCloud(xyz, sample.cloud.rgb), Image(pixels), sample.target)
 
 
 # ---------------------------------------------------------------------------

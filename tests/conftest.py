@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from marscost.heightfield import Heightfield, generate_heightfield
-from marscost.net import NetConfig, init_params
+from marscost.net import (
+    NetConfig,
+    _huber_value_grad,
+    _smoothness_value_grad,
+    forward_cached,
+    init_params,
+)
 from marscost.types import DenseCostmap, GridSpec, Image, PointCloud, Sample
 
 TOY_NET = NetConfig(
@@ -69,3 +75,12 @@ def random_sample(seed: int, grid_size: int = 12, n_points: int = 60) -> Sample:
         rng.uniform(0, 1, (grid_size, grid_size)) > 0.3,
     )
     return Sample(cloud, image, target)
+
+
+def sample_loss(params, sample: Sample, delta: float, lam: float) -> float:
+    """Huber + smoothness of one sample, forward only: the loss that the
+    finite-difference gradient checks perturb."""
+    values, _ = forward_cached(params, sample.cloud, sample.image, sample.target.grid)
+    hub, _ = _huber_value_grad(values, sample.target.values, sample.target.valid, delta)
+    smo, _ = _smoothness_value_grad(values, lam)
+    return hub + smo

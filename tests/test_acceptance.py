@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_toy_instance
+from conftest import make_toy_instance, sample_loss
 from marscost.bev import PillarTensor, embed_image, film_gamma_beta, pillar_encode_cached, pillarize
 from marscost.checkpoint import load_checkpoint, save_checkpoint
 from marscost.cli import main as cli_main
@@ -40,7 +40,6 @@ from marscost.net import (
     NetConfig,
     _huber_value_grad,
     loss_and_grads,
-    sample_loss,
     smoothness_loss,
 )
 from marscost.simulate import generate_trajectory, synthesize_imu

@@ -4,8 +4,9 @@ The traced benchmark wraps ``marscost.<module>.<attr>`` for each target in
 ``perfbench/layers.py``; a rename or removal there would silently drop a
 traced layer. Its hooks also read some arguments by position, so those
 must keep their place and name; the first test only imports the target
-list. What the benchmark counts also rests on which traced function calls
-which: the last tests pin those calls.
+list. The workloads' own calls into marscost must still bind to the
+signatures they name. What the benchmark counts also rests on which traced
+function calls which: the last tests pin those calls.
 """
 
 import importlib
@@ -53,6 +54,32 @@ def test_benchmark_positional_arguments_keep_their_place(path, index, name):
     func = getattr(importlib.import_module(f"marscost.{module}"), attr)
     params = list(inspect.signature(func).parameters)
     assert params[index : index + 1] == [name], f"{path} parameters are now {params}"
+
+
+# each call perfbench/workloads.py makes into marscost, as (function, args, keywords);
+# strings stand in for the values, which binding does not look at
+BENCHMARK_CALLS = {
+    "predict": ("evaluation.predict", ("params", "sample"), {}),
+    "run_ablation_suite": ("evaluation.run_ablation_suite", ("params", "dataset", "specs"), {}),
+    "fit": ("train.fit", ("dataset", "cfg", "net"), {}),
+    "split_samples": ("dataset.split_samples", ("samples", 0.25), {"seed": 11}),
+    "synthesize_dataset": ("dataset.synthesize_dataset", (11,), {"n_runs": 4}),
+    "synthesize_dataset_smoke": ("dataset.synthesize_dataset", (11,), "SMOKE_DATASET"),
+    "AblationSpec": ("evaluation.AblationSpec", ("baseline",), {"seed": 3}),
+    "AugmentConfig": ("train.AugmentConfig", (),
+                      {"rotate": False, "translate": False, "noise_sigma": 0.0}),
+}
+
+
+@pytest.mark.parametrize("call", list(BENCHMARK_CALLS))
+def test_benchmark_calls_keep_their_shape(monkeypatch, call):
+    path, args, kwargs = BENCHMARK_CALLS[call]
+    if kwargs == "SMOKE_DATASET":
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        kwargs = importlib.import_module("workloads").SMOKE_DATASET
+    module, attr = path.rsplit(".", 1)
+    func = getattr(importlib.import_module(f"marscost.{module}"), attr)
+    inspect.signature(func).bind(*args, **kwargs)  # a TypeError names what no longer fits
 
 
 def test_adam_step_returns_params_and_a_state_counting_steps():

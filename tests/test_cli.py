@@ -206,9 +206,32 @@ def test_ablate_without_checkpoint_exits_2(tmp_path, capsys):
     assert "model.ckpt" in capsys.readouterr().err
 
 
-def test_label_without_runs_exits_2(tmp_path):
-    cfg, _ = _tiny_config(tmp_path)
+def test_label_without_runs_exits_2(tmp_path, capsys):
+    cfg, workdir = _tiny_config(tmp_path)
     assert main(["label", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (f"error: no simulation runs under {workdir / 'data'}; "
+                                       "run 'simulate' first\n")
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+def test_every_stage_without_runs_exits_2_with_one_message(tmp_path, capsys, command):
+    """The stages after ``label`` stop with the message ``label`` gives."""
+    cfg, workdir = _tiny_config(tmp_path)
+    if command != "train":  # past the checkpoint check, to the run lookup
+        save_checkpoint(init_params(NetConfig(1, 1, 1, 1, 1, 1), seed=0), workdir / "model.ckpt")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (f"error: no simulation runs under {workdir / 'data'}; "
+                                       "run 'simulate' first\n")
+
+
+def test_train_on_an_empty_split_exits_2(tmp_path, capsys):
+    cfg, workdir = _tiny_config(tmp_path, **{"train.holdout_fraction": 0.99})
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert main(["label", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: training split is empty\n"
+    assert not (workdir / "model.ckpt").exists()
 
 
 def test_label_header_only_trajectory_exits_2(tmp_path, capsys):
@@ -227,6 +250,17 @@ def test_export_bad_costmap_csv_exits_2(tmp_path, capsys):
                    "i,j,value,valid\n5,0,1,1\n")
     assert main(["export", "--config", str(cfg), "--map", str(bad)]) == 2
     assert "bad.csv:3" in capsys.readouterr().err
+
+
+def test_export_costmap_csv_declaring_a_huge_grid_exits_2(tmp_path, capsys):
+    cfg, _ = _tiny_config(tmp_path)
+    huge = tmp_path / "huge.csv"
+    huge.write_text("# grid origin_x=0 origin_y=0 resolution=1 rows=10000000 cols=10000000\n"
+                    "i,j,value,valid\n0,0,1,1\n")
+    assert main(["export", "--config", str(cfg), "--map", str(huge), "--format", "pgm"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {huge}:3: table ends after 1 of 100000000000000 cells")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("damage", [lambda b: b[:-5], lambda b: b + b"\x00",

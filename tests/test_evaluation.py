@@ -204,12 +204,13 @@ def test_suite_builds_the_image_bypass_once_per_pass(monkeypatch):
     params, sample = make_toy_instance(4)
     dataset = [sample, random_sample(12, grid_size=16), random_sample(13, grid_size=16)]
     spec = AblationSpec("no_image_encoder", seed=7)
-    # oracle: the per-sample bypass that predict's mode argument builds
+    # oracle: a bypass built afresh for every sample
     abs_sum = n = 0
     for idx, s in enumerate(dataset):
         seed = np.random.SeedSequence([spec.seed, idx]).generate_state(1)[0]
         ablated = apply_ablation(s, replace(spec, seed=seed))
-        err = (predict(params, ablated, spec.mode).values - ablated.target.values)[ablated.target.valid]
+        pred = predict(params.without_image(), ablated)
+        err = (pred.values - ablated.target.values)[ablated.target.valid]
         abs_sum += np.abs(err).sum()
         n += err.size
     built = []

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,13 +188,36 @@ COSTMAP_CSV_HEADER = "# grid origin_x=0 origin_y=0 resolution=0.5 rows=2 cols=2\
     (COSTMAP_CSV_HEADER + "0,0,1,1\n0,1,1,1\n0,0,7,1\n1,0,1,1\n1,1,1,1\n",
      ":5: cell \\(0, 0\\) repeats line 3"),
     (COSTMAP_CSV_HEADER + "0,0,1_0,1\n0,1,1,1\n1,0,1,1\n1,1,1,1\n", ":3"),  # float() reads 1_0
+    (COSTMAP_CSV_HEADER.replace("rows=2", "rows=1000000000"), ":1: a 1000000000x2 grid is too large"),
+    (COSTMAP_CSV_HEADER.replace("cols=2", "cols=" + "9" * 20), ":1: a 2x9+ grid is too large"),
 ], ids=["row", "column", "fraction", "valid", "ragged", "text", "grid_key",
-        "cut_at_row", "no_rows", "repeated_cell", "underscore"])
+        "cut_at_row", "no_rows", "repeated_cell", "underscore", "ten_digit_rows", "int64_cols"])
 def test_costmap_csv_errors_name_the_file(tmp_path, text, where):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     with pytest.raises(FormatError, match=rf"bad\.csv{where}"):
         mio.read_costmap_csv(path)
+
+
+HUGE_COSTMAP_CSV = ("# grid origin_x=0 origin_y=0 resolution=0.5 rows=10000000 cols=10000000\n"
+                    "i,j,value,valid\n0,0,1,1\n0,1,0.5,1\n1,0,0,0\n")
+
+
+def test_costmap_csv_short_of_a_huge_grid_allocates_by_its_bytes(tmp_path):
+    """A table that declares 10**14 cells and holds 3 is named as short without
+    any array sized by the declared grid (that would be 91 TiB of mask)."""
+    path = tmp_path / "huge.csv"
+    path.write_text(HUGE_COSTMAP_CSV)
+    assert path.stat().st_size < 1024
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=r"huge\.csv:5: table ends after 3 of "
+                           r"100000000000000 cells; cell \(0, 2\) is missing"):
+            mio.read_costmap_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_run_dir_round_trip(tmp_path, flat_field):

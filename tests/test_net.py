@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import TOY_NET, make_toy_instance, random_sample
+from conftest import TOY_NET, make_toy_instance, random_sample, sample_loss
 from marscost import net
 from marscost.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from marscost.net import (
@@ -15,7 +15,6 @@ from marscost.net import (
     huber_loss,
     init_params,
     loss_and_grads,
-    sample_loss,
     smoothness_loss,
 )
 from marscost.types import DenseCostmap, FormatError, GridSpec, Image, PointCloud

@@ -26,7 +26,7 @@ from marscost.simulate import (
     simulate_lidar,
     synthesize_imu,
 )
-from marscost.types import ImuLog, Trajectory
+from marscost.types import ImuLog, Pose, Trajectory
 from test_geometry import (
     conjugate_one,
     matrix_to_quat_one,
@@ -239,6 +239,16 @@ def test_lidar_hits_lie_on_surface(rough_field):
     world = cloud.xyz @ r.T + pose.position
     h = surface_heights(rough_field, world[:, 0], world[:, 1])
     assert np.max(np.abs(world[:, 2] - h)) <= 1e-3
+
+
+@pytest.mark.parametrize("x, y", [(-0.01, 4.0), (4.0, 8.5), (99.0, 99.0)])
+def test_sensors_off_the_terrain_are_rejected_by_the_walk(flat_field, x, y):
+    """Both sensors cast from the pose, so :func:`march_rays` checks its extent for them."""
+    pose = Pose(0.0, np.array([x, y, 2.0]), np.array([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="ray origin is outside the terrain extent"):
+        simulate_lidar(flat_field, pose, rays=16, max_range=5.0)
+    with pytest.raises(ValueError, match="ray origin is outside the terrain extent"):
+        render_camera(flat_field, pose, 4, 6)
 
 
 def test_camera_dims_and_determinism(rough_field):

@@ -59,8 +59,9 @@ def test_adam_deterministic_with_cloned_state():
     rng = np.random.default_rng(2)
     grads = params.like(rng.normal(0, 1e-3, params.theta.shape))
     s1 = AdamState.fresh(params)
-    p_a, s_a = adam_step(params, grads, s1.copy(), 1e-3)
-    p_b, s_b = adam_step(params, grads, s1.copy(), 1e-3)
+    p_a, s_a = adam_step(params, grads, s1, 1e-3)
+    p_b, s_b = adam_step(params, grads, s1, 1e-3)  # the step returns a new state
+    assert s1.k == 0 and not s1.m.any() and not s1.v.any()
     for (_, a), (_, b) in zip(p_a.named_tensors(), p_b.named_tensors()):
         assert np.array_equal(a, b)
     assert s_a.k == s_b.k
