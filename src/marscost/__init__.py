@@ -47,11 +47,10 @@ from .evaluation import (
 )
 from .heightfield import Heightfield, generate_heightfield, load_heightfield, sample_surface
 from .labeling import (
-    CellSamples,
     LabelingConfig,
     bin_trajectory,
     build_labels,
-    cell_cost,
+    cell_costs,
     interpolate_costmap,
     normalize_labels,
     sparse_kernel,

@@ -69,6 +69,12 @@ def cmd_label(cfg) -> int:
         (mio.read_trajectory_csv(d / "trajectory.csv"), mio.read_imu_csv(d / "imu.csv"))
         for d in runs
     ]
+    hf = build_terrain(cfg.terrain, cfg.seed)
+    for run_dir, (traj, _) in zip(runs, drives):  # the label grids are sized by the poses
+        try:
+            _require_inside(hf, traj.positions[:, 0], traj.positions[:, 1], "pose")
+        except ValueError as e:
+            raise FormatError(f"{run_dir / 'trajectory.csv'}: {e}") from e
     sparse, norm = label_runs(drives, cfg.labeling)
     for run_dir, labels in zip(runs, sparse):
         mio.write_sparse_csv(labels.xy, labels.tc, cfg.labels_dir / f"{run_dir.name}.sparse.csv")

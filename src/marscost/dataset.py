@@ -114,6 +114,7 @@ def localize_cloud(cloud: PointCloud, pose: Pose, window_origin) -> PointCloud:
     r = quat_to_matrix(pose.orientation)
     world = cloud.xyz @ r.T + pose.position
     local = world - np.array([window_origin[0], window_origin[1], pose.position[2]])
+    local.flags.writeable = False  # held by the cloud uncopied
     return PointCloud(local, cloud.rgb)
 
 

@@ -252,6 +252,8 @@ def read_costmap_csv(path) -> DenseCostmap:
         raise FormatError(f"{path}: missing grid header")
     try:
         keys = dict(kv.split("=") for kv in lines[0][7:].split())
+        if any("_" in v for v in keys.values()):  # int() and float() would read "1_0" as 10
+            raise ValueError("'_' is not part of a number")
         grid = GridSpec((float(keys["origin_x"]), float(keys["origin_y"])),
                         float(keys["resolution"]), int(keys["rows"]), int(keys["cols"]))
         if max(grid.rows, grid.cols) > 999_999_999:  # 9 digits, as a Netpbm header field

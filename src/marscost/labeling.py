@@ -37,33 +37,14 @@ class LabelingConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass
-class CellSamples:
-    """Trajectory/IMU samples that fell into one grid cell, in time order."""
-
-    index: tuple  # (row, col)
-    positions: np.ndarray  # (n, 3) meters
-    accels: np.ndarray  # (n, 3) m/s^2
-    gyros: np.ndarray  # (n, 3) rad/s
-
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=np.float64).reshape(-1, 3)
-        self.accels = np.asarray(self.accels, dtype=np.float64).reshape(-1, 3)
-        self.gyros = np.asarray(self.gyros, dtype=np.float64).reshape(-1, 3)
-        n = self.positions.shape[0]
-        if n < 1 or self.accels.shape[0] != n or self.gyros.shape[0] != n:
-            raise ValueError("cell needs >= 1 sample with matching arrays")
-
-    def __len__(self):
-        return self.positions.shape[0]
-
-
 def bin_trajectory(traj: Trajectory, imu: ImuLog, grid: GridSpec):
     """Assign pose/IMU pairs to the grid cells containing their (x, y).
 
     IMU samples are associated to poses by nearest timestamp (max skew half
-    the median pose spacing). Returns one :class:`CellSamples` per visited
-    cell; untouched cells are absent.
+    the median pose spacing). Returns ``(index, cell, accel, gyro)``: the
+    ``(m, 2)`` (row, col) of each visited cell in first-visit order, the
+    ``(n,)`` row of ``index`` each pose falls in, and the ``(n, 3)`` IMU
+    samples matched to the poses.
     """
     pos = traj.positions
     t_pose = traj.times
@@ -90,35 +71,40 @@ def bin_trajectory(traj: Trajectory, imu: ImuLog, grid: GridSpec):
         bad = int(np.argmin(ok))
         raise ValueError(f"pose {bad} at ({pos[bad, 0]}, {pos[bad, 1]}) is outside the label grid")
 
-    groups = {}
-    for n in range(len(traj)):
-        groups.setdefault((int(rows_i[n]), int(cols_j[n])), []).append(n)
-    return [CellSamples(key, pos[idx], accel[idx], gyro[idx]) for key, idx in groups.items()]
+    _, first, inverse = np.unique(rows_i * grid.cols + cols_j, return_index=True,
+                                  return_inverse=True)
+    by_visit = np.argsort(first)  # sorted cell numbers, ranked by their first pose
+    pose = first[by_visit]
+    return np.column_stack([rows_i[pose], cols_j[pose]]), np.argsort(by_visit)[inverse], accel, gyro
 
 
-def cell_cost(samples: CellSamples, cfg: LabelingConfig) -> float:
-    """Traversability cost of one cell.
+def cell_costs(cell, positions, accels, gyros, cfg: LabelingConfig) -> np.ndarray:
+    """Traversability cost of every cell ``0 .. cell.max()``.
 
     cost = w1 * rms(|a_i|)
          + w2 * sum(|w_i| ds_i) / sum(ds_i)
          + w3 * rms(|a_{i+1} - a_i| / ds_i)
 
-    over the cell's consecutive sample pairs, with every segment length
-    ds_i floored at epsilon. Single-sample cells contribute only the
-    acceleration term.
+    over each cell's samples in time order and its consecutive sample pairs
+    (a revisited cell pairs its last sample before leaving with its first on
+    return), with every segment length ds_i floored at epsilon.
+    Single-sample cells contribute only the acceleration term. Each sum adds
+    a cell's terms in time order from 0.0 (``np.bincount``).
     """
-    a = samples.accels
-    n = len(samples)
-    a_mag = np.linalg.norm(a, axis=1)
-    cost = cfg.w1 * float(np.sqrt(np.mean(a_mag**2)))
-    if n >= 2:
-        dp = np.diff(samples.positions, axis=0)
-        ds = np.maximum(np.linalg.norm(dp, axis=1), cfg.epsilon)
-        w_mag = np.linalg.norm(samples.gyros[:-1], axis=1)
-        cost += cfg.w2 * float(np.sum(w_mag * ds) / np.sum(ds))
-        jerk = np.linalg.norm(np.diff(a, axis=0), axis=1) / ds
-        cost += cfg.w3 * float(np.sqrt(np.mean(jerk**2)))
-    return cost
+    order = np.argsort(cell, kind="stable")
+    c = cell[order]
+    a = accels[order]
+    n = np.bincount(c)
+    cost = cfg.w1 * np.sqrt(np.bincount(c, np.linalg.norm(a, axis=1) ** 2) / n)
+    pair = c[1:] == c[:-1]
+    ds = np.maximum(np.linalg.norm(np.diff(positions[order], axis=0), axis=1), cfg.epsilon)[pair]
+    w_mag = np.linalg.norm(gyros[order][:-1], axis=1)[pair]
+    jerk = np.linalg.norm(np.diff(a, axis=0), axis=1)[pair] / ds
+    pc = c[1:][pair]
+    den = np.bincount(pc, ds, n.size)
+    path_rate = np.bincount(pc, w_mag * ds, n.size) / np.where(n > 1, den, 1.0)
+    jerk_rms = np.sqrt(np.bincount(pc, jerk**2, n.size) / np.maximum(n - 1, 1))
+    return cost + cfg.w2 * path_rate + cfg.w3 * jerk_rms
 
 
 def sparse_kernel(d, r: float):
@@ -237,11 +223,11 @@ def build_labels(traj: Trajectory, imu: ImuLog, cfg: LabelingConfig):
     kernel-interpolated raster at the fine resolution.
     """
     coarse, fine = label_grids_for(traj, cfg)
-    cells = bin_trajectory(traj, imu, coarse)
+    index, cell, accel, gyro = bin_trajectory(traj, imu, coarse)
     xs, ys = coarse.cell_centers()
-    rows, cols = np.array([c.index for c in cells]).T
-    xy = np.column_stack([xs[cols], ys[rows]])
-    tc = np.array([cell_cost(c, cfg) for c in cells])
+    xy = np.column_stack([xs[index[:, 1]], ys[index[:, 0]]])
+    tc = cell_costs(cell, traj.positions, accel, gyro, cfg)
+    xy.flags.writeable = tc.flags.writeable = False  # held by the costmap uncopied
     sparse = SparseCostmap(xy, tc)
     dense = interpolate_costmap(sparse, fine, cfg)
     return sparse, dense

@@ -335,6 +335,7 @@ def simulate_lidar(
         return PointCloud.empty()
     colors = surface_colors(hf, pts_w[:, 0], pts_w[:, 1])
     pts_s = (pts_w - pose.position) @ r
+    pts_s.flags.writeable = colors.flags.writeable = False  # held by the cloud uncopied
     return PointCloud(pts_s, colors)
 
 
@@ -375,4 +376,6 @@ def render_camera(hf: Heightfield, pose: Pose, h_px: int, w_px: int) -> Image:
     pixels = np.tile(SKY_RGB, (h_px * w_px, 1))
     if np.any(hit):
         pixels[hit] = surface_colors(hf, pts[hit, 0], pts[hit, 1])
-    return Image(np.clip(pixels.reshape(h_px, w_px, 3), 0.0, 1.0))
+    pixels = np.clip(pixels.reshape(h_px, w_px, 3), 0.0, 1.0)
+    pixels.flags.writeable = False  # held by the image uncopied
+    return Image(pixels)

@@ -31,7 +31,7 @@ from marscost.evaluation import (
 from marscost.labeling import (
     LabelingConfig,
     bin_trajectory,
-    cell_cost,
+    cell_costs,
     interpolate_costmap,
     label_grids_for,
     sparse_kernel,
@@ -135,8 +135,9 @@ def test_criterion_3_labeling_oracle(rough_field):
         traj = generate_trajectory(rough_field, [(1.5, 1.5), (8.0, 7.5)], speed=1.0, dt=0.1)
         imu = synthesize_imu(traj, rough_field, noise_scale=2.0, seed=17)
         coarse, _ = label_grids_for(traj, cfg)
-        cells = bin_trajectory(traj, imu, coarse)
-        assert len(cells) >= 10
+        index, cell, accel, gyro = bin_trajectory(traj, imu, coarse)
+        costs = cell_costs(cell, traj.positions, accel, gyro, cfg)
+        assert len(index) >= 10
         rng = np.random.default_rng(0)
         # independently re-bin: scalar floor arithmetic over the raw streams
         by_cell = {}
@@ -144,13 +145,12 @@ def test_criterion_3_labeling_oracle(rough_field):
             i = math.floor((p[1] - coarse.origin[1]) / coarse.resolution)
             j = math.floor((p[0] - coarse.origin[0]) / coarse.resolution)
             by_cell.setdefault((i, j), []).append((list(p), list(a), list(g)))
-        for idx in rng.choice(len(cells), size=10, replace=False):
-            cell = cells[idx]
-            raw = by_cell[cell.index]
+        for idx in rng.choice(len(index), size=10, replace=False):
+            raw = by_cell[tuple(index[idx].tolist())]
             expected = _cost_oracle(
                 [r[0] for r in raw], [r[1] for r in raw], [r[2] for r in raw], cfg
             )
-            assert abs(cell_cost(cell, cfg) - expected) <= 1e-9
+            assert abs(costs[idx] - expected) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +334,12 @@ def test_criterion_7_invariances(flat_field):
 
         imu_b = ImuLog(traj_b.times, imu_a.accel, imu_a.gyro)
         label_grid = GridSpec((0.0, 0.0), 0.2, 12, 32)
-        costs_a = {c.index: cell_cost(c, cfg) for c in bin_trajectory(traj_a, imu_a, label_grid)}
-        costs_b = {c.index: cell_cost(c, cfg) for c in bin_trajectory(traj_b, imu_b, label_grid)}
-        assert costs_a == costs_b
+        costs = []
+        for traj, imu in ((traj_a, imu_a), (traj_b, imu_b)):
+            index, cell, accel, gyro = bin_trajectory(traj, imu, label_grid)
+            cost = cell_costs(cell, traj.positions, accel, gyro, cfg)
+            costs.append(dict(zip(map(tuple, index.tolist()), cost)))
+        assert costs[0] == costs[1]
 
         # smoothness loss is zero iff the map is constant
         g2 = GridSpec((0.0, 0.0), 1.0, 5, 5)

@@ -18,10 +18,12 @@ import pytest
 
 import marscost.dataset
 import marscost.heightfield
+import marscost.labeling
 import marscost.net
 import marscost.ops
 import marscost.simulate
 import marscost.train
+import marscost.types
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -93,6 +95,19 @@ def test_adam_step_returns_params_and_a_state_counting_steps():
         assert isinstance(result, tuple) and len(result) == 2
         params, state = result
         assert isinstance(state.k, int) and state.k == step
+
+
+def test_build_labels_returns_the_sparse_and_dense_maps():
+    """The ``labeling.build_labels`` hook counts ``result[1].valid`` as labeled fine cells."""
+    hf = marscost.heightfield.generate_heightfield(seed=2, rows=24, cols=24, cell_size=0.25, roughness=0.5)
+    traj = marscost.simulate.generate_trajectory(hf, [(1.0, 1.0), (4.0, 4.0)], 1.0, 0.1)
+    imu = marscost.simulate.synthesize_imu(traj, hf, seed=0)
+    result = marscost.labeling.build_labels(traj, imu, marscost.labeling.LabelingConfig())
+    assert isinstance(result, tuple) and len(result) == 2
+    sparse, dense = result
+    assert isinstance(sparse, marscost.types.SparseCostmap) and len(sparse) > 0
+    assert isinstance(dense, marscost.types.DenseCostmap)
+    assert dense.valid.dtype == bool and 0 < np.count_nonzero(dense.valid) < dense.valid.size
 
 
 @pytest.mark.parametrize("k, stride", [(3, 1), (1, 1), (3, 2)])

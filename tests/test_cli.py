@@ -243,6 +243,23 @@ def test_label_header_only_trajectory_exits_2(tmp_path, capsys):
     assert "trajectory.csv" in capsys.readouterr().err
 
 
+def test_label_pose_off_the_terrain_exits_2_before_any_grid(tmp_path, capsys):
+    """A finite pose far off the terrain would size label grids of terabytes."""
+    cfg, workdir = _tiny_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    path = workdir / "data" / "run_000" / "trajectory.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[1 + 5].split(",")  # pose 5, under the header row
+    lines[1 + 5] = ",".join([fields[0], "1e9", *fields[2:]])
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["label", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: pose 5 at (1000000000.0, ")
+    assert "outside the terrain extent" in err and err.count("\n") == 1
+    assert not (workdir / "labels").exists()
+
+
 def test_export_bad_costmap_csv_exits_2(tmp_path, capsys):
     cfg, _ = _tiny_config(tmp_path)
     bad = tmp_path / "bad.csv"
@@ -261,6 +278,16 @@ def test_export_costmap_csv_declaring_a_huge_grid_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {huge}:3: table ends after 1 of 100000000000000 cells")
     assert err.count("\n") == 1
+
+
+def test_export_costmap_csv_with_a_digit_separator_in_its_header_exits_2(tmp_path, capsys):
+    cfg, _ = _tiny_config(tmp_path)
+    bad = tmp_path / "sep.csv"
+    rows = "".join(f"{i},0,1,1\n" for i in range(10))
+    bad.write_text("# grid origin_x=0 origin_y=0 resolution=0_5 rows=1_0 cols=1\n"
+                   "i,j,value,valid\n" + rows)
+    assert main(["export", "--config", str(cfg), "--map", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:1: '_' is not part of a number\n"
 
 
 @pytest.mark.parametrize("damage", [lambda b: b[:-5], lambda b: b + b"\x00",

@@ -190,8 +190,11 @@ COSTMAP_CSV_HEADER = "# grid origin_x=0 origin_y=0 resolution=0.5 rows=2 cols=2\
     (COSTMAP_CSV_HEADER + "0,0,1_0,1\n0,1,1,1\n1,0,1,1\n1,1,1,1\n", ":3"),  # float() reads 1_0
     (COSTMAP_CSV_HEADER.replace("rows=2", "rows=1000000000"), ":1: a 1000000000x2 grid is too large"),
     (COSTMAP_CSV_HEADER.replace("cols=2", "cols=" + "9" * 20), ":1: a 2x9+ grid is too large"),
-], ids=["row", "column", "fraction", "valid", "ragged", "text", "grid_key",
-        "cut_at_row", "no_rows", "repeated_cell", "underscore", "ten_digit_rows", "int64_cols"])
+    ("# grid origin_x=0 origin_y=0 resolution=0_5 rows=1_0 cols=1\ni,j,value,valid\n"
+     + "".join(f"{i},0,1,1\n" for i in range(10)),  # int() and float() read a 10x1 grid at 5 m
+     ":1: '_' is not part of a number$"),
+], ids=["row", "column", "fraction", "valid", "ragged", "text", "grid_key", "cut_at_row",
+        "no_rows", "repeated_cell", "underscore", "ten_digit_rows", "int64_cols", "header_underscore"])
 def test_costmap_csv_errors_name_the_file(tmp_path, text, where):
     path = tmp_path / "bad.csv"
     path.write_text(text)

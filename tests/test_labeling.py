@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from marscost.labeling import (
-    CellSamples,
     LabelingConfig,
     bin_trajectory,
     build_labels,
-    cell_cost,
+    cell_costs,
     interpolate_costmap,
+    label_grids_for,
     normalize_labels,
     sparse_kernel,
 )
@@ -36,9 +36,9 @@ def _straight_traj_imu(n=21, spacing=0.1, accel=(0.0, 0.0, 9.81), gyro=(0.0, 0.0
 def test_bin_two_samples_per_cell():
     traj, imu = _straight_traj_imu(n=20, spacing=0.1)
     grid = GridSpec((0.0, 0.0), 0.2, 4, 12)
-    cells = bin_trajectory(traj, imu, grid)
-    assert all(len(c) == 2 for c in cells)
-    assert len(cells) == 10
+    index, cell, _, _ = bin_trajectory(traj, imu, grid)
+    assert np.all(np.bincount(cell) == 2)
+    assert len(index) == 10
 
 
 def test_bin_floor_arithmetic():
@@ -47,10 +47,9 @@ def test_bin_floor_arithmetic():
     quat = np.tile([1.0, 0, 0, 0], (2, 1))
     traj = Trajectory(t, pos, quat)
     imu = ImuLog([0.0, 0.1], [(0, 0, 1), (0, 0, 1)], [(0, 0, 0), (0, 0, 0)])
-    cells = bin_trajectory(traj, imu, GridSpec((0.0, 0.0), 0.2, 8, 8))
-    assert len(cells) == 1
-    assert cells[0].index == (2, 1)  # row = floor(y / res), col = floor(x / res)
-    assert len(cells[0]) == 2
+    index, cell, _, _ = bin_trajectory(traj, imu, GridSpec((0.0, 0.0), 0.2, 8, 8))
+    assert index.tolist() == [[2, 1]]  # row = floor(y / res), col = floor(x / res)
+    assert cell.tolist() == [0, 0]
 
 
 def test_bin_pose_outside_grid_names_index():
@@ -68,11 +67,14 @@ def test_bin_rejects_misaligned_imu():
 
 
 def test_bin_preserves_sample_order():
-    traj, imu = _straight_traj_imu(n=8, spacing=0.04)  # all in one 0.2-cell... two cells
+    traj, _ = _straight_traj_imu(n=8, spacing=0.04)  # two 0.2-cells
+    shuffled = np.random.default_rng(3).permutation(8)
+    accel = np.column_stack([np.arange(8.0), np.zeros(8), np.ones(8)])
+    imu = ImuLog(traj.times[shuffled], accel[shuffled], np.zeros((8, 3)))
     grid = GridSpec((0.0, 0.0), 0.2, 2, 4)
-    cells = bin_trajectory(traj, imu, grid)
-    for c in cells:
-        assert np.all(np.diff(c.positions[:, 0]) > 0)
+    index, cell, acc, _ = bin_trajectory(traj, imu, grid)
+    assert np.array_equal(acc, accel)  # matched samples come back in pose order
+    assert index.tolist() == [[0, 0], [0, 1]] and cell.tolist() == [0] * 4 + [1] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -81,25 +83,27 @@ def test_bin_preserves_sample_order():
 
 
 def test_cell_cost_constant_accel():
-    cs = CellSamples(
-        (0, 0),
+    cost = cell_costs(
+        np.zeros(4, int),
         np.column_stack([np.arange(4) * 0.1, np.zeros(4), np.zeros(4)]),
         np.tile([0.0, 0.0, 9.81], (4, 1)),
         np.zeros((4, 3)),
-    )
-    assert cell_cost(cs, CFG) == pytest.approx(9.81, abs=1e-12)
+        CFG,
+    )[0]
+    assert cost == pytest.approx(9.81, abs=1e-12)
 
 
 def test_cell_cost_constant_gyro_term():
     w = 0.2 / math.sqrt(3.0)
-    cs = CellSamples(
-        (0, 0),
+    cfg = LabelingConfig(w1=1.0, w2=3.0, w3=1.0)
+    cost = cell_costs(
+        np.zeros(5, int),
         np.column_stack([np.arange(5) * 0.07, np.zeros(5), np.zeros(5)]),
         np.zeros((5, 3)),
         np.tile([w, w, w], (5, 1)),  # |gyro| = 0.2 everywhere
-    )
-    cfg = LabelingConfig(w1=1.0, w2=3.0, w3=1.0)
-    assert cell_cost(cs, cfg) == pytest.approx(3.0 * 0.2, abs=1e-12)
+        cfg,
+    )[0]
+    assert cost == pytest.approx(3.0 * 0.2, abs=1e-12)
 
 
 def _cost_oracle(positions, accels, gyros, cfg):
@@ -128,9 +132,8 @@ def test_cell_cost_matches_brute_force_oracle():
     pos = np.cumsum(rng.uniform(0.01, 0.1, (3, 3)), axis=0)
     acc = rng.normal(0, 3, (3, 3))
     gyr = rng.normal(0, 1, (3, 3))
-    cs = CellSamples((0, 0), pos, acc, gyr)
     expected = _cost_oracle(pos.tolist(), acc.tolist(), gyr.tolist(), CFG)
-    assert cell_cost(cs, CFG) == pytest.approx(expected, abs=1e-12)
+    assert cell_costs(np.zeros(3, int), pos, acc, gyr, CFG)[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_cell_cost_many_random_cells_vs_oracle():
@@ -140,25 +143,31 @@ def test_cell_cost_many_random_cells_vs_oracle():
         pos = np.cumsum(rng.uniform(0.0, 0.08, (n, 3)), axis=0)
         acc = rng.normal(0, 4, (n, 3))
         gyr = rng.normal(0, 2, (n, 3))
-        cs = CellSamples((0, 0), pos, acc, gyr)
+        cost = cell_costs(np.zeros(n, int), pos, acc, gyr, CFG)[0]
         expected = _cost_oracle(pos.tolist(), acc.tolist(), gyr.tolist(), CFG)
-        assert cell_cost(cs, CFG) == pytest.approx(expected, rel=1e-12)
-        assert cell_cost(cs, CFG) >= 0.0
+        assert cost == pytest.approx(expected, rel=1e-12)
+        assert cost >= 0.0
 
 
 def test_cell_cost_single_sample_uses_accel_only():
-    cs = CellSamples((0, 0), [[0.0, 0.0, 0.0]], [[3.0, 0.0, 4.0]], [[9.0, 9.0, 9.0]])
-    assert cell_cost(cs, CFG) == pytest.approx(5.0, abs=1e-12)
+    cost = cell_costs(np.zeros(1, int), np.array([[0.0, 0.0, 0.0]]), np.array([[3.0, 0.0, 4.0]]),
+                      np.array([[9.0, 9.0, 9.0]]), CFG)[0]
+    assert cost == pytest.approx(5.0, abs=1e-12)
 
 
 def test_cell_cost_epsilon_guards_zero_distance():
     pos = np.zeros((3, 3))  # stationary: every segment floors at epsilon
     acc = np.array([[0, 0, 1.0], [0, 0, 2.0], [0, 0, 1.0]])
-    cs = CellSamples((0, 0), pos, acc, np.zeros((3, 3)))
-    got = cell_cost(cs, CFG)
+    got = cell_costs(np.zeros(3, int), pos, acc, np.zeros((3, 3)), CFG)[0]
     assert np.isfinite(got)
     expected = _cost_oracle(pos.tolist(), acc.tolist(), np.zeros((3, 3)).tolist(), CFG)
     assert got == pytest.approx(expected, abs=1e-12)
+
+
+def _costs_by_cell(traj, imu, grid, cfg=CFG):
+    """``{(row, col): cost}`` of every visited cell, as ``build_labels`` scores them."""
+    index, cell, accel, gyro = bin_trajectory(traj, imu, grid)
+    return dict(zip(map(tuple, index.tolist()), cell_costs(cell, traj.positions, accel, gyro, cfg)))
 
 
 def test_cell_cost_time_reparameterization_invariance(flat_field):
@@ -169,11 +178,34 @@ def test_cell_cost_time_reparameterization_invariance(flat_field):
     imu_a = synthesize_imu(traj_a, flat_field, seed=0)
     imu_b = ImuLog(synthesize_imu(traj_b, flat_field, seed=0).times, imu_a.accel, imu_a.gyro)
     grid = GridSpec((0.0, 0.0), 0.2, 12, 32)
-    cells_a = bin_trajectory(traj_a, imu_a, grid)
-    cells_b = bin_trajectory(traj_b, imu_b, grid)
-    costs_a = {c.index: cell_cost(c, CFG) for c in cells_a}
-    costs_b = {c.index: cell_cost(c, CFG) for c in cells_b}
-    assert costs_a == costs_b
+    assert _costs_by_cell(traj_a, imu_a, grid) == _costs_by_cell(traj_b, imu_b, grid)
+
+
+@pytest.mark.parametrize("waypoints, speed", [
+    ([(1.0, 1.0), (8.0, 8.0), (8.0, 1.0), (1.0, 8.0)], 1.0),  # crosses itself
+    ([(1.0, 1.0), (3.0, 2.0)], 0.1),  # slow: about 20 samples per cell
+], ids=["self_crossing", "slow"])
+def test_cell_costs_match_the_oracle_over_scalar_rebinning(rough_field, waypoints, speed):
+    traj = generate_trajectory(rough_field, waypoints, speed=speed, dt=0.1)
+    imu = synthesize_imu(traj, rough_field, noise_scale=2.0, seed=17)
+    coarse, _ = label_grids_for(traj, CFG)
+    index, cell, accel, gyro = bin_trajectory(traj, imu, coarse)
+    costs = cell_costs(cell, traj.positions, accel, gyro, CFG)
+    # independently re-bin: scalar floor arithmetic over the raw streams, in time order
+    by_cell = {}
+    for n, (p, a, g) in enumerate(zip(traj.positions, imu.accel, imu.gyro)):
+        key = (math.floor((p[1] - coarse.origin[1]) / coarse.resolution),
+               math.floor((p[0] - coarse.origin[0]) / coarse.resolution))
+        by_cell.setdefault(key, []).append((n, list(p), list(a), list(g)))
+    assert index.tolist() == [list(key) for key in by_cell]  # first-visit order
+    poses = [[r[0] for r in raw] for raw in by_cell.values()]
+    if speed < 1.0:
+        assert max(map(len, poses)) >= 8  # past numpy's pairwise-summation threshold
+    else:
+        assert any(np.any(np.diff(n) > 1) for n in poses)  # a cell visited twice
+    for raw, cost in zip(by_cell.values(), costs):
+        expected = _cost_oracle([r[1] for r in raw], [r[2] for r in raw], [r[3] for r in raw], CFG)
+        assert cost == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """The ownership rule shared by every value type (see ``marscost.types._read_only``)."""
 
 import dataclasses
+import sys
+from collections import Counter
 from operator import attrgetter
 
 import numpy as np
 import pytest
 
 from marscost import heightfield, types
+from marscost.dataset import synthesize_dataset
 from marscost.heightfield import Heightfield
 from marscost.types import (
     DenseCostmap, GridSpec, Image, ImuLog, PointCloud, Pose, Sample, SparseCostmap, Trajectory,
@@ -91,3 +94,25 @@ def test_every_array_holding_type_follows_the_rule():
         and any(f.type is np.ndarray for f in dataclasses.fields(cls))
     }
     assert holding == set(CASES) - {"Sample"}
+
+
+# functions that build fresh arrays for a value type and keep no reference to them
+PRODUCERS = ("simulate_lidar", "render_camera", "localize_cloud", "build_labels")
+
+
+def test_producers_hand_their_fresh_arrays_over_uncopied(monkeypatch):
+    read_only = types._read_only
+    copies = Counter()
+
+    def counting(a, *args, **kwargs):
+        held = read_only(a, *args, **kwargs)
+        if held is not a:
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_name not in PRODUCERS:
+                frame = frame.f_back
+            copies[frame and frame.f_code.co_name] += 1
+        return held
+
+    monkeypatch.setattr(types, "_read_only", counting)
+    synthesize_dataset(seed=11, n_runs=1)
+    assert {name: copies[name] for name in PRODUCERS} == dict.fromkeys(PRODUCERS, 0), copies
