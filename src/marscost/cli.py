@@ -100,7 +100,7 @@ def _load_samples(cfg):
             raise FileNotFoundError(f"missing label raster {label_path}")
         labels = mio.read_costmap_pgm(label_path)
         traj, clouds, images = mio.read_run_dir(run_dir)
-        n_frames += len(clouds.keys() & images.keys())  # the frames build_samples pairs
+        n_frames += len(clouds)  # read_run_dir gives every frame its cloud and its image
         samples.extend(build_samples(traj, labels, clouds, images, cfg.layout))
     print(f"samples: {len(samples)} of {n_frames} sensed frames kept "
           f"({n_frames - len(samples)} under min_valid_cells={MIN_VALID_CELLS})")

@@ -160,7 +160,6 @@ class RunConfig:
     holdout_fraction: float
     baseline: AblationSpec  # the spec `eval` runs
     ablations: tuple  # one AblationSpec per mode of `eval.modes`, for `ablate`
-    source: str = "<dict>"
 
     # artifact locations under the workdir
     @property
@@ -184,7 +183,7 @@ class RunConfig:
         return self.workdir / "report"
 
 
-def validate_config(data: dict, source: str = "<dict>") -> RunConfig:
+def validate_config(data: dict) -> RunConfig:
     values = _validate(data, _SCHEMA)
     for key in ("seed", "train.seed", "eval.seed"):
         if _lookup(values, key) < 0:
@@ -202,7 +201,7 @@ def validate_config(data: dict, source: str = "<dict>") -> RunConfig:
         raise ConfigError("train.holdout_fraction: holdout_fraction must lie in [0, 1)")
     return RunConfig(seed=values["seed"], workdir=Path(values["workdir"]),
                      trajectories=trajectories, holdout_fraction=holdout_fraction,
-                     baseline=baseline, ablations=ablations, source=source, **sections)
+                     baseline=baseline, ablations=ablations, **sections)
 
 
 def load_config(path, seed_override: int = None, workdir_override=None) -> RunConfig:
@@ -223,4 +222,4 @@ def load_config(path, seed_override: int = None, workdir_override=None) -> RunCo
         data["seed"] = seed_override
     if workdir_override is not None:
         data["workdir"] = str(workdir_override)
-    return validate_config(data, str(path))
+    return validate_config(data)

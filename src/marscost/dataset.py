@@ -124,8 +124,10 @@ MIN_VALID_CELLS = 8
 
 def build_samples(traj, labels: DenseCostmap, clouds: dict, images: dict, layout: BevLayout):
     """Pair each sensed frame with its label window; skip windows with too few labels."""
+    if clouds.keys() != images.keys():
+        raise ValueError(f"frames {sorted(clouds.keys() ^ images.keys())} lack a cloud or an image")
     samples = []
-    for k in sorted(clouds.keys() & images.keys()):
+    for k in sorted(clouds):
         pose = traj[k]
         target, origin = extract_target(labels, pose.position[:2], layout)
         if int(target.valid.sum()) < MIN_VALID_CELLS:

@@ -78,10 +78,13 @@ def apply_ablation(sample: Sample, spec: AblationSpec) -> Sample:
     if spec.mode == "baseline":
         return sample
     if spec.mode == "no_color_pointcloud":
-        cloud = PointCloud(cloud.xyz, np.zeros_like(cloud.rgb))
+        rgb = np.zeros_like(cloud.rgb)
+        rgb.flags.writeable = False  # held by the cloud uncopied
+        cloud = PointCloud(cloud.xyz, rgb)
     elif spec.mode == "no_image_encoder":
-        mean_rgb = image.pixels.reshape(-1, 3).mean(axis=0)
-        cloud = PointCloud(cloud.xyz, np.tile(mean_rgb, (len(cloud), 1)))
+        rgb = np.full((len(cloud), 3), image.pixels.reshape(-1, 3).mean(axis=0))
+        rgb.flags.writeable = False  # held by the cloud uncopied
+        cloud = PointCloud(cloud.xyz, rgb)
     elif spec.mode == "occlude_image":
         px = image.pixels.copy()
         h, w = px.shape[:2]
@@ -91,12 +94,15 @@ def apply_ablation(sample: Sample, spec: AblationSpec) -> Sample:
         top = int(rng.integers(0, h - oh + 1))
         left = int(rng.integers(0, w - ow + 1))
         px[top : top + oh, left : left + ow, :] = 0.0
+        px.flags.writeable = False  # held by the image uncopied
         image = Image(px)
     elif spec.mode == "sparse_pointcloud":
         n = len(cloud)
         keep = round((1.0 - spec.drop_fraction) * n)
         idx = np.sort(rng.choice(n, size=keep, replace=False)) if n else np.zeros(0, int)
-        cloud = PointCloud(cloud.xyz[idx], cloud.rgb[idx])
+        xyz, rgb = cloud.xyz[idx], cloud.rgb[idx]
+        xyz.flags.writeable = rgb.flags.writeable = False  # held by the cloud uncopied
+        cloud = PointCloud(xyz, rgb)
     elif spec.mode == "gaussian_noise":
         return sensor_noise(sample, rng, spec.noise_sigma_image, spec.noise_sigma_points)
     return Sample(cloud, image, sample.target)

@@ -135,6 +135,7 @@ def generate_heightfield(
     height_rel = (z - z.min()) / span if span > 0 else np.zeros_like(z)
     shade = np.clip(1.0 - 1.5 * slope - 0.2 * height_rel, 0.25, 1.0)
     colors = shade[..., None] * SAND_RGB
+    z.flags.writeable = colors.flags.writeable = False  # held by the heightfield uncopied
     return Heightfield(z, cell_size, (0.0, 0.0), colors)
 
 

@@ -21,8 +21,7 @@ from .types import (
 
 COSTMAP_MAXVAL = 65535
 COSTMAP_HEADER = "i,j,value,valid"
-COSTMAP_SIDECAR_KEYS = ("origin_x_m", "origin_y_m", "resolution_m", "rows", "cols",
-                        "min_value", "max_value", "valid_mask")
+COSTMAP_SIDECAR_KEYS = ("origin_x_m", "origin_y_m", "resolution_m", "min_value", "max_value")
 
 
 def atomic_write_bytes(path, data: bytes):
@@ -159,7 +158,7 @@ def write_ppm(path, image: Image):
 
 
 def write_costmap_pgm(cmap: DenseCostmap, path):
-    """Quantize a dense costmap to 16-bit PGM with meta sidecar and validity mask."""
+    """Quantize a dense costmap to a 16-bit PGM, a ``.mask.pbm`` and a ``.meta.json`` sidecar."""
     path = Path(path)
     vals = cmap.values[cmap.valid]
     lo, hi = (float(vals.min()), float(vals.max())) if vals.size else (0.0, 0.0)
@@ -167,18 +166,14 @@ def write_costmap_pgm(cmap: DenseCostmap, path):
     scaled = np.zeros(cmap.values.shape, dtype=np.int64)
     if span > 0:
         scaled[cmap.valid] = np.rint((vals - lo) / span * COSTMAP_MAXVAL).astype(np.int64)
-    mask_path = path.with_suffix(".mask.pbm")
     write_pgm(path, scaled, COSTMAP_MAXVAL)
-    write_pbm(mask_path, cmap.valid)
+    write_pbm(path.with_suffix(".mask.pbm"), cmap.valid)
     meta = {
         "origin_x_m": cmap.grid.origin[0],
         "origin_y_m": cmap.grid.origin[1],
         "resolution_m": cmap.grid.resolution,
-        "rows": cmap.grid.rows,
-        "cols": cmap.grid.cols,
         "min_value": lo,
         "max_value": hi,
-        "valid_mask": mask_path.name,
     }
     atomic_write_text(path.with_suffix(".meta.json"), json.dumps(meta, indent=2) + "\n")
 
@@ -186,8 +181,8 @@ def write_costmap_pgm(cmap: DenseCostmap, path):
 def read_sidecar(path, keys) -> dict:
     """The JSON object of a raster's sidecar; each of ``keys`` must be in it.
 
-    Every listed value must be a finite number, except ``valid_mask``, which
-    must name a file beside the sidecar. JSON integers are read as floats.
+    Every listed value must be a finite number; other keys are not looked at.
+    JSON integers are read as floats.
     """
     try:
         meta = json.loads(Path(path).read_bytes(), parse_int=float)
@@ -201,30 +196,24 @@ def read_sidecar(path, keys) -> dict:
         if key not in meta:
             raise FormatError(f"{path}: sidecar missing key {key!r}")
         value = meta[key]
-        if key == "valid_mask":
-            bare = isinstance(value, str) and "\0" not in value and value not in ("", ".", "..")
-            if not (bare and Path(value).name == value):
-                raise FormatError(f"{path}: valid_mask must be a bare file name, found {value!r}")
-        elif not (type(value) is float and math.isfinite(value)):
+        if not (type(value) is float and math.isfinite(value)):
             raise FormatError(f"{path}: key {key!r} must be a finite number, found {value!r}")
     return meta
 
 
 def read_costmap_pgm(path) -> DenseCostmap:
+    """Read ``<name>.pgm`` with ``<name>.meta.json`` and ``<name>.mask.pbm``; no other file."""
     path = Path(path)
     pixels, maxval = read_pgm(path)
     meta_path = path.with_suffix(".meta.json")
     meta = read_sidecar(meta_path, COSTMAP_SIDECAR_KEYS)
-    if (meta["rows"], meta["cols"]) != pixels.shape:
-        raise FormatError(f"{meta_path}: rows x cols {meta['rows']:g}x{meta['cols']:g} "
-                          f"differ from the {pixels.shape[0]}x{pixels.shape[1]} raster {path}")
     grid = _build(meta_path, GridSpec, (meta["origin_x_m"], meta["origin_y_m"]),
                   meta["resolution_m"], *pixels.shape)
-    mask_path = path.parent / meta["valid_mask"]
+    mask_path = path.with_suffix(".mask.pbm")
     try:
         valid = read_pbm(mask_path)
     except OSError as e:
-        raise FormatError(f"{meta_path}: cannot read its valid_mask: {e}") from None
+        raise FormatError(f"{mask_path}: cannot read the validity mask: {e.strerror}") from None
     if valid.shape != pixels.shape:
         raise FormatError(f"{mask_path}: {valid.shape[0]}x{valid.shape[1]} mask does not match "
                           f"the {pixels.shape[0]}x{pixels.shape[1]} raster {path}")
@@ -450,13 +439,18 @@ def _frames(run_dir: Path, kind: str, suffix: str, read) -> dict:
 def read_run_dir(run_dir):
     """Load a run directory's sensing; returns (trajectory, {k: cloud}, {k: image}).
 
+    Every frame ``k`` has both its files, so the two dicts hold the same frames.
     The IMU stream is left unread: only labeling uses it, through :func:`read_imu_csv`.
     """
     run_dir = Path(run_dir)
     traj = read_trajectory_csv(run_dir / "trajectory.csv")
     clouds = _frames(run_dir, "cloud", ".csv", read_cloud_csv)
     images = _frames(run_dir, "image", ".ppm", read_ppm)
-    k = max([*clouds, *images], default=-1)
+    if clouds.keys() != images.keys():
+        k = min(clouds.keys() ^ images.keys())
+        lost = run_dir / (f"image_{k}.ppm" if k in clouds else f"cloud_{k}.csv")
+        raise FormatError(f"{lost}: missing; frame {k} needs a cloud and an image")
+    k = max(clouds, default=-1)
     if k >= len(traj):
         raise FormatError(f"{run_dir / 'trajectory.csv'}: {len(traj)} poses, but the run has frame {k}")
     return traj, clouds, images

@@ -95,6 +95,7 @@ def generate_trajectory(
 
     t = np.arange(n) * dt
     positions = np.column_stack([xy, z])
+    t.flags.writeable = positions.flags.writeable = quats.flags.writeable = False  # held uncopied
     return Trajectory(t, positions, quats)
 
 
@@ -143,6 +144,7 @@ def synthesize_imu(
 
     world_from_body = quat_to_matrix(quats)
     accel_b = (np.swapaxes(world_from_body, -1, -2) @ specific_w[:, :, None])[:, :, 0] + noise
+    accel_b.flags.writeable = gyro_b.flags.writeable = False  # held by the log uncopied
     return ImuLog(t, accel_b, gyro_b)
 
 

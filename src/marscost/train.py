@@ -95,6 +95,7 @@ def rotate_sample(sample: Sample, quarter_turns: int) -> Sample:
     for _ in range(k):
         xy = np.column_stack([-xy[:, 1], xy[:, 0]])  # +90 deg about +z
     new_xyz = np.column_stack([xy + np.array([cx, cy]), sample.cloud.xyz[:, 2]])
+    new_xyz.flags.writeable = False  # held by the cloud uncopied
     # +90 deg world rotation on row=y/col=x storage is one clockwise array turn
     t = sample.target
     return Sample(PointCloud(new_xyz, sample.cloud.rgb), sample.image,
@@ -117,7 +118,7 @@ def translate_sample(sample: Sample, shift_cols: int, shift_rows: int) -> Sample
     elif shift_cols < 0:
         valid[:, shift_cols:] = False
     values = np.where(valid, values, 0.0)
-    values.flags.writeable = valid.flags.writeable = False  # held by the costmap uncopied
+    new_xyz.flags.writeable = values.flags.writeable = valid.flags.writeable = False  # held uncopied
     return Sample(
         PointCloud(new_xyz, sample.cloud.rgb),
         sample.image,
@@ -157,6 +158,7 @@ def sensor_noise(sample: Sample, rng, sigma_image: float, sigma_points: float) -
         1.0,
     )
     xyz = sample.cloud.xyz + rng.standard_normal(sample.cloud.xyz.shape) * sigma_points
+    pixels.flags.writeable = xyz.flags.writeable = False  # held by the image and cloud uncopied
     return Sample(PointCloud(xyz, sample.cloud.rgb), Image(pixels), sample.target)
 
 

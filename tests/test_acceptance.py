@@ -429,11 +429,11 @@ GOLDEN_TRAIN_EVAL = {
         "report/ablation.csv": "5796ae30bd5e70e1753e167c4c78a786b7e12c2283e3a2f18624464591f2fd7d",
         "report/prediction_0.pgm": "d6fe7e420462c11eeb3e47c7accf85fccdc3a5fef06a92a1abee56c65517a087",
         "report/prediction_0.mask.pbm": "cbe4fa1585971dc8ef73a1e4ab99a6797d86f92017c989dd7c9f8d72a63b0f08",
-        "report/prediction_0.meta.json": "37c45980e70cc0c861bde5ce145b8eda43552c4b39968e72527e6dfbb7a1c7f9",
+        "report/prediction_0.meta.json": "5a5667e0c1c1807e943232968bc911810b68bb128e3fd8998b6b7ab582fc9bab",
         "report/prediction_0.csv": "6ffdaadcf91c71c3296cdc4128141f40e34cd0dbda30d585a0a51b7228d03255",
         "report/target_0.pgm": "6cc0200b2b0559751299d079d6afb6fe15faf347f3d352c1c17fc23101ccdc33",
         "report/target_0.mask.pbm": "9613aa464659ac6519a08e847a4d615aec37845d63ad81f215cea194f7d8bab6",
-        "report/target_0.meta.json": "22260eed0478fd22ff6a8547eb55297651c26cf6d5d48161b4d0143b0c09c5cb",
+        "report/target_0.meta.json": "0eceed0e6c1b89d0462b54fd7dae873484adda5037ae2a202bdc15d4a4dcd5f1",
         "criterion_5/theta": "fdee626aa4ee407e793d5b087e48cc83d506ca957dd8f5d0f4bdc8f736992371",
         "criterion_5/history": "94d99bc4b295436f27b7d71f9915e9e418ff0802f0dd20db42c74ef168236c85",
     },

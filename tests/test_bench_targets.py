@@ -18,6 +18,7 @@ import pytest
 
 import marscost.dataset
 import marscost.heightfield
+import marscost.io
 import marscost.labeling
 import marscost.net
 import marscost.ops
@@ -158,3 +159,31 @@ def test_simulate_run_senses_each_frame_once(monkeypatch):
     assert len(frames) > 3 and sorted(clouds) == sorted(images) == frames
     times = [traj.times[k] for k in frames]
     assert [args[1].t for args in lidar] == [args[1].t for args in camera] == times
+
+
+def _sensed_run():
+    hf = marscost.heightfield.generate_heightfield(seed=2, rows=24, cols=24, cell_size=0.25, roughness=0.5)
+    sim = marscost.dataset.SimConfig(lidar_rays=32, camera_h_px=4, camera_w_px=6, sensor_stride=3)
+    return marscost.dataset.simulate_run(hf, [(1.0, 1.0), (4.5, 3.0)], sim, 0, lambda k: k)
+
+
+# ``dataset.frames_sensed`` counts the frames of the ``clouds`` and ``images`` of
+# each ``build_samples`` call; the next two tests keep that every frame sensed
+
+
+def test_read_run_dir_returns_one_frame_set(tmp_path):
+    traj, imu, clouds, images = _sensed_run()
+    marscost.io.write_run_dir(tmp_path / "run", traj, imu, clouds, images)
+    _, read_clouds, read_images = marscost.io.read_run_dir(tmp_path / "run")
+    assert read_clouds.keys() == read_images.keys() == clouds.keys()
+
+
+def test_build_samples_rejects_unpaired_frames():
+    traj, imu, clouds, images = _sensed_run()
+    labels = marscost.labeling.build_labels(traj, imu, marscost.labeling.LabelingConfig())[1]
+    layout = marscost.dataset.BevLayout(size=8, resolution=0.2)
+    assert marscost.dataset.build_samples(traj, labels, clouds, images, layout)
+    lone = dict(images)
+    del lone[max(lone)]
+    with pytest.raises(ValueError, match=rf"frames \[{max(images)}\]"):
+        marscost.dataset.build_samples(traj, labels, clouds, lone, layout)

@@ -116,8 +116,6 @@ def _sample_count_line(workdir, layout) -> str:
         half = layout.size * layout.resolution / 2.0
         for cloud in run.glob("cloud_*.csv"):
             k = int(cloud.stem.split("_")[1])
-            if not (run / f"image_{k}.ppm").exists():
-                continue
             frames += 1
             corner = [round((traj.positions[k, axis] - half - labels.grid.origin[axis])
                             / labels.grid.resolution) for axis in (0, 1)]
@@ -144,7 +142,8 @@ def test_train_eval_ablate_report_the_kept_samples(tmp_path, capsys):
     valid = labels.valid & (row_y <= 3.0)[:, None]
     mio.write_costmap_pgm(DenseCostmap(labels.grid, np.where(valid, labels.values, 0.0), valid),
                           label_path)
-    # and a cloud without its image is no sensed frame
+    # and a frame lost whole, cloud and image, is no sensed frame
+    (workdir / "data" / "run_000" / "cloud_72.csv").unlink()
     (workdir / "data" / "run_000" / "image_72.ppm").unlink()
     expected = _sample_count_line(workdir, load_config(cfg).layout)
     assert expected.startswith("samples: 3 of 4 ")  # the damage skips some frames, not all
@@ -531,7 +530,7 @@ GOLDEN_SIMULATE_LABEL = {
     "data/run_000/trajectory.csv": "80bd96f9b8eaf3cb39b8ac2101667cef3e3631eb3e26837244a01d8b132dce8d",
     "labels/normalization.json": "c5178f27a863dbfdafc6913388338e71aeeafaf51831c5fa62eda6ff4170dfba",
     "labels/run_000.mask.pbm": "351c9a119b2840ba7a89ca5bcc43db7268799081bb79f15e22499a0d6aa22658",
-    "labels/run_000.meta.json": "add8e9604150938431bcee45ffc2eeb9f1850dc17f0f5576adcdc7b434fd22b4",
+    "labels/run_000.meta.json": "1cab53d6cb942dd4cb571c376db9f86fea43d53008f6bdd78ec8a8e007f19113",
     "labels/run_000.pgm": "a2a1e8af4065e3af625f75bc81370a6f00207ebc1845f0fe275a082833d4aa69",
     "labels/run_000.sparse.csv": "c93eb5807c18cd718dbe669cdf1b6d5b0d2578ee9bd660604b2bdf785ef991af",
 }

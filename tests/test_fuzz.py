@@ -4,12 +4,14 @@ Small artifacts are damaged three ways: truncated at every offset, with
 seeded bytes flipped, and with ``NaN``, ``Infinity`` and ``1e999`` put into
 each numeric field. A read must return a valid object or raise a
 ``FormatError`` that names the damaged file; any other exception fails.
-One CLI case per artifact kind must exit 2 and name the file on stderr.
+One CLI case per artifact kind must exit 2 and name the file in one line on
+stderr. A run directory that lost one frame file must name it.
 """
 
 import json
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +141,8 @@ CLI_CASES = {
     "imu": ("label", "data/run_000/imu.csv", _nan_row),
     "cloud": ("train", "data/run_000/cloud_0.csv", _nan_row),
     "image": ("train", "data/run_000/image_0.ppm", _halve),
+    "image_lost": ("train", "data/run_000/image_36.ppm", Path.unlink),
+    "cloud_lost": ("train", "data/run_000/cloud_36.csv", Path.unlink),
     "costmap_pgm": ("train", "labels/run_000.pgm", _halve),
     "costmap_sidecar": ("train", "labels/run_000.meta.json", _nan_sidecar),
     "costmap_mask": ("train", "labels/run_000.mask.pbm", _halve),
@@ -182,3 +186,18 @@ def test_cli_damaged_artifact_exits_2(tmp_path, capsys, labeled_workdir, kind):
     err = capsys.readouterr().err
     assert str(workdir / name) in err
     assert "Traceback" not in err
+    assert len(err.splitlines()) == 1, err
+
+
+def test_run_dir_missing_any_frame_file_names_it(tmp_path, labeled_workdir):
+    """Each frame needs its cloud and its image: losing either is named, not skipped."""
+    _, original = labeled_workdir
+    data = shutil.copytree(original / "data", tmp_path / "data")
+    clouds, images = sorted(data.glob("run_*/cloud_*.csv")), sorted(data.glob("run_*/image_*.ppm"))
+    assert len(clouds) == len(images) > 1
+    for path in clouds + images:
+        kept = path.read_bytes()
+        path.unlink()
+        with pytest.raises(FormatError, match=re.escape(f"{path}: missing")):
+            mio.read_run_dir(path.parent)
+        path.write_bytes(kept)

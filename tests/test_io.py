@@ -278,17 +278,18 @@ def _set(key, value):
     return lambda meta: {**meta, key: value}
 
 
+def _unlink(path):
+    path.unlink()
+    return path
+
+
 # name: damage(directory holding c.pgm, c.meta.json and c.mask.pbm) -> the damaged file
 COSTMAP_DAMAGE = {
-    "sidecar_without_rows": lambda d: _edit_json(
-        d / "c.meta.json", lambda m: {k: v for k, v in m.items() if k != "rows"}),
+    "sidecar_without_origin": lambda d: _edit_json(
+        d / "c.meta.json", lambda m: {k: v for k, v in m.items() if k != "origin_x_m"}),
     "sidecar_list": lambda d: _edit_json(d / "c.meta.json", lambda m: []),
-    "mask_number": lambda d: _edit_json(d / "c.meta.json", _set("valid_mask", 5)),
-    "mask_parent": lambda d: _edit_json(d / "c.meta.json", _set("valid_mask", "../c.mask.pbm")),
-    "mask_absolute": lambda d: _edit_json(
-        d / "c.meta.json", _set("valid_mask", str(d.parent / "c.mask.pbm"))),
+    "mask_missing": lambda d: _unlink(d / "c.mask.pbm"),
     "mask_2x2": lambda d: _rewrite(d / "c.mask.pbm", lambda _: "P1\n2 2\n1111\n"),
-    "sidecar_rows": lambda d: _edit_json(d / "c.meta.json", _set("rows", 5)),
     "pbm_header": lambda d: _rewrite(d / "c.mask.pbm", lambda _: "P1\nx 2\n"),
     "p2_extra_tokens": lambda d: _rewrite(d / "c.pgm", lambda text: text + "7\n"),
 }
@@ -306,12 +307,40 @@ def test_hostile_costmap_raster_names_the_file(tmp_path, capsys, case):
     maps = tmp_path / "maps"
     cmap = _random_costmap(7, rows=4, cols=3)
     mio.write_costmap_pgm(cmap, maps / "c.pgm")
-    mio.write_pbm(tmp_path / "c.mask.pbm", cmap.valid)  # a readable mask outside the directory
     damaged = COSTMAP_DAMAGE[case](maps)
     with pytest.raises(FormatError, match=re.escape(str(damaged))):
         mio.read_costmap_pgm(maps / "c.pgm")
     assert main(["export", "--config", _cli_config(tmp_path), "--map", str(maps / "c.pgm")]) == 2
     assert str(damaged) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["parent", "absolute"])
+def test_costmap_reads_its_own_mask_whatever_the_sidecar_names(tmp_path, where):
+    maps = tmp_path / "maps"
+    cmap = _random_costmap(7, rows=4, cols=3)
+    mio.write_costmap_pgm(cmap, maps / "c.pgm")
+    mio.write_pbm(tmp_path / "c.mask.pbm", ~cmap.valid)  # readable, the right size, and wrong
+    name = "../c.mask.pbm" if where == "parent" else str(tmp_path / "c.mask.pbm")
+    _edit_json(maps / "c.meta.json", _set("valid_mask", name))
+    assert np.array_equal(mio.read_costmap_pgm(maps / "c.pgm").valid, cmap.valid)
+
+
+def test_costmap_sidecar_of_eight_keys_reads_to_the_same_costmap(tmp_path):
+    """A sidecar that also holds ``rows``, ``cols`` and ``valid_mask``, as the
+    format once did, reads to the same bytes."""
+    cmap = _random_costmap(8, rows=5, cols=6)
+    mio.write_costmap_pgm(cmap, tmp_path / "c.pgm")
+    five = mio.read_costmap_pgm(tmp_path / "c.pgm")
+    meta = json.loads((tmp_path / "c.meta.json").read_text())
+    assert list(meta) == list(mio.COSTMAP_SIDECAR_KEYS)
+    keys = ["origin_x_m", "origin_y_m", "resolution_m", "rows", "cols", "min_value", "max_value",
+            "valid_mask"]
+    meta.update(rows=5, cols=6, valid_mask="c.mask.pbm")
+    (tmp_path / "c.meta.json").write_text(json.dumps({k: meta[k] for k in keys}, indent=2) + "\n")
+    eight = mio.read_costmap_pgm(tmp_path / "c.pgm")
+    assert eight.grid == five.grid == cmap.grid
+    assert eight.values.tobytes() == five.values.tobytes()
+    assert eight.valid.tobytes() == five.valid.tobytes()
 
 
 @pytest.mark.parametrize("value", [None, "a", float("nan")], ids=["null", "string", "nan"])

@@ -10,7 +10,9 @@ import pytest
 
 from marscost import heightfield, types
 from marscost.dataset import synthesize_dataset
+from marscost.evaluation import ABLATION_MODES, AblationSpec, apply_ablation
 from marscost.heightfield import Heightfield
+from marscost.train import AugmentConfig, augment
 from marscost.types import (
     DenseCostmap, GridSpec, Image, ImuLog, PointCloud, Pose, Sample, SparseCostmap, Trajectory,
 )
@@ -97,7 +99,9 @@ def test_every_array_holding_type_follows_the_rule():
 
 
 # functions that build fresh arrays for a value type and keep no reference to them
-PRODUCERS = ("simulate_lidar", "render_camera", "localize_cloud", "build_labels")
+PRODUCERS = ("simulate_lidar", "render_camera", "localize_cloud", "build_labels",
+             "generate_trajectory", "synthesize_imu", "generate_heightfield",
+             "rotate_sample", "translate_sample", "sensor_noise", "apply_ablation")
 
 
 def test_producers_hand_their_fresh_arrays_over_uncopied(monkeypatch):
@@ -114,5 +118,10 @@ def test_producers_hand_their_fresh_arrays_over_uncopied(monkeypatch):
         return held
 
     monkeypatch.setattr(types, "_read_only", counting)
-    synthesize_dataset(seed=11, n_runs=1)
+    samples = synthesize_dataset(seed=11, n_runs=1)
+    noisy = AugmentConfig(rotate=True, translate=True, noise_sigma=0.01)
+    for i, s in enumerate(samples):
+        augment(s, i, noisy)
+        for mode in ABLATION_MODES:
+            apply_ablation(s, AblationSpec(mode))
     assert {name: copies[name] for name in PRODUCERS} == dict.fromkeys(PRODUCERS, 0), copies
