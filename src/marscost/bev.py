@@ -57,48 +57,78 @@ def pillarize(cloud: PointCloud, grid: GridSpec, max_points: int) -> PillarTenso
     flattened cell index, points within a pillar by input order.
 
     Built once per :class:`PointCloud` object (clouds are immutable), grid and
-    cap; the arrays of the result are read-only.
+    cap; the arrays of the result are read-only. The grouping depends on the
+    points alone, so a recoloured copy (:meth:`PointCloud.recolored`) takes the
+    first tensor built on the same points and refills only its colours.
     """
     if max_points < 1:
         raise ValueError("max_points must be at least 1")
     key = (grid, max_points)
-    if key not in cloud._pillars:
-        cloud._pillars[key] = _pillarize(cloud, grid, max_points)
-    return cloud._pillars[key]
+    pt = cloud._pillars.get(key)
+    if pt is None:
+        grouping = cloud._groups.get(key)
+        if grouping is None:
+            grouping = cloud._groups[key] = _pillarize(cloud, grid, max_points)
+            pt = grouping[0]
+        else:
+            pt = _recolor(grouping, cloud.rgb)
+        cloud._pillars[key] = pt
+    return pt
 
 
-def _pillarize(cloud: PointCloud, grid: GridSpec, max_points: int) -> PillarTensor:
-    i, j = grid.cell_of(cloud.xyz[:, 0], cloud.xyz[:, 1])
-    inside = (i >= 0) & (i < grid.rows) & (j >= 0) & (j < grid.cols)
-    n_outside = int(np.count_nonzero(~inside))
-    xyz = cloud.xyz[inside]
-    rgb = cloud.rgb[inside]
-    flat = i[inside] * grid.cols + j[inside]
+def _pillarize(cloud: PointCloud, grid: GridSpec, max_points: int):
+    """``(pt, slot, src)``: the cloud's pillars, and for each kept point its flat
+    ``(pillar, rank)`` slot in ``pt.features`` and its row in the cloud."""
+    n = len(cloud)
+    # the column and row of each point, as GridSpec.cell_of computes them
+    cell = np.floor((cloud.xyz[:, :2] - grid.origin) / grid.resolution)
+    inside = cell >= 0.0
+    inside &= cell < (grid.cols, grid.rows)
+    inside = np.flatnonzero(inside[:, 0] & inside[:, 1])
+    flat = (cell @ (1.0, grid.cols))[inside].astype(np.int64)  # exact on small integers
 
     order = np.argsort(flat, kind="stable")  # stable keeps input order within a pillar
-    uniq, starts, sizes = np.unique(flat[order], return_index=True, return_counts=True)
-    group = np.repeat(np.arange(uniq.size), sizes)  # pillar of each sorted point
-    rank = np.arange(order.size) - starts[group]  # its position within the pillar
-    kept = rank < max_points
-    group, rank, src = group[kept], rank[kept], order[kept]
-
-    indices = np.column_stack([uniq // grid.cols, uniq % grid.cols]).astype(np.int64)
-    counts = np.minimum(sizes, max_points).astype(np.int64)
-    n_dropped = int(order.size - src.size)
+    src = inside[order]
+    flat = flat[order]
+    first = np.empty(src.size, dtype=bool)  # where each pillar's run of sorted points starts
+    first[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    group = first.view(np.uint8).cumsum(dtype=np.intp) - 1  # pillar of each sorted point
+    rank = np.arange(src.size) - starts[group]  # its position within the pillar
+    counts = np.bincount(group, minlength=starts.size)
     slots = int(counts.max(initial=0))
-    features = np.zeros((uniq.size, slots, 9))
-    features[group, rank, 0:3] = xyz[src]
-    features[group, rank, 3:6] = rgb[src]
-    # centroid summed slot by slot from +0.0 in input order, as a per-pillar
-    # mean(axis=0) does; the zero padding past a pillar's count adds nothing
-    sums = np.zeros((uniq.size, 3))
-    for k in range(slots):
-        sums += features[:, k, 0:3]
-    centroid = sums / counts[:, None]
-    features[group, rank, 6:9] = xyz[src] - centroid[group]
+    if slots > max_points:
+        kept = rank < max_points
+        group, rank, src = group[kept], rank[kept], src[kept]
+        counts = np.minimum(counts, max_points)
+        slots = max_points
+
+    indices = np.empty((starts.size, 2), dtype=np.int64)
+    np.divmod(flat[starts], grid.cols, out=(indices[:, 0], indices[:, 1]))
+    xyz = cloud.xyz[src]
+    # each centroid summed from +0.0 in input order, as the per-pillar
+    # mean(axis=0) does: bincount adds its weights in input order
+    sums = np.bincount((group[:, None] * 3 + np.arange(3)).reshape(-1), weights=xyz.reshape(-1),
+                       minlength=3 * starts.size).reshape(-1, 3)
+    rows = np.concatenate([xyz, cloud.rgb[src], xyz - (sums / counts[:, None])[group]], axis=1)
+    slot = group * slots + rank
+    features = np.zeros((starts.size * slots, 9))
+    features[slot] = rows
+    features = features.reshape(starts.size, slots, 9)
     for a in (indices, features, counts):
         a.flags.writeable = False
-    return PillarTensor(indices, features, counts, max_points, n_outside, n_dropped)
+    pt = PillarTensor(indices, features, counts, max_points, n - inside.size, inside.size - src.size)
+    return pt, slot, src
+
+
+def _recolor(grouping, rgb: np.ndarray) -> PillarTensor:
+    """``grouping``'s tensor with the colours taken from ``rgb``, a cloud of the same points."""
+    pt, slot, src = grouping
+    features = pt.features.copy()
+    features.reshape(-1, 9)[slot, 3:6] = rgb[src]
+    features.flags.writeable = False
+    return PillarTensor(pt.indices, features, pt.counts, pt.max_points, pt.n_outside, pt.n_dropped)
 
 
 def pillar_encode_cached(pt: PillarTensor, w: np.ndarray, b: np.ndarray, grid: GridSpec):
@@ -111,20 +141,26 @@ def pillar_encode_cached(pt: PillarTensor, w: np.ndarray, b: np.ndarray, grid: G
     if w.ndim != 2 or w.shape[0] != 9 or b.shape != (w.shape[1],):
         raise ValueError(f"pillar weights must be (9, C) with bias (C,), got {w.shape}, {b.shape}")
     c = w.shape[1]
-    data = np.zeros((grid.rows, grid.cols, c))
+    data = np.zeros((grid.rows * grid.cols, c))
     cache = {"pt": pt, "w": w, "z_pos": None, "argmax": None}
     if pt.n_pillars == 0:
-        return data, cache
+        return data.reshape(grid.rows, grid.cols, c), cache
     p, slots, _ = pt.features.shape
     z = (pt.features.reshape(p * slots, 9) @ w + b).reshape(p, slots, c)
     a = np.maximum(z, 0.0)
-    slot_valid = np.arange(slots)[None, :] < pt.counts[:, None]  # (P, slots)
-    a_masked = np.where(slot_valid[:, :, None], a, -np.inf)
-    argmax = np.argmax(a_masked, axis=1)  # (P, C), first max wins ties
-    pooled = np.take_along_axis(a_masked, argmax[:, None, :], axis=1)[:, 0, :]
-    data[pt.indices[:, 0], pt.indices[:, 1], :] = pooled
-    cache.update(z_pos=z > 0.0, argmax=argmax)
-    return data, cache
+    # the max over a pillar's filled slots, slot by slot: a slot replaces the
+    # best so far only where it is strictly larger, so the first max wins ties
+    pooled = a[:, 0].copy()
+    argmax = np.zeros((p, c), dtype=np.intp)  # (P, C)
+    for k in range(1, slots):
+        better = a[:, k] > pooled
+        better &= (pt.counts > k)[:, None]
+        np.copyto(pooled, a[:, k], where=better)
+        argmax[better] = k
+    cell = pt.indices[:, 0] * grid.cols + pt.indices[:, 1]
+    data[cell] = pooled
+    cache.update(z_pos=z > 0.0, argmax=argmax, cell=cell)
+    return data.reshape(grid.rows, grid.cols, c), cache
 
 
 def pillar_encode_backward(cache, d_map: np.ndarray):
@@ -133,11 +169,14 @@ def pillar_encode_backward(cache, d_map: np.ndarray):
     w = cache["w"]
     if pt.n_pillars == 0:
         return np.zeros_like(w), np.zeros(w.shape[1])
-    d_pool = d_map[pt.indices[:, 0], pt.indices[:, 1], :]  # (P, C)
-    dz = np.zeros(cache["z_pos"].shape)
-    np.put_along_axis(dz, cache["argmax"][:, None, :], d_pool[:, None, :], axis=1)
-    dz *= cache["z_pos"]
-    flat_dz = dz.reshape(-1, w.shape[1])
+    z_pos = cache["z_pos"]
+    p, slots, c = z_pos.shape
+    # each (pillar, channel)'s winning slot takes the map's gradient where its
+    # activation was positive, and a signed zero where not, as dz *= z_pos gives
+    win = ((np.arange(p)[:, None] * slots + cache["argmax"]) * c + np.arange(c)).reshape(-1)
+    dz = np.zeros(p * slots * c)
+    dz[win] = d_map.reshape(-1, c)[cache["cell"]].reshape(-1) * z_pos.reshape(-1)[win]
+    flat_dz = dz.reshape(-1, c)
     dw = pt.features.reshape(-1, 9).T @ flat_dz
     db = flat_dz.sum(axis=0)
     return dw, db
@@ -156,32 +195,40 @@ def embed_image(img: Image) -> np.ndarray:
     return img._embedding
 
 
-def _bin_of(x: np.ndarray) -> np.ndarray:
-    """The histogram bin of each value in [0, 1]: 64 equal bins, the last one closed."""
-    return np.minimum((x * _HIST_BINS).astype(np.intp), _HIST_BINS - 1)
-
-
 def _embed_pixels(px: np.ndarray) -> np.ndarray:
-    n_px = px.shape[0] * px.shape[1]
-    lum = px.mean(axis=2)
-    gx = np.diff(lum, axis=1)
-    gy = np.diff(lum, axis=0)
-    gmag = np.concatenate([np.abs(gx).reshape(-1), np.abs(gy).reshape(-1)])
-    if gmag.size == 0:
-        gmag = np.zeros(1)
+    h, w = px.shape[:2]
+    n = h * w
+    planes = px.reshape(n, 3).T  # (3, n): one colour plane per row
+    # the luminance px.mean(axis=2) gives, summed as it sums: ((0 + r) + g) + b;
+    # a last axis of 3 is slow to reduce over
+    lum = planes[0] + 0.0
+    lum += planes[1]
+    lum += planes[2]
+    lum /= 3
+    lum = lum.reshape(h, w)
+    gx = lum[:, 1:] - lum[:, :-1]
+    gy = lum[1:] - lum[:-1]
+    n_grad = max(gx.size + gy.size, 1)  # a single pixel has no gradient: one zero stands in
     # the 64 bins over [0, 1] have edges exactly k / 64 and x * 64 is exact, so a
     # value's bin is min(int(x * 64), 63), the bin np.histogram finds; one
-    # bincount counts the three channels and the gradients, each offset by 64
-    channel_bins = _bin_of(px) + np.arange(0, 3 * _HIST_BINS, _HIST_BINS)
-    grad_bins = _bin_of(np.clip(gmag, 0.0, 1.0)) + 3 * _HIST_BINS
-    bins = np.concatenate([channel_bins.reshape(-1), grad_bins])
-    hists = np.bincount(bins, minlength=4 * _HIST_BINS).reshape(4, _HIST_BINS)
-    parts = [hists[:3].reshape(-1) / n_px, hists[3] / gmag.size]
-    parts.append(resize_bilinear(lum, _THUMB, _THUMB).reshape(-1))
-    vec = np.concatenate(parts)
+    # bincount counts the three channels and the gradient magnitudes (which lie
+    # in [0, 1], so need no clip), each offset by 64
+    values = np.zeros(3 * n + n_grad)
+    values[: 3 * n].reshape(3, n)[...] = planes
+    np.abs(gx, out=values[3 * n : 3 * n + gx.size].reshape(gx.shape))
+    np.abs(gy, out=values[3 * n + gx.size : 3 * n + gx.size + gy.size].reshape(gy.shape))
+    bins = (values * _HIST_BINS).astype(np.intp)
+    np.minimum(bins, _HIST_BINS - 1, out=bins)
+    bins[n : 2 * n] += _HIST_BINS
+    bins[2 * n : 3 * n] += 2 * _HIST_BINS
+    bins[3 * n :] += 3 * _HIST_BINS
+    hists = np.bincount(bins, minlength=4 * _HIST_BINS)
     out = np.zeros(EMBED_DIM)
-    out[: vec.size] = vec
-    norm = np.linalg.norm(out)
+    np.divide(hists[: 3 * _HIST_BINS], n, out=out[: 3 * _HIST_BINS])
+    np.divide(hists[3 * _HIST_BINS :], n_grad, out=out[3 * _HIST_BINS : 4 * _HIST_BINS])
+    thumb = resize_bilinear(lum, _THUMB, _THUMB)
+    out[4 * _HIST_BINS : 4 * _HIST_BINS + thumb.size] = thumb.reshape(-1)
+    norm = np.sqrt(out.dot(out))  # what np.linalg.norm computes for a vector
     if norm > 0:
         out /= norm
     out.flags.writeable = False

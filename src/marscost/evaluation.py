@@ -69,9 +69,11 @@ def apply_ablation(sample: Sample, spec: AblationSpec) -> Sample:
     """Corrupt one sample's inputs per the spec; the target is passed on as it is.
 
     Deterministic for a fixed seed; ``baseline`` returns ``sample`` itself.
-    ``no_image_encoder`` writes the mean image color into the points; the
-    image conditioning it also needs bypassed comes from the weights, which
-    :func:`run_ablation_suite` picks once per pass.
+    ``no_color_pointcloud`` and ``no_image_encoder`` recolour the cloud
+    (:meth:`PointCloud.recolored`), so their points keep the clean cloud's
+    pillar grouping. ``no_image_encoder`` writes the mean image color into the
+    points; the image conditioning it also needs bypassed comes from the
+    weights, which :func:`run_ablation_suite` picks once per pass.
     """
     rng = np.random.default_rng(spec.seed)
     cloud, image = sample.cloud, sample.image
@@ -80,12 +82,12 @@ def apply_ablation(sample: Sample, spec: AblationSpec) -> Sample:
     if spec.mode == "no_color_pointcloud":
         rgb = np.zeros_like(cloud.rgb)
         rgb.flags.writeable = False  # held by the cloud uncopied
-        cloud = PointCloud(cloud.xyz, rgb)
+        cloud = cloud.recolored(rgb)
     elif spec.mode == "no_image_encoder":
         rgb = np.full((len(cloud), 3), image.pixels.reshape(-1, 3).mean(axis=0))
         rgb.flags.writeable = False  # held by the cloud uncopied
-        cloud = PointCloud(cloud.xyz, rgb)
-    elif spec.mode == "occlude_image":
+        cloud = cloud.recolored(rgb)
+    elif spec.mode == "occlude_image" and spec.occlusion_fraction > 0.0:  # 0 occludes nothing
         px = image.pixels.copy()
         h, w = px.shape[:2]
         oh = max(1, round(h * np.sqrt(spec.occlusion_fraction)))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .io import _build, read_pgm, read_sidecar
-from .types import _frozen, _hold, _read_only
+from .types import FormatError, _frozen, _hold, _read_only
 
 SAND_RGB = np.array([0.72, 0.55, 0.40])
 DEFAULT_GRAY = 0.5
@@ -151,6 +151,8 @@ def load_heightfield(path) -> Heightfield:
     meta_path = path.with_suffix(".meta.json")
     meta = read_sidecar(meta_path, ("min_height_m", "max_height_m", "cell_size_m"))
     lo, hi = meta["min_height_m"], meta["max_height_m"]
+    if lo > hi:  # equal is flat terrain
+        raise FormatError(f"{meta_path}: min_height_m {lo!r} exceeds max_height_m {hi!r}")
     z = lo + pixels.astype(np.float64) / maxval * (hi - lo)
     return _build(f"{path} with {meta_path}", Heightfield, z, meta["cell_size_m"])
 

@@ -207,6 +207,9 @@ def read_costmap_pgm(path) -> DenseCostmap:
     pixels, maxval = read_pgm(path)
     meta_path = path.with_suffix(".meta.json")
     meta = read_sidecar(meta_path, COSTMAP_SIDECAR_KEYS)
+    lo, hi = meta["min_value"], meta["max_value"]
+    if lo > hi:  # equal is a constant map
+        raise FormatError(f"{meta_path}: min_value {lo!r} exceeds max_value {hi!r}")
     grid = _build(meta_path, GridSpec, (meta["origin_x_m"], meta["origin_y_m"]),
                   meta["resolution_m"], *pixels.shape)
     mask_path = path.with_suffix(".mask.pbm")
@@ -217,7 +220,6 @@ def read_costmap_pgm(path) -> DenseCostmap:
     if valid.shape != pixels.shape:
         raise FormatError(f"{mask_path}: {valid.shape[0]}x{valid.shape[1]} mask does not match "
                           f"the {pixels.shape[0]}x{pixels.shape[1]} raster {path}")
-    lo, hi = meta["min_value"], meta["max_value"]
     values = lo + pixels.astype(np.float64) / maxval * (hi - lo)
     values[~valid] = 0.0
     return _build(meta_path, DenseCostmap, grid, values, valid)

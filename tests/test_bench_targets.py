@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import marscost.bev
 import marscost.dataset
 import marscost.heightfield
 import marscost.io
@@ -25,6 +26,7 @@ import marscost.ops
 import marscost.simulate
 import marscost.train
 import marscost.types
+from marscost.evaluation import AblationSpec, apply_ablation
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -187,3 +189,25 @@ def test_build_samples_rejects_unpaired_frames():
     del lone[max(lone)]
     with pytest.raises(ValueError, match=rf"frames \[{max(images)}\]"):
         marscost.dataset.build_samples(traj, labels, clouds, lone, layout)
+
+
+def test_recoloured_clouds_keep_the_clean_points_and_their_pillar_counts(monkeypatch):
+    """``learn``'s inference p50 rests on the two recolouring modes reusing the
+    clean cloud's ``xyz`` and its pillar grouping, and the ``bev.pillarize``
+    hook counts ``len(cloud)``, ``n_outside`` and ``n_dropped`` of each call."""
+    rng = np.random.default_rng(4)
+    grid = marscost.types.GridSpec((0.0, 0.0), 0.5, 6, 6)
+    cloud = marscost.types.PointCloud(rng.uniform(-1.0, 4.0, (80, 3)), rng.uniform(0, 1, (80, 3)))
+    image = marscost.types.Image(rng.uniform(0, 1, (4, 6, 3)))
+    sample = marscost.types.Sample(cloud, image, marscost.types.DenseCostmap(grid, np.zeros((6, 6))))
+    builds = []
+    monkeypatch.setattr(marscost.bev, "_pillarize", _counting(builds, marscost.bev._pillarize))
+    clean = marscost.bev.pillarize(cloud, grid, 2)
+    assert clean.n_outside > 0 and clean.n_dropped > 0
+    for mode in ("no_color_pointcloud", "no_image_encoder"):
+        recoloured = apply_ablation(sample, AblationSpec(mode)).cloud
+        assert recoloured is not cloud and recoloured.xyz is cloud.xyz
+        pt = marscost.bev.pillarize(recoloured, grid, 2)
+        assert pt.indices is clean.indices and pt.counts is clean.counts
+        assert (len(recoloured), pt.n_outside, pt.n_dropped) == (80, clean.n_outside, clean.n_dropped)
+    assert len(builds) == 1

@@ -125,6 +125,17 @@ def test_occlusion_zeroes_expected_fraction():
     assert np.array_equal(out.cloud.xyz, sample.cloud.xyz)
 
 
+def test_occlusion_of_zero_occludes_nothing():
+    params, sample = make_toy_instance(21)
+    clean = predict(params, sample).values
+    for seed in range(4):
+        out = apply_ablation(sample, AblationSpec("occlude_image", occlusion_fraction=0.0, seed=seed))
+        assert out.image.pixels.tobytes() == sample.image.pixels.tobytes()
+        assert predict(params, out).values.tobytes() == clean.tobytes()
+    out = apply_ablation(sample, AblationSpec("occlude_image", occlusion_fraction=0.001, seed=0))
+    assert np.all(out.image.pixels == 0.0, axis=2).sum() == 1  # any other fraction hides a pixel
+
+
 def test_gaussian_mode_sigma_zero_unchanged():
     sample = random_sample(8)
     spec = AblationSpec("gaussian_noise", noise_sigma_image=0.0, noise_sigma_points=0.0, seed=4)

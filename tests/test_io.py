@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from marscost import io as mio
+from marscost.checkpoint import _WIDTHS, MAGIC, load_checkpoint
 from marscost.cli import main
 from marscost.heightfield import load_heightfield
 from marscost.types import DenseCostmap, FormatError, GridSpec, Image, Pose
@@ -353,6 +354,79 @@ def test_hostile_heightmap_sidecar_names_the_file(tmp_path, capsys, value):
     config = _cli_config(tmp_path, heightmap_path=str(tmp_path / "h.pgm"))
     assert main(["simulate", "--config", config]) == 2
     assert str(sidecar) in capsys.readouterr().err
+
+
+def test_costmap_sidecar_with_its_range_reversed_names_the_sidecar(tmp_path, capsys):
+    """A minimum above the maximum would read the raster upside down; equal
+    bounds are a constant map, which the writer itself produces."""
+    maps = tmp_path / "maps"
+    mio.write_costmap_pgm(_random_costmap(9, rows=4, cols=3), maps / "c.pgm")
+    meta = json.loads((maps / "c.meta.json").read_text())
+    lo, hi = meta["min_value"], meta["max_value"]
+    _edit_json(maps / "c.meta.json", lambda m: {**m, "min_value": hi, "max_value": lo})
+    message = f"{maps / 'c.meta.json'}: min_value {hi!r} exceeds max_value {lo!r}"
+    with pytest.raises(FormatError, match=re.escape(message)):
+        mio.read_costmap_pgm(maps / "c.pgm")
+    assert main(["export", "--config", _cli_config(tmp_path), "--map", str(maps / "c.pgm")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    grid = GridSpec((0.0, 0.0), 0.5, 2, 3)
+    valid = np.array([[1, 1, 0], [1, 0, 1]], bool)
+    constant = DenseCostmap(grid, np.where(valid, 0.75, 0.0), valid)  # invalid cells read as 0
+    mio.write_costmap_pgm(constant, maps / "k.pgm")
+    back = mio.read_costmap_pgm(maps / "k.pgm")
+    assert back.values.tobytes() == constant.values.tobytes()
+
+
+def test_heightmap_sidecar_with_its_range_reversed_names_the_sidecar(tmp_path, capsys):
+    mio.write_pgm(tmp_path / "h.pgm", np.arange(64).reshape(8, 8), 255)
+    sidecar = tmp_path / "h.meta.json"
+    sidecar.write_text(json.dumps({"min_height_m": 1.0, "max_height_m": 0.5, "cell_size_m": 1.0}))
+    message = f"{sidecar}: min_height_m 1.0 exceeds max_height_m 0.5"
+    with pytest.raises(FormatError, match=re.escape(message)):
+        load_heightfield(tmp_path / "h.pgm")
+    config = _cli_config(tmp_path, heightmap_path=str(tmp_path / "h.pgm"))
+    assert main(["simulate", "--config", config]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    sidecar.write_text(json.dumps({"min_height_m": 0.5, "max_height_m": 0.5, "cell_size_m": 1.0}))
+    assert np.all(load_heightfield(tmp_path / "h.pgm").elevations == 0.5)  # flat terrain
+
+
+def _huge_checkpoint(path):
+    """Magic and widths asking for about 10**14 parameters, with 24 bytes of them."""
+    path.write_bytes(MAGIC + _WIDTHS.pack(4_000_000, 4_000_000, 1, 1, 1, 1) + bytes(24))
+
+
+# files under 1 KiB whose headers declare about 10**14 pixels or parameters
+HUGE_DECLARATIONS = {
+    "pgm_p2": ("huge.pgm", lambda p: p.write_bytes(b"P2\n10000000 10000000\n255\n0 1 2\n"),
+               mio.read_pgm, "P2 raster must be exactly 100000000000000 decimal"),
+    "pgm_p5": ("huge.pgm", lambda p: p.write_bytes(b"P5\n10000000 10000000\n65535\n" + bytes(6)),
+               mio.read_pgm, "P5 raster must be 200000000000000 bytes"),
+    "pbm": ("huge.pbm", lambda p: p.write_bytes(b"P1\n10000000 10000000\n0 1 1\n"),
+            mio.read_pbm, "P1 raster must be exactly 100000000000000 0/1 bits"),
+    "ppm": ("huge.ppm", lambda p: p.write_bytes(b"P6\n10000000 10000000\n255\n" + bytes(6)),
+            mio.read_ppm, "P6 raster must be 300000000000000 bytes"),
+    "checkpoint": ("huge.ckpt", _huge_checkpoint, load_checkpoint,
+                   "24 bytes of parameters, but the widths in its header take 1152001056006296"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_DECLARATIONS))
+def test_reader_short_of_a_huge_declaration_allocates_by_its_bytes(tmp_path, case):
+    """Each reader checks a declared size against the bytes it holds before it
+    sizes any array by it, as the costmap CSV reader does."""
+    name, write, read, message = HUGE_DECLARATIONS[case]
+    path = tmp_path / name
+    write(path)
+    assert path.stat().st_size < 1024
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+            read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
