@@ -45,7 +45,7 @@ from .evaluation import (
     mse,
     run_ablation_suite,
 )
-from .heightfield import Heightfield, generate_heightfield, load_heightfield, sample_surface
+from .heightfield import Heightfield, generate_heightfield, load_heightfield
 from .labeling import (
     LabelingConfig,
     bin_trajectory,

@@ -110,10 +110,8 @@ def _load_samples(cfg):
 
 
 def _split(cfg):
-    """(train, held-out) samples; the held-out side falls back to every sample if empty."""
-    samples = _load_samples(cfg)
-    train_set, heldout = split_samples(samples, cfg.holdout_fraction, cfg.seed)
-    return train_set, heldout or samples
+    """(train, held-out) samples."""
+    return split_samples(_load_samples(cfg), cfg.holdout_fraction, cfg.seed)
 
 
 def cmd_train(cfg) -> int:
@@ -133,11 +131,20 @@ def cmd_train(cfg) -> int:
 
 
 def _model_and_heldout(cfg):
-    """The trained checkpoint and the held-out samples it is evaluated on."""
+    """The trained checkpoint and the held-out samples it is evaluated on.
+
+    An empty held-out split falls back to every sample (the whole training
+    split, in order), and a note on stderr says so.
+    """
     if not cfg.checkpoint_path.exists():
         raise FileNotFoundError(f"missing checkpoint {cfg.checkpoint_path}; run 'train' first")
     params = load_checkpoint(cfg.checkpoint_path)
-    return params, _split(cfg)[1]
+    train_set, heldout = _split(cfg)
+    if not heldout:
+        print(f"note: the held-out split is empty; scoring all {len(train_set)} samples, "
+              "which include the training split", file=sys.stderr)
+        heldout = train_set
+    return params, heldout
 
 
 def cmd_eval(cfg) -> int:

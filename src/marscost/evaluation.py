@@ -1,9 +1,10 @@
 """Metrics, input-corruption ablations and costmap export.
 
 The ablation suite probes a trained model's robustness by corrupting inputs
-at evaluation time (color removal, image occlusion, point dropout, Gaussian
-noise) while the label raster is never touched. One shared set of weights is
-used for every mode.
+at evaluation time (color removal, a flat image, image occlusion, point
+dropout, Gaussian noise) while the label raster is never touched. One shared
+set of weights is used for every mode: :func:`apply_ablation` alone defines
+what a mode does.
 """
 
 from dataclasses import dataclass, replace
@@ -71,9 +72,9 @@ def apply_ablation(sample: Sample, spec: AblationSpec) -> Sample:
     Deterministic for a fixed seed; ``baseline`` returns ``sample`` itself.
     ``no_color_pointcloud`` and ``no_image_encoder`` recolour the cloud
     (:meth:`PointCloud.recolored`), so their points keep the clean cloud's
-    pillar grouping. ``no_image_encoder`` writes the mean image color into the
-    points; the image conditioning it also needs bypassed comes from the
-    weights, which :func:`run_ablation_suite` picks once per pass.
+    pillar grouping. ``no_image_encoder`` replaces the image by a flat image of
+    its mean color and writes that color into the points, so no image content
+    reaches the model.
     """
     rng = np.random.default_rng(spec.seed)
     cloud, image = sample.cloud, sample.image
@@ -84,9 +85,12 @@ def apply_ablation(sample: Sample, spec: AblationSpec) -> Sample:
         rgb.flags.writeable = False  # held by the cloud uncopied
         cloud = cloud.recolored(rgb)
     elif spec.mode == "no_image_encoder":
-        rgb = np.full((len(cloud), 3), image.pixels.reshape(-1, 3).mean(axis=0))
-        rgb.flags.writeable = False  # held by the cloud uncopied
+        mean = image.pixels.reshape(-1, 3).mean(axis=0)
+        rgb = np.full((len(cloud), 3), mean)
+        px = np.full(image.pixels.shape, mean)
+        rgb.flags.writeable = px.flags.writeable = False  # held by the cloud and image uncopied
         cloud = cloud.recolored(rgb)
+        image = Image(px)
     elif spec.mode == "occlude_image" and spec.occlusion_fraction > 0.0:  # 0 occludes nothing
         px = image.pixels.copy()
         h, w = px.shape[:2]
@@ -156,8 +160,6 @@ def run_ablation_suite(params: ModelParams, dataset, specs) -> MetricsReport:
         raise ValueError("dataset is empty")
     rows = []
     for spec in specs:
-        # the image bypass is the same for every sample, so it is built once per pass
-        weights = params.without_image() if spec.mode == "no_image_encoder" else params
         abs_sum = 0.0
         sq_sum = 0.0
         n_cells = 0
@@ -166,7 +168,7 @@ def run_ablation_suite(params: ModelParams, dataset, specs) -> MetricsReport:
                 spec, seed=np.random.SeedSequence([spec.seed, idx]).generate_state(1)[0]
             )
             ablated = apply_ablation(sample, per_sample)
-            pred = predict(weights, ablated)
+            pred = predict(params, ablated)
             err = _valid_errors(pred, ablated.target)
             abs_sum += float(np.abs(err).sum())
             sq_sum += float((err**2).sum())

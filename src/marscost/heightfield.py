@@ -238,11 +238,3 @@ def surface_colors(hf: Heightfield, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def slope_magnitudes(hf: Heightfield, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """|grad h| at world points; used to couple IMU noise to local terrain."""
     return np.hypot(*_surface_gradient(hf, x, y))
-
-
-def sample_surface(hf: Heightfield, x: float, y: float):
-    """Height, unit normal and color of the surface at one world point."""
-    h = surface_heights(hf, np.float64(x), np.float64(y))
-    n = surface_normals(hf, np.float64(x), np.float64(y))
-    c = surface_colors(hf, np.float64(x), np.float64(y))
-    return float(h), n, c

@@ -90,19 +90,6 @@ class ModelParams:
         """Another vector, such as a gradient, in this layout."""
         return ModelParams(self.config, theta)
 
-    def copy(self) -> "ModelParams":
-        return self.like(self.theta.copy())
-
-    def without_image(self) -> "ModelParams":
-        """The same weights with identity FiLM (gamma = 1, beta = 0): the image is ignored."""
-        bypass = self.copy()
-        for name, tensor in bypass.named_tensors():
-            if name.startswith("film"):
-                tensor[...] = 0.0
-        for b2 in (bypass.film3_b2, bypass.film4_b2):
-            b2[: b2.size // 2] = 1.0
-        return bypass
-
 
 def _layout(cfg: NetConfig) -> dict:
     """``name -> (fan_in, shape)`` of every tensor, in the order of ``ModelParams.theta``.

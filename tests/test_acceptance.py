@@ -426,7 +426,7 @@ GOLDEN_TRAIN_EVAL = {
         "model.ckpt": "3dfb2f37204db8ad0f87e6ecff0f157f3d45362d4350342a6b169eb1969d7229",
         "train_log.csv": "87be10bed42189e15244e7618c3d688ef3978423ab7e3609fab9781d271d602f",
         "report/eval.csv": "ce94e4285a96adf8b6991f989f04af33ba84ad05210f1c525eeadd96291584fd",
-        "report/ablation.csv": "5796ae30bd5e70e1753e167c4c78a786b7e12c2283e3a2f18624464591f2fd7d",
+        "report/ablation.csv": "c06aeda412223e4149ad638c371feb9c7b261178149bf4428850082231a0a70f",
         "report/prediction_0.pgm": "d6fe7e420462c11eeb3e47c7accf85fccdc3a5fef06a92a1abee56c65517a087",
         "report/prediction_0.mask.pbm": "cbe4fa1585971dc8ef73a1e4ab99a6797d86f92017c989dd7c9f8d72a63b0f08",
         "report/prediction_0.meta.json": "5a5667e0c1c1807e943232968bc911810b68bb128e3fd8998b6b7ab582fc9bab",

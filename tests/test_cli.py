@@ -8,13 +8,13 @@ import pytest
 
 from marscost import cli, config
 from marscost import io as mio
-from marscost.checkpoint import save_checkpoint
+from marscost.checkpoint import load_checkpoint, save_checkpoint
 from marscost.cli import main
 from marscost.config import load_config, validate_config
 from marscost.dataset import (
     MIN_VALID_CELLS, BevLayout, SimConfig, build_samples, label_runs, simulate_run,
 )
-from marscost.evaluation import ABLATION_MODES, AblationSpec
+from marscost.evaluation import ABLATION_MODES, AblationSpec, run_ablation_suite
 from marscost.heightfield import TerrainConfig, build_terrain
 from marscost.io import COSTMAP_MAXVAL, read_run_dir
 from marscost.labeling import LabelingConfig
@@ -231,6 +231,33 @@ def test_train_on_an_empty_split_exits_2(tmp_path, capsys):
     assert main(["train", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == "error: training split is empty\n"
     assert not (workdir / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("holdout", [0.0, None])  # None: the config's default split
+def test_eval_and_ablate_say_when_they_score_training_samples(tmp_path, capsys, holdout):
+    overrides = {} if holdout is None else {"train.holdout_fraction": holdout}
+    cfg, workdir = _tiny_config(tmp_path, **overrides)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert main(["label", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    loaded = load_config(cfg)
+    train_set, heldout = cli._split(loaded)
+    assert bool(heldout) == (holdout is None)
+    note = ("" if heldout else f"note: the held-out split is empty; scoring all {len(train_set)} "
+            "samples, which include the training split\n")
+    for command in ("eval", "ablate"):
+        assert main([command, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == note
+    # the note changes no file: the reports score the held-out samples, else every sample
+    params = load_checkpoint(workdir / "model.ckpt")
+    scored = heldout or train_set
+    report = workdir / "report"
+    suite = run_ablation_suite(params, scored, [loaded.baseline])
+    assert (report / "eval.csv").read_text() == suite.to_csv_text()
+    suite = run_ablation_suite(params, scored, loaded.ablations)
+    assert (report / "ablation.csv").read_text() == suite.to_csv_text()
 
 
 def test_label_header_only_trajectory_exits_2(tmp_path, capsys):

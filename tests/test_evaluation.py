@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_toy_instance, random_sample
+from marscost import evaluation
 from marscost.bev import embed_image
 from marscost.evaluation import (
     ABLATION_MODES,
@@ -17,8 +18,7 @@ from marscost.evaluation import (
     predict,
     run_ablation_suite,
 )
-from marscost.net import ModelParams
-from marscost.types import DenseCostmap, GridSpec, PointCloud, Sample
+from marscost.types import DenseCostmap, GridSpec, Image, PointCloud, Sample
 
 
 def _pair(seed, rows=8, cols=8):
@@ -105,7 +105,26 @@ def test_no_image_encoder_injects_mean_color():
     sample = random_sample(5)
     out = apply_ablation(sample, AblationSpec("no_image_encoder"))
     mean_rgb = sample.image.pixels.reshape(-1, 3).mean(axis=0)
-    assert np.allclose(out.cloud.rgb, mean_rgb[None, :], atol=1e-12)
+    assert np.all(out.cloud.rgb == mean_rgb)
+    # the image goes flat at the clean mean colour, pixel for pixel
+    assert out.image.pixels.shape == sample.image.pixels.shape
+    assert np.all(out.image.pixels == mean_rgb)
+    assert out.cloud.xyz is sample.cloud.xyz
+    assert out.target is sample.target
+
+
+def test_no_image_encoder_sees_only_the_mean_color():
+    params, sample = make_toy_instance(22)
+    # multiples of 1/64 sum exactly, so the reversed image has the very same mean
+    px = np.random.default_rng(5).integers(0, 65, sample.image.pixels.shape) / 64.0
+    a = Sample(sample.cloud, Image(px), sample.target)
+    b = Sample(sample.cloud, Image(px[::-1, ::-1]), sample.target)
+    assert not np.array_equal(a.image.pixels, b.image.pixels)
+    assert predict(params, a).values.tobytes() != predict(params, b).values.tobytes()
+    spec = AblationSpec("no_image_encoder")
+    pa = predict(params, apply_ablation(a, spec)).values
+    pb = predict(params, apply_ablation(b, spec)).values
+    assert pa.tobytes() == pb.tobytes()
 
 
 def test_sparse_mode_keeps_exact_count():
@@ -144,7 +163,7 @@ def test_gaussian_mode_sigma_zero_unchanged():
     assert np.array_equal(out.image.pixels, sample.image.pixels)
 
 
-@pytest.mark.parametrize("mode", ["occlude_image", "gaussian_noise"])
+@pytest.mark.parametrize("mode", ["no_image_encoder", "occlude_image", "gaussian_noise"])
 def test_image_ablations_give_a_new_image_and_embedding(mode):
     sample = random_sample(10)
     out = apply_ablation(sample, AblationSpec(mode, seed=6))
@@ -211,25 +230,27 @@ def test_suite_one_row_per_mode_and_deterministic():
     assert all(0.0 <= r.mae <= 1.0 for r in r1.rows)
 
 
-def test_suite_builds_the_image_bypass_once_per_pass(monkeypatch):
+def test_suite_gives_every_mode_the_same_params(monkeypatch):
     params, sample = make_toy_instance(4)
     dataset = [sample, random_sample(12, grid_size=16), random_sample(13, grid_size=16)]
     spec = AblationSpec("no_image_encoder", seed=7)
-    # oracle: a bypass built afresh for every sample
+    # oracle: the mode's samples, ablated and scored one by one
     abs_sum = n = 0
     for idx, s in enumerate(dataset):
         seed = np.random.SeedSequence([spec.seed, idx]).generate_state(1)[0]
         ablated = apply_ablation(s, replace(spec, seed=seed))
-        pred = predict(params.without_image(), ablated)
+        pred = predict(params, ablated)
         err = (pred.values - ablated.target.values)[ablated.target.valid]
         abs_sum += np.abs(err).sum()
         n += err.size
-    built = []
-    without_image = ModelParams.without_image
-    monkeypatch.setattr(ModelParams, "without_image", lambda p: built.append(p) or without_image(p))
-    report = run_ablation_suite(params, dataset, [spec, AblationSpec("baseline"), spec])
-    assert len(built) == 2  # one per no_image_encoder pass, not one per sample
-    assert report.rows[0].mae == report.rows[2].mae == abs_sum / n
+    seen = []
+    monkeypatch.setattr(evaluation, "predict", lambda p, s: seen.append(p) or predict(p, s))
+    specs = [AblationSpec(m, seed=7) for m in ABLATION_MODES] + [spec]
+    report = run_ablation_suite(params, dataset, specs)
+    assert len(seen) == len(specs) * len(dataset)
+    assert all(p is params for p in seen)  # no mode swaps the weights
+    assert report.rows[ABLATION_MODES.index("no_image_encoder")].mae == abs_sum / n
+    assert report.rows[-1].mae == abs_sum / n
 
 
 def test_report_csv_shape():

@@ -8,8 +8,9 @@ from marscost.heightfield import (
     _node_bilinear,
     generate_heightfield,
     load_heightfield,
-    sample_surface,
+    surface_colors,
     surface_heights,
+    surface_normals,
 )
 from marscost.types import FormatError
 
@@ -100,19 +101,22 @@ def test_load_ramp_monotone(tmp_path):
     assert hf.elevations[0, -1] == 2.0
 
 
+def _at(x, y):
+    return np.array([x]), np.array([y])
+
+
 def test_sample_surface_flat(flat_field):
-    h, n, c = sample_surface(flat_field, 1.234, 2.345)
-    assert h == pytest.approx(1.5, abs=1e-12)
-    assert np.allclose(n, [0, 0, 1])
-    assert np.allclose(c, flat_field.colors[0, 0])
+    x, y = _at(1.234, 2.345)
+    assert surface_heights(flat_field, x, y)[0] == pytest.approx(1.5, abs=1e-12)
+    assert np.allclose(surface_normals(flat_field, x, y)[0], [0, 0, 1])
+    assert np.allclose(surface_colors(flat_field, x, y)[0], flat_field.colors[0, 0])
 
 
 def test_sample_surface_at_node_exact():
     rng = np.random.default_rng(0)
     z = rng.uniform(-1, 1, (8, 8))
     hf = Heightfield(z, 0.5)
-    h, _, _ = sample_surface(hf, 3 * 0.5, 5 * 0.5)
-    assert h == z[5, 3]
+    assert surface_heights(hf, *_at(3 * 0.5, 5 * 0.5))[0] == z[5, 3]
 
 
 def test_sample_surface_cell_center_is_corner_mean():
@@ -120,14 +124,14 @@ def test_sample_surface_cell_center_is_corner_mean():
     rng = np.random.default_rng(1)
     z = rng.uniform(-1, 1, (4, 4))
     hf = Heightfield(z, 1.0)
-    h, _, _ = sample_surface(hf, 1.5, 2.5)
     expected = (z[2, 1] + z[2, 2] + z[3, 1] + z[3, 2]) / 4.0
-    assert h == pytest.approx(expected, abs=1e-12)
+    assert surface_heights(hf, *_at(1.5, 2.5))[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_sample_surface_out_of_extent(flat_field):
-    with pytest.raises(ValueError):
-        sample_surface(flat_field, -0.1, 1.0)
+    for query in (surface_heights, surface_normals, surface_colors):
+        with pytest.raises(ValueError, match="outside the terrain extent"):
+            query(flat_field, *_at(-0.1, 1.0))
     with pytest.raises(ValueError):
         surface_heights(flat_field, np.array([1.0, 99.0]), np.array([1.0, 1.0]))
 
@@ -137,8 +141,6 @@ def test_normals_unit_and_colors_bounded(rough_field):
     x0, x1, y0, y1 = rough_field.extent
     xs = rng.uniform(x0, x1, 64)
     ys = rng.uniform(y0, y1, 64)
-    from marscost.heightfield import surface_colors, surface_normals
-
     n = surface_normals(rough_field, xs, ys)
     assert np.allclose(np.linalg.norm(n, axis=1), 1.0, atol=1e-12)
     c = surface_colors(rough_field, xs, ys)

@@ -88,7 +88,7 @@ def test_adam_and_train_config_reject_non_positive_lr(lr):
 
 def test_adam_step_does_not_mutate_inputs():
     params = init_params(TOY_NET, seed=3)
-    before = params.copy()
+    before = params.like(params.theta.copy())
     state = AdamState.fresh(params)
     grads = params.like(np.full(params.theta.shape, 0.1))
     adam_step(params, grads, state, 1e-2)
