@@ -56,24 +56,25 @@ def pillarize(cloud: PointCloud, grid: GridSpec, max_points: int) -> PillarTenso
     taken against the centroid of the kept points. Pillars are ordered by
     flattened cell index, points within a pillar by input order.
 
-    Built once per :class:`PointCloud` object (clouds are immutable), grid and
-    cap; the arrays of the result are read-only. The grouping depends on the
-    points alone, so a recoloured copy (:meth:`PointCloud.recolored`) takes the
-    first tensor built on the same points and refills only its colours.
+    Built once per point set, grid and cap; the arrays of the result are
+    read-only. A cloud and its recoloured copies (:meth:`PointCloud.recolored`)
+    share one entry, built on the colours of the first of them pillarized: that
+    cloud gets its tensor, the others a copy with their own colours refilled on
+    every call. So pillarize a source cloud before its recoloured copies.
     """
     if max_points < 1:
         raise ValueError("max_points must be at least 1")
     key = (grid, max_points)
-    pt = cloud._pillars.get(key)
-    if pt is None:
-        grouping = cloud._groups.get(key)
-        if grouping is None:
-            grouping = cloud._groups[key] = _pillarize(cloud, grid, max_points)
-            pt = grouping[0]
-        else:
-            pt = _recolor(grouping, cloud.rgb)
-        cloud._pillars[key] = pt
-    return pt
+    entry = cloud._pillars.get(key)
+    if entry is None:
+        entry = cloud._pillars[key] = (*_pillarize(cloud, grid, max_points), cloud.rgb)
+    pt, slot, src, rgb = entry
+    if rgb is cloud.rgb:
+        return pt
+    features = pt.features.copy()
+    features.reshape(-1, 9)[slot, 3:6] = cloud.rgb[src]
+    features.flags.writeable = False
+    return PillarTensor(pt.indices, features, pt.counts, pt.max_points, pt.n_outside, pt.n_dropped)
 
 
 def _pillarize(cloud: PointCloud, grid: GridSpec, max_points: int):
@@ -120,15 +121,6 @@ def _pillarize(cloud: PointCloud, grid: GridSpec, max_points: int):
         a.flags.writeable = False
     pt = PillarTensor(indices, features, counts, max_points, n - inside.size, inside.size - src.size)
     return pt, slot, src
-
-
-def _recolor(grouping, rgb: np.ndarray) -> PillarTensor:
-    """``grouping``'s tensor with the colours taken from ``rgb``, a cloud of the same points."""
-    pt, slot, src = grouping
-    features = pt.features.copy()
-    features.reshape(-1, 9)[slot, 3:6] = rgb[src]
-    features.flags.writeable = False
-    return PillarTensor(pt.indices, features, pt.counts, pt.max_points, pt.n_outside, pt.n_dropped)
 
 
 def pillar_encode_cached(pt: PillarTensor, w: np.ndarray, b: np.ndarray, grid: GridSpec):

@@ -20,6 +20,7 @@ from .config import ConfigError, load_config
 from .dataset import MIN_VALID_CELLS, build_samples, label_runs, simulate_run, split_samples
 from .evaluation import export_costmap, import_costmap, predict, run_ablation_suite
 from .heightfield import _require_inside, build_terrain
+from .labeling import label_grids_for
 from .train import fit
 from .types import FormatError
 
@@ -73,6 +74,7 @@ def cmd_label(cfg) -> int:
     for run_dir, (traj, _) in zip(runs, drives):  # the label grids are sized by the poses
         try:
             _require_inside(hf, traj.positions[:, 0], traj.positions[:, 1], "pose")
+            label_grids_for(traj, cfg.labeling)
         except ValueError as e:
             raise FormatError(f"{run_dir / 'trajectory.csv'}: {e}") from e
     sparse, norm = label_runs(drives, cfg.labeling)

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .io import _build, read_pgm, read_sidecar
-from .types import FormatError, _frozen, _hold, _read_only
+from .io import _build, _read_scaled_pgm
+from .types import _frozen, _hold, _read_only
 
 SAND_RGB = np.array([0.72, 0.55, 0.40])
 DEFAULT_GRAY = 0.5
@@ -146,15 +146,9 @@ def load_heightfield(path) -> Heightfield:
     minimum, maxval to the maximum) and ``cell_size_m``, the only source of
     the cell size. Colors default to gray.
     """
-    path = Path(path)
-    pixels, maxval = read_pgm(path)
-    meta_path = path.with_suffix(".meta.json")
-    meta = read_sidecar(meta_path, ("min_height_m", "max_height_m", "cell_size_m"))
-    lo, hi = meta["min_height_m"], meta["max_height_m"]
-    if lo > hi:  # equal is flat terrain
-        raise FormatError(f"{meta_path}: min_height_m {lo!r} exceeds max_height_m {hi!r}")
-    z = lo + pixels.astype(np.float64) / maxval * (hi - lo)
-    return _build(f"{path} with {meta_path}", Heightfield, z, meta["cell_size_m"])
+    keys = ("min_height_m", "max_height_m", "cell_size_m")
+    z, meta, meta_path = _read_scaled_pgm(path, keys, *keys[:2])
+    return _build(f"{Path(path)} with {meta_path}", Heightfield, z, meta["cell_size_m"])
 
 
 def build_terrain(terrain: TerrainConfig, seed: int) -> Heightfield:

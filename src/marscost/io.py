@@ -201,26 +201,33 @@ def read_sidecar(path, keys) -> dict:
     return meta
 
 
-def read_costmap_pgm(path) -> DenseCostmap:
-    """Read ``<name>.pgm`` with ``<name>.meta.json`` and ``<name>.mask.pbm``; no other file."""
+def _read_scaled_pgm(path, keys, low: str, high: str):
+    """``(values, meta, meta_path)``: the PGM ``path`` read through ``<name>.meta.json``,
+    which must hold ``keys``; pixel 0 reads as ``meta[low]`` and maxval as ``meta[high]``."""
     path = Path(path)
     pixels, maxval = read_pgm(path)
     meta_path = path.with_suffix(".meta.json")
-    meta = read_sidecar(meta_path, COSTMAP_SIDECAR_KEYS)
-    lo, hi = meta["min_value"], meta["max_value"]
-    if lo > hi:  # equal is a constant map
-        raise FormatError(f"{meta_path}: min_value {lo!r} exceeds max_value {hi!r}")
+    meta = read_sidecar(meta_path, keys)
+    lo, hi = meta[low], meta[high]
+    if lo > hi:  # equal is a constant raster
+        raise FormatError(f"{meta_path}: {low} {lo!r} exceeds {high} {hi!r}")
+    return lo + pixels.astype(np.float64) / maxval * (hi - lo), meta, meta_path
+
+
+def read_costmap_pgm(path) -> DenseCostmap:
+    """Read ``<name>.pgm`` with ``<name>.meta.json`` and ``<name>.mask.pbm``; no other file."""
+    path = Path(path)
+    values, meta, meta_path = _read_scaled_pgm(path, COSTMAP_SIDECAR_KEYS, "min_value", "max_value")
     grid = _build(meta_path, GridSpec, (meta["origin_x_m"], meta["origin_y_m"]),
-                  meta["resolution_m"], *pixels.shape)
+                  meta["resolution_m"], *values.shape)
     mask_path = path.with_suffix(".mask.pbm")
     try:
         valid = read_pbm(mask_path)
     except OSError as e:
         raise FormatError(f"{mask_path}: cannot read the validity mask: {e.strerror}") from None
-    if valid.shape != pixels.shape:
+    if valid.shape != values.shape:
         raise FormatError(f"{mask_path}: {valid.shape[0]}x{valid.shape[1]} mask does not match "
-                          f"the {pixels.shape[0]}x{pixels.shape[1]} raster {path}")
-    values = lo + pixels.astype(np.float64) / maxval * (hi - lo)
+                          f"the {values.shape[0]}x{values.shape[1]} raster {path}")
     values[~valid] = 0.0
     return _build(meta_path, DenseCostmap, grid, values, valid)
 

@@ -17,6 +17,7 @@ import numpy as np
 from .types import DenseCostmap, GridSpec, ImuLog, SparseCostmap, Trajectory
 
 WEIGHT_FLOOR = 1e-12  # kernel mass below which an interpolated cell stays invalid
+MAX_LABEL_CELLS = 2**22  # cells of one label grid; each raster on it takes 8 bytes a cell
 
 
 @dataclass
@@ -202,17 +203,24 @@ def normalize_labels(maps) -> LabelNormalization:
 
 
 def label_grids_for(traj: Trajectory, cfg: LabelingConfig):
-    """Coarse and fine grids covering the trajectory plus one kernel radius of margin."""
+    """Coarse and fine grids covering the trajectory plus one kernel radius of margin.
+
+    Raises ``ValueError`` when a grid would hold more than ``MAX_LABEL_CELLS`` cells.
+    """
     pos = traj.positions
     pad = cfg.kernel_radius
     x0 = float(pos[:, 0].min()) - pad
     y0 = float(pos[:, 1].min()) - pad
     ext_x = float(pos[:, 0].max()) + pad - x0
     ext_y = float(pos[:, 1].max()) + pad - y0
-    return tuple(
-        GridSpec((x0, y0), res, max(int(np.ceil(ext_y / res)), 1), max(int(np.ceil(ext_x / res)), 1))
-        for res in (cfg.coarse_res, cfg.fine_res)
-    )
+    grids = []
+    for res in (cfg.coarse_res, cfg.fine_res):
+        rows, cols = (max(float(np.ceil(ext / res)), 1.0) for ext in (ext_y, ext_x))
+        if rows * cols > MAX_LABEL_CELLS:  # as Python floats, an overflow is inf without a warning
+            raise ValueError(f"the poses span a {rows:.9g} x {cols:.9g} label grid at {res} m, "
+                             f"more than {MAX_LABEL_CELLS} cells")
+        grids.append(GridSpec((x0, y0), res, int(rows), int(cols)))
+    return tuple(grids)
 
 
 def build_labels(traj: Trajectory, imu: ImuLog, cfg: LabelingConfig):

@@ -133,10 +133,9 @@ def synthesize_imu(
     specific_w = accel_w + np.array([0.0, 0.0, gravity])
 
     gyro_b = np.zeros((n, 3))
-    if n >= 2:
-        rel = quat_multiply(quat_conjugate(quats[:-1]), quats[1:])
-        gyro_b[:-1] = quat_rotation_vector(rel) / np.diff(t)[:, None]
-        gyro_b[-1] = gyro_b[-2]
+    rel = quat_multiply(quat_conjugate(quats[:-1]), quats[1:])  # a trajectory holds two poses or more
+    gyro_b[:-1] = quat_rotation_vector(rel) / np.diff(t)[:, None]
+    gyro_b[-1] = gyro_b[-2]
 
     rng = np.random.default_rng(seed)
     sigma = noise_scale * slope_magnitudes(hf, pos[:, 0], pos[:, 1])
@@ -259,7 +258,8 @@ def march_rays(
     points[found] = found_points
     x, y, z = found_points.T
     inside = hf.contains(x, y)  # a root on the extent's edge can round to just outside it
-    h = _heights_unchecked(hf, np.where(inside, x, origin[0]), np.where(inside, y, origin[1]))
+    h = _node_bilinear(hf, hf.elevations, np.where(inside, x, origin[0]),
+                       np.where(inside, y, origin[1]))
     hit = np.zeros(n, dtype=bool)
     hit[found] = inside & (np.abs(z - h) <= tol)
     return hit, points
@@ -297,11 +297,6 @@ def _cell_index(x, g, top):
     np.maximum(x, 0, out=x)
     np.minimum(x, top, out=x)
     return x.astype(np.intp)
-
-
-def _heights_unchecked(hf: Heightfield, x, y):
-    # callers guarantee the points are inside the extent
-    return _node_bilinear(hf, hf.elevations, np.asarray(x), np.asarray(y))
 
 
 def lidar_directions(rays: int, seed: int = 0) -> np.ndarray:

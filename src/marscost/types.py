@@ -121,16 +121,15 @@ class ImuLog:
 class PointCloud:
     """Colored points in the sensor frame; may be empty.
 
-    A cloud never changes, so its pillars (see :func:`marscost.bev.pillarize`)
-    are built at most once per object and grid layout and kept in ``_pillars``.
-    How the points group into pillars depends on ``xyz`` alone; that grouping
-    is kept in ``_groups``, which :meth:`recolored` copies share.
+    A cloud never changes, and how its points group into pillars depends on
+    ``xyz`` alone, so its pillars (see :func:`marscost.bev.pillarize`) are built
+    at most once per grid layout and kept in ``_pillars``, one dict that the
+    cloud and its :meth:`recolored` copies share.
     """
 
     xyz: np.ndarray  # (n, 3) meters
     rgb: np.ndarray  # (n, 3) in [0, 1]
     _pillars: dict = field(init=False, repr=False, default=None)
-    _groups: dict = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         xyz, rgb = (a if a.shape[1:] == (3,) else a.reshape(-1, 3)  # an (n, 3) array is kept
@@ -141,16 +140,16 @@ class PointCloud:
             raise ValueError("point coordinates must be finite")
         if rgb.size and not (rgb.min() >= 0.0 and rgb.max() <= 1.0):
             raise ValueError("point colors must lie in [0, 1]")
-        _hold(self, xyz=xyz, rgb=rgb, _pillars={}, _groups={})
+        _hold(self, xyz=xyz, rgb=rgb, _pillars={})
 
     def __len__(self):
         return self.xyz.shape[0]
 
     def recolored(self, rgb) -> "PointCloud":
         """The same points (the same ``xyz`` object) with colours ``rgb``, sharing
-        this cloud's pillar groupings."""
+        this cloud's pillars."""
         cloud = PointCloud(self.xyz, rgb)
-        _hold(cloud, _groups=self._groups)
+        _hold(cloud, _pillars=self._pillars)
         return cloud
 
     @staticmethod

@@ -160,9 +160,9 @@ def test_kernels_match_the_oracles_on_every_ablation_mode(ablated_samples):
         for cap in (1, 2, 32):
             fresh = PointCloud(sample.cloud.xyz, sample.cloud.rgb)
             ref = _oracle_pillarize(fresh, grid, cap)
-            # a recoloured cloud finds the grouping its clean cloud built, not its own pillars
-            key = (grid, cap)
-            recoloured += key in sample.cloud._groups and key not in sample.cloud._pillars
+            # a recoloured cloud finds the entry its clean cloud built, with the clean colours
+            entry = sample.cloud._pillars.get((grid, cap))
+            recoloured += entry is not None and entry[3] is not sample.cloud.rgb
             _same_pillars(pillarize(sample.cloud, grid, cap), ref)
             _same_pillars(pillarize(fresh, grid, cap), ref)
             _check_encoder(ref, grid, rng)
@@ -184,6 +184,31 @@ def test_kernels_match_the_oracles_on_seeded_edge_cases():
         recoloured = cloud.recolored(rng.uniform(0, 1, cloud.rgb.shape))
         _same_pillars(pillarize(recoloured, grid, cap), _oracle_pillarize(recoloured, grid, cap))
         _check_encoder(ref, grid, rng)
+
+
+@pytest.mark.parametrize("copy_first", [False, True])
+def test_a_cloud_and_its_recoloured_copies_share_one_build(monkeypatch, copy_first):
+    """One ``_pillarize`` per point set, grid and cap, whichever of a cloud and its
+    recoloured copies comes first; every call, the second pass's too, gives each
+    cloud the oracle's tensor for a fresh cloud of the same points and colours."""
+    builds, real = [], bev._pillarize
+
+    def spy(cloud, grid, cap):
+        builds.append(cloud)
+        return real(cloud, grid, cap)
+
+    monkeypatch.setattr(bev, "_pillarize", spy)
+    rng = np.random.default_rng(28)
+    for seed in range(30):
+        cloud, grid, cap = _oracle_case(seed)
+        copies = [cloud.recolored(rng.uniform(0, 1, cloud.rgb.shape)) for _ in range(2)]
+        order = [*copies, cloud] if copy_first else [cloud, *copies]
+        first = [pillarize(c, grid, cap) for c in order]
+        for c, pt in zip(order, first):
+            _same_pillars(pt, _oracle_pillarize(PointCloud(c.xyz, c.rgb), grid, cap))
+            _same_pillars(pillarize(c, grid, cap), pt)
+        assert builds == [order[0]]
+        builds.clear()
 
 
 def _tiny_images():

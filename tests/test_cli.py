@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from marscost.io import COSTMAP_MAXVAL, read_run_dir
 from marscost.labeling import LabelingConfig
 from marscost.net import NetConfig, init_params
 from marscost.train import TrainConfig
-from marscost.types import DenseCostmap
+from marscost.types import DenseCostmap, ImuLog, Trajectory
 
 TINY = Path(__file__).resolve().parent.parent / "configs" / "tiny.json"
 
@@ -283,6 +284,32 @@ def test_label_pose_off_the_terrain_exits_2_before_any_grid(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: pose 5 at (1000000000.0, ")
     assert "outside the terrain extent" in err and err.count("\n") == 1
+    assert not (workdir / "labels").exists()
+
+
+def test_label_grid_past_the_cell_bound_exits_2_without_sizing_it(tmp_path, capsys):
+    """A 2 x 2 heightmap of 10 km cells admits poses 14 km apart, whose 0.1 m
+    label grid would take 75 GiB a raster."""
+    pgm = tmp_path / "terrain.pgm"
+    pgm.write_text("P2\n2 2\n255\n0 1\n2 3\n")
+    (tmp_path / "terrain.meta.json").write_text(
+        json.dumps({"min_height_m": 0.0, "max_height_m": 1.0, "cell_size_m": 1e4})
+    )
+    cfg, workdir = _tiny_config(tmp_path, **{"sim.terrain.heightmap_path": str(pgm)})
+    run0 = workdir / "data" / "run_000"
+    t = np.array([0.0, 1.0])
+    traj = Trajectory(t, [(1.0, 1.0, 0.0), (9999.0, 9999.0, 0.0)], np.tile([1.0, 0, 0, 0], (2, 1)))
+    mio.write_trajectory_csv(traj, run0 / "trajectory.csv")
+    mio.write_imu_csv(ImuLog(t, np.zeros((2, 3)), np.zeros((2, 3))), run0 / "imu.csv")
+    tracemalloc.start()
+    try:
+        assert main(["label", "--config", str(cfg)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert capsys.readouterr().err == (f"error: {run0 / 'trajectory.csv'}: the poses span a "
+                                       "50000 x 50000 label grid at 0.2 m, more than 4194304 cells\n")
     assert not (workdir / "labels").exists()
 
 

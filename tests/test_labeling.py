@@ -1,9 +1,12 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from marscost.labeling import (
+    MAX_LABEL_CELLS,
     LabelingConfig,
     bin_trajectory,
     build_labels,
@@ -397,6 +400,26 @@ def test_build_labels_fine_grid_dims(flat_field):
     ext_y = pos[:, 1].max() - pos[:, 1].min() + 2 * CFG.kernel_radius
     assert dense.grid.cols == math.ceil(ext_x / CFG.fine_res)
     assert dense.grid.rows == math.ceil(ext_y / CFG.fine_res)
+
+
+def test_label_grids_stop_at_max_label_cells():
+    """A fine grid of exactly ``MAX_LABEL_CELLS`` cells is sized; one column more is
+    refused, and so is a cell count that overflows a float, without a warning."""
+    cfg = LabelingConfig(kernel_radius=1.0, coarse_res=0.25, fine_res=0.125)
+    quat = np.tile([1.0, 0, 0, 0], (2, 1))
+    at = Trajectory([0.0, 1.0], [(0.0, 0.0, 0.0), (254.0, 254.0, 0.0)], quat)  # 256 m with the margin
+    coarse, fine = label_grids_for(at, cfg)
+    assert (coarse.rows, coarse.cols, fine.rows, fine.cols) == (1024, 1024, 2048, 2048)
+    assert fine.rows * fine.cols == MAX_LABEL_CELLS
+    over = Trajectory([0.0, 1.0], [(0.0, 0.0, 0.0), (254.125, 254.0, 0.0)], quat)
+    message = f"the poses span a 2048 x 2049 label grid at 0.125 m, more than {MAX_LABEL_CELLS} cells"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        label_grids_for(over, cfg)
+    huge = Trajectory([0.0, 1.0], [(-1e307, -1e307, 0.0), (1e307, 1e307, 0.0)], quat)  # cells overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape("a 8e+307 x 8e+307 label grid at 0.25 m")):
+            label_grids_for(huge, cfg)
 
 
 def test_build_labels_rough_patch_costs_more():

@@ -9,6 +9,7 @@ from marscost.dataset import synthesize_dataset
 from marscost.geometry import quat_to_matrix
 from marscost.heightfield import (
     Heightfield,
+    _node_bilinear,
     generate_heightfield,
     slope_magnitudes,
     surface_heights,
@@ -18,7 +19,6 @@ from marscost.simulate import (
     CHASSIS_HEIGHT_M,
     RAY_TOL_M,
     _BLOCK_RAY_CELLS,
-    _heights_unchecked,
     camera_directions,
     generate_trajectory,
     march_rays,
@@ -322,7 +322,7 @@ def _march_reference(
         inside = hf.contains(p[..., 0], p[..., 1])
         x = np.where(inside, p[..., 0], origin[0])
         y = np.where(inside, p[..., 1], origin[1])
-        below = inside & (p[..., 2] <= _heights_unchecked(hf, x, y))
+        below = inside & (p[..., 2] <= _node_bilinear(hf, hf.elevations, x, y))
         stop = below | ~inside
         j = stop.argmax(axis=1)
         found = stop[np.arange(active.size), j]
@@ -341,12 +341,12 @@ def _march_reference(
         for _ in range(24):  # interval shrinks to step / 2^24 << tol
             mid = 0.5 * (lo + hi)
             p = origin[None, :] + directions[idx] * mid[:, None]
-            below = p[:, 2] <= _heights_unchecked(hf, p[:, 0], p[:, 1])
+            below = p[:, 2] <= _node_bilinear(hf, hf.elevations, p[:, 0], p[:, 1])
             hi = np.where(below, mid, hi)
             lo = np.where(below, lo, mid)
         tm = 0.5 * (lo + hi)
         points[idx] = origin[None, :] + directions[idx] * tm[:, None]
-        h = _heights_unchecked(hf, points[idx, 0], points[idx, 1])
+        h = _node_bilinear(hf, hf.elevations, points[idx, 0], points[idx, 1])
         ok = np.abs(points[idx, 2] - h) <= tol
         hit[idx] = ok
     return hit, points
@@ -558,7 +558,8 @@ def _walk_reference(
     points[hit] = origin + directions[hit] * t_hit[hit, None]
     x, y, z = points[hit].T
     inside = hf.contains(x, y)  # a root on the extent's edge can round to just outside it
-    h = _heights_unchecked(hf, np.where(inside, x, origin[0]), np.where(inside, y, origin[1]))
+    h = _node_bilinear(hf, hf.elevations, np.where(inside, x, origin[0]),
+                       np.where(inside, y, origin[1]))
     hit[hit] = inside & (np.abs(z - h) <= tol)
     return hit, points
 
