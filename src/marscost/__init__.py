@@ -41,8 +41,6 @@ from .evaluation import (
     apply_ablation,
     export_costmap,
     import_costmap,
-    mae,
-    mse,
     run_ablation_suite,
 )
 from .heightfield import Heightfield, generate_heightfield, load_heightfield

@@ -20,7 +20,7 @@ from .config import ConfigError, load_config
 from .dataset import MIN_VALID_CELLS, build_samples, label_runs, simulate_run, split_samples
 from .evaluation import export_costmap, import_costmap, predict, run_ablation_suite
 from .heightfield import _require_inside, build_terrain
-from .labeling import label_grids_for
+from .labeling import label_grids_for, match_imu
 from .train import fit
 from .types import FormatError
 
@@ -71,12 +71,16 @@ def cmd_label(cfg) -> int:
         for d in runs
     ]
     hf = build_terrain(cfg.terrain, cfg.seed)
-    for run_dir, (traj, _) in zip(runs, drives):  # the label grids are sized by the poses
+    for run_dir, (traj, imu) in zip(runs, drives):  # the label grids are sized by the poses
         try:
             _require_inside(hf, traj.positions[:, 0], traj.positions[:, 1], "pose")
             label_grids_for(traj, cfg.labeling)
         except ValueError as e:
             raise FormatError(f"{run_dir / 'trajectory.csv'}: {e}") from e
+        try:
+            match_imu(traj, imu)
+        except ValueError as e:
+            raise FormatError(f"{run_dir / 'imu.csv'}: {e}") from e
     sparse, norm = label_runs(drives, cfg.labeling)
     for run_dir, labels in zip(runs, sparse):
         mio.write_sparse_csv(labels.xy, labels.tc, cfg.labels_dir / f"{run_dir.name}.sparse.csv")

@@ -1,4 +1,4 @@
-"""Metrics, input-corruption ablations and costmap export.
+"""Pooled MAE/MSE under input-corruption ablations, and costmap export.
 
 The ablation suite probes a trained model's robustness by corrupting inputs
 at evaluation time (color removal, a flat image, image occlusion, point
@@ -46,16 +46,6 @@ class AblationSpec:
                 raise ValueError(f"{name} must lie in [0, 1)")
         if not (self.noise_sigma_image >= 0 and self.noise_sigma_points >= 0):
             raise ValueError("noise sigmas must be nonnegative")
-
-
-def mae(pred: DenseCostmap, target: DenseCostmap) -> float:
-    """Mean absolute error over valid target cells."""
-    return float(np.mean(np.abs(_valid_errors(pred, target))))
-
-
-def mse(pred: DenseCostmap, target: DenseCostmap) -> float:
-    """Mean squared error over valid target cells."""
-    return float(np.mean(_valid_errors(pred, target) ** 2))
 
 
 def _valid_errors(pred: DenseCostmap, target: DenseCostmap) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Procedural terrain: elevation/color grids and continuous surface queries.
 
-The heightfield stores node elevations on a regular lattice; the continuous
-surface between nodes is the bilinear patch, so height queries, normals and
-colors are all defined anywhere strictly inside the node extent.
+The heightfield stores node elevations on a regular lattice whose node (0, 0)
+sits at the world origin; the continuous surface between nodes is the
+bilinear patch, so height queries, normals and colors are all defined
+anywhere strictly inside the node extent.
 """
 
 from dataclasses import dataclass
@@ -22,11 +23,10 @@ ROUGHNESS_AMPLITUDE_M = 1.2  # first-octave amplitude at roughness = 1
 
 @dataclass(frozen=True, eq=False)
 class Heightfield:
-    """Elevation grid with per-node color; node (i, j) sits at origin + (j, i) * cell_size."""
+    """Elevation grid with per-node color; node (i, j) sits at world (j, i) * cell_size."""
 
     elevations: np.ndarray  # (rows, cols) meters
     cell_size: float  # meters per cell
-    origin: tuple = (0.0, 0.0)  # world (x, y) of node (0, 0)
     colors: np.ndarray = None  # (rows, cols, 3) in [0, 1]
 
     def __post_init__(self):
@@ -36,8 +36,7 @@ class Heightfield:
         if not self.cell_size > 0:
             raise ValueError("cell_size must be positive")
         colors = np.full(z.shape + (3,), DEFAULT_GRAY) if self.colors is None else self.colors
-        _hold(self, elevations=z, origin=(float(self.origin[0]), float(self.origin[1])),
-              colors=_read_only(colors))
+        _hold(self, elevations=z, colors=_read_only(colors))
         if self.colors.shape != z.shape + (3,):
             raise ValueError("colors must be (rows, cols, 3) aligned with elevations")
         if self.colors.min() < 0.0 or self.colors.max() > 1.0:
@@ -54,13 +53,7 @@ class Heightfield:
     @property
     def extent(self):
         """(x_min, x_max, y_min, y_max) spanned by the node lattice."""
-        x0, y0 = self.origin
-        return (
-            x0,
-            x0 + (self.cols - 1) * self.cell_size,
-            y0,
-            y0 + (self.rows - 1) * self.cell_size,
-        )
+        return 0.0, (self.cols - 1) * self.cell_size, 0.0, (self.rows - 1) * self.cell_size
 
     def contains(self, x, y):
         x0, x1, y0, y1 = self.extent
@@ -136,7 +129,7 @@ def generate_heightfield(
     shade = np.clip(1.0 - 1.5 * slope - 0.2 * height_rel, 0.25, 1.0)
     colors = shade[..., None] * SAND_RGB
     z.flags.writeable = colors.flags.writeable = False  # held by the heightfield uncopied
-    return Heightfield(z, cell_size, (0.0, 0.0), colors)
+    return Heightfield(z, cell_size, colors)
 
 
 def load_heightfield(path) -> Heightfield:
@@ -162,8 +155,8 @@ def build_terrain(terrain: TerrainConfig, seed: int) -> Heightfield:
 def _node_bilinear(hf: Heightfield, grid: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of a per-node grid (2-D or (rows, cols, k)) at non-NaN world points."""
     rows, cols = hf.rows, hf.cols
-    gx = (x - hf.origin[0]) / hf.cell_size
-    gy = (y - hf.origin[1]) / hf.cell_size
+    gx = x / hf.cell_size
+    gy = y / hf.cell_size
     # truncating the clamped coordinate is floor-then-clamp for all non-NaN values
     j0 = np.clip(gx, 0, cols - 2).astype(np.intp)
     i0 = np.clip(gy, 0, rows - 2).astype(np.intp)

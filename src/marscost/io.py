@@ -60,7 +60,8 @@ def _rows_of(field: str, sep: str, width: int, n: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-# one header field: whitespace or "#" comments, then at most 9 digits (larger rasters cannot fit)
+# one header field: whitespace or "#" comments, then at most 9 digits (larger rasters cannot fit);
+# possessive quantifiers (Python 3.11+) keep a hostile header from backtracking
 _PNM_FIELD = rb"(?:\s|#[^\r\n]*+)++([0-9]{1,9})"
 
 

@@ -38,16 +38,12 @@ class LabelingConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-def bin_trajectory(traj: Trajectory, imu: ImuLog, grid: GridSpec):
-    """Assign pose/IMU pairs to the grid cells containing their (x, y).
+def match_imu(traj: Trajectory, imu: ImuLog):
+    """The IMU sample nearest in time to each pose, as ``(accel, gyro)``, each ``(n, 3)``.
 
-    IMU samples are associated to poses by nearest timestamp (max skew half
-    the median pose spacing). Returns ``(index, cell, accel, gyro)``: the
-    ``(m, 2)`` (row, col) of each visited cell in first-visit order, the
-    ``(n,)`` row of ``index`` each pose falls in, and the ``(n, 3)`` IMU
-    samples matched to the poses.
+    Raises ``ValueError`` naming the first pose whose nearest sample is further
+    away than half the median pose spacing.
     """
-    pos = traj.positions
     t_pose = traj.times
     order = np.argsort(imu.times, kind="stable")
     t_sorted = imu.times[order]
@@ -63,8 +59,19 @@ def bin_trajectory(traj: Trajectory, imu: ImuLog, grid: GridSpec):
         raise ValueError(
             f"pose {bad}: nearest IMU sample is {skew[bad]:.6g}s away (max skew {max_skew:.6g}s)"
         )
-    accel = imu.accel[order[pick]]
-    gyro = imu.gyro[order[pick]]
+    return imu.accel[order[pick]], imu.gyro[order[pick]]
+
+
+def bin_trajectory(traj: Trajectory, imu: ImuLog, grid: GridSpec):
+    """Assign pose/IMU pairs to the grid cells containing their (x, y).
+
+    IMU samples are associated to poses by :func:`match_imu`. Returns
+    ``(index, cell, accel, gyro)``: the ``(m, 2)`` (row, col) of each visited
+    cell in first-visit order, the ``(n,)`` row of ``index`` each pose falls
+    in, and the ``(n, 3)`` IMU samples matched to the poses.
+    """
+    pos = traj.positions
+    accel, gyro = match_imu(traj, imu)
 
     rows_i, cols_j = grid.cell_of(pos[:, 0], pos[:, 1])
     ok = (rows_i >= 0) & (rows_i < grid.rows) & (cols_j >= 0) & (cols_j < grid.cols)

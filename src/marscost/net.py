@@ -3,7 +3,9 @@
 Architecture: pillar pseudo-image -> two stride-2 conv stages (the coarse
 scales that get modulated) -> FiLM conditioning of both scales on the image
 embedding -> upsample + concatenate -> 3x3 conv head with ReLU -> 1x1 conv ->
-sigmoid -> bilinear upsample back to the BEV grid. Everything is float64 and
+sigmoid -> bilinear upsample back to the BEV grid. Training minimises
+:func:`huber_loss` over the valid label cells plus :func:`smoothness_loss`;
+each returns its value and its gradient. Everything is float64 and
 deterministic; gradients are exact for the architecture as written.
 """
 
@@ -58,8 +60,8 @@ class ModelParams:
     """Every trainable tensor of the regressor, as views of one flat float64 vector.
 
     ``theta`` is the only storage: each tensor is a view of its slice, cut in
-    the order of :func:`_layout`, and reads as ``params.conv1_w`` or
-    ``params["conv1_w"]``. Gradients and Adam's moments use the same layout.
+    the order of :func:`_layout`, and reads as ``params.conv1_w``. Gradients and
+    Adam's moments use the same layout.
     """
 
     def __init__(self, config: NetConfig, theta: np.ndarray):
@@ -75,9 +77,6 @@ class ModelParams:
             self._tensors[name] = self.theta[at : at + n].reshape(shape)
             at += n
         vars(self).update(self._tensors)  # plain attribute reads, as params.conv1_w
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._tensors[name]
 
     def named_tensors(self):
         """Stable (name, view) iteration in the order of ``theta``."""
@@ -226,7 +225,16 @@ def backward(cache, d_values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _huber_value_grad(pred: np.ndarray, target: np.ndarray, valid: np.ndarray, delta: float):
+def huber_loss(pred: np.ndarray, target: np.ndarray, valid: np.ndarray, delta: float):
+    """Mean robust regression loss over the ``valid`` target cells, and its gradient.
+
+    Quadratic ``0.5 e^2`` below the threshold, linear ``delta (|e| - delta/2)``
+    beyond it; invalid cells contribute nothing. Returns ``(value, dvalue/dpred)``.
+    """
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+    if not pred.shape == target.shape == valid.shape:
+        raise ValueError("prediction, target and mask shapes differ")
     n = int(np.count_nonzero(valid))
     if n == 0:
         raise ValueError("no valid target cells for the regression loss")
@@ -239,21 +247,15 @@ def _huber_value_grad(pred: np.ndarray, target: np.ndarray, valid: np.ndarray, d
     return value, grad
 
 
-def huber_loss(pred: DenseCostmap, target: DenseCostmap, delta: float) -> float:
-    """Mean robust regression loss over valid target cells.
+def smoothness_loss(pred: np.ndarray, lam: float):
+    """Mean absolute forward difference along each axis, scaled by ``lam``, and its gradient.
 
-    Quadratic ``0.5 e^2`` below the threshold, linear ``delta (|e| - delta/2)``
-    beyond it; invalid cells contribute nothing.
+    Vertical differences are averaged over (H-1) W terms and horizontal over
+    H (W-1); a degenerate single-row or single-column map contributes zero in
+    the missing direction. Returns ``(value, dvalue/dpred)``.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    if pred.values.shape != target.values.shape:
-        raise ValueError("prediction and target grids differ")
-    value, _ = _huber_value_grad(pred.values, target.values, target.valid, delta)
-    return value
-
-
-def _smoothness_value_grad(pred: np.ndarray, lam: float):
+    if not lam > 0:
+        raise ValueError("lam must be positive")
     h, w = pred.shape
     value = 0.0
     grad = np.zeros_like(pred)
@@ -274,19 +276,6 @@ def _smoothness_value_grad(pred: np.ndarray, lam: float):
     return lam * value, lam * grad
 
 
-def smoothness_loss(pred: DenseCostmap, lam: float) -> float:
-    """Mean absolute forward difference along each axis, scaled by ``lam``.
-
-    Vertical differences are averaged over (H-1) W terms and horizontal over
-    H (W-1); a degenerate single-row or single-column map contributes zero in
-    the missing direction.
-    """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    value, _ = _smoothness_value_grad(pred.values, lam)
-    return value
-
-
 def loss_and_grads(params: ModelParams, batch, delta: float, lam: float):
     """Mean batch loss and exact gradients for every parameter tensor.
 
@@ -302,8 +291,8 @@ def loss_and_grads(params: ModelParams, batch, delta: float, lam: float):
     inv_n = 1.0 / len(batch)
     for sample in batch:
         values, cache = forward_cached(params, sample.cloud, sample.image, sample.target.grid)
-        hub, dhub = _huber_value_grad(values, sample.target.values, sample.target.valid, delta)
-        smo, dsmo = _smoothness_value_grad(values, lam)
+        hub, dhub = huber_loss(values, sample.target.values, sample.target.valid, delta)
+        smo, dsmo = smoothness_loss(values, lam)
         hub_sum += hub
         smo_sum += smo
         total_grads += backward(cache, (dhub + dsmo) * inv_n)

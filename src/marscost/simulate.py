@@ -176,7 +176,7 @@ def march_rays(
 
     top = hf.elevations.max() + 1e-6 * (1.0 + np.abs(hf.elevations).max())  # above the surface
     # in grid units a ray is g0 + u * t; an axis with no finite t per unit crosses no grid line
-    g0 = (origin[:2] - hf.origin) / hf.cell_size
+    g0 = origin[:2] / hf.cell_size
     u = directions[:, :2] / hf.cell_size
     dz = directions[:, 2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -132,10 +132,9 @@ class PointCloud:
     _pillars: dict = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        xyz, rgb = (a if a.shape[1:] == (3,) else a.reshape(-1, 3)  # an (n, 3) array is kept
-                    for a in map(_read_only, (self.xyz, self.rgb)))
-        if xyz.shape[0] != rgb.shape[0]:
-            raise ValueError("xyz and rgb must have the same number of points")
+        xyz = _read_only(self.xyz)
+        n = len(xyz) if xyz.ndim else 0
+        xyz, rgb = _read_only(xyz, (n, 3), "xyz"), _read_only(self.rgb, (n, 3), "rgb")
         if not np.all(np.isfinite(xyz)):
             raise ValueError("point coordinates must be finite")
         if rgb.size and not (rgb.min() >= 0.0 and rgb.max() <= 1.0):
@@ -211,25 +210,11 @@ class GridSpec:
         i = np.floor((np.asarray(y) - self.origin[1]) / self.resolution).astype(np.int64)
         return i, j
 
-    def contains(self, x, y):
-        i, j = self.cell_of(x, y)
-        return (i >= 0) & (i < self.rows) & (j >= 0) & (j < self.cols)
-
     def cell_centers(self):
         """World coordinates of every cell center as ``(xs (cols,), ys (rows,))``."""
         xs = self.origin[0] + (np.arange(self.cols) + 0.5) * self.resolution
         ys = self.origin[1] + (np.arange(self.rows) + 0.5) * self.resolution
         return xs, ys
-
-    @property
-    def extent(self):
-        """(x_min, x_max, y_min, y_max) of the covered area."""
-        return (
-            self.origin[0],
-            self.origin[0] + self.cols * self.resolution,
-            self.origin[1],
-            self.origin[1] + self.rows * self.resolution,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,9 +225,9 @@ class SparseCostmap:
     tc: np.ndarray  # (n,) nonnegative costs
 
     def __post_init__(self):
-        _hold(self, xy=_read_only(self.xy).reshape(-1, 2), tc=_read_only(self.tc).reshape(-1))
-        if self.xy.shape[0] != self.tc.shape[0]:
-            raise ValueError("xy and tc must have matching lengths")
+        xy = _read_only(self.xy)
+        n = len(xy) if xy.ndim else 0
+        _hold(self, xy=_read_only(xy, (n, 2), "xy"), tc=_read_only(self.tc, (n,), "tc"))
         if not np.all(np.isfinite(self.xy)):
             raise ValueError("entry coordinates must be finite")
         if not np.all(np.isfinite(self.tc)) or (self.tc.size and self.tc.min() < 0.0):

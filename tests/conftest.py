@@ -4,10 +4,10 @@ import pytest
 from marscost.heightfield import Heightfield, generate_heightfield
 from marscost.net import (
     NetConfig,
-    _huber_value_grad,
-    _smoothness_value_grad,
     forward_cached,
+    huber_loss,
     init_params,
+    smoothness_loss,
 )
 from marscost.types import DenseCostmap, GridSpec, Image, PointCloud, Sample
 
@@ -81,6 +81,6 @@ def sample_loss(params, sample: Sample, delta: float, lam: float) -> float:
     """Huber + smoothness of one sample, forward only: the loss that the
     finite-difference gradient checks perturb."""
     values, _ = forward_cached(params, sample.cloud, sample.image, sample.target.grid)
-    hub, _ = _huber_value_grad(values, sample.target.values, sample.target.valid, delta)
-    smo, _ = _smoothness_value_grad(values, lam)
+    hub, _ = huber_loss(values, sample.target.values, sample.target.valid, delta)
+    smo, _ = smoothness_loss(values, lam)
     return hub + smo

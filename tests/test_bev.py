@@ -123,7 +123,8 @@ def _oracle_case(seed: int):
     res = float(rng.choice([0.25, 0.3, 0.5]))
     grid = GridSpec((float(rng.choice([0.0, -1.5])), float(rng.choice([0.0, -2.0]))), res,
                     int(rng.integers(1, 11)), int(rng.integers(1, 11)))
-    x0, x1, y0, y1 = grid.extent
+    x0, y0 = grid.origin
+    x1, y1 = x0 + grid.cols * res, y0 + grid.rows * res
     n = int(rng.integers(1, 160))
     xy = np.column_stack([rng.uniform(x0 - res, x1 + res, n), rng.uniform(y0 - res, y1 + res, n)])
     edge = rng.random(n) < 0.2  # exactly on cell boundaries, the far boundary included

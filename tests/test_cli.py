@@ -93,10 +93,10 @@ def _held_out_point_line(cfg_path) -> str:
     for sample in cli._split(cfg)[1]:
         grid = sample.target.grid
         xy = sample.cloud.xyz[:, :2]
-        inside = grid.contains(xy[:, 0], xy[:, 1])
+        i, j = grid.cell_of(xy[:, 0], xy[:, 1])
+        inside = (i >= 0) & (i < grid.rows) & (j >= 0) & (j < grid.cols)
         outside += int(np.count_nonzero(~inside))
-        i, j = grid.cell_of(xy[inside, 0], xy[inside, 1])
-        _, per_cell = np.unique(i * grid.cols + j, return_counts=True)
+        _, per_cell = np.unique(i[inside] * grid.cols + j[inside], return_counts=True)
         kept += int(np.minimum(per_cell, cap).sum())
         dropped += int(np.maximum(per_cell - cap, 0).sum())
     assert kept > 0
@@ -284,6 +284,19 @@ def test_label_pose_off_the_terrain_exits_2_before_any_grid(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: pose 5 at (1000000000.0, ")
     assert "outside the terrain extent" in err and err.count("\n") == 1
+    assert not (workdir / "labels").exists()
+
+
+def test_label_imu_out_of_step_exits_2_naming_the_imu_file(tmp_path, capsys):
+    cfg, workdir = _tiny_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    path = workdir / "data" / "run_000" / "imu.csv"
+    imu = mio.read_imu_csv(path)
+    mio.write_imu_csv(ImuLog(imu.times + 0.07, imu.accel, imu.gyro), path)
+    capsys.readouterr()
+    assert main(["label", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: pose 0: nearest IMU sample is 0.07s away (max skew 0.05s)\n")
     assert not (workdir / "labels").exists()
 
 

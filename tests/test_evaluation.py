@@ -13,8 +13,6 @@ from marscost.evaluation import (
     apply_ablation,
     export_costmap,
     import_costmap,
-    mae,
-    mse,
     predict,
     run_ablation_suite,
 )
@@ -31,26 +29,35 @@ def _pair(seed, rows=8, cols=8):
 
 
 # ---------------------------------------------------------------------------
-# metrics
+# metrics: the suite's pooled sums are the only metric path
 # ---------------------------------------------------------------------------
 
 
-def test_metrics_zero_for_identical_maps():
+def _scored(monkeypatch, pred: DenseCostmap, target: DenseCostmap):
+    """The suite's baseline row for one sample whose target is ``target`` and
+    whose prediction is ``pred``."""
+    monkeypatch.setattr(evaluation, "predict", lambda params, sample: pred)
+    sensed = random_sample(0)
+    sample = Sample(sensed.cloud, sensed.image, target)
+    return run_ablation_suite(None, [sample], [AblationSpec("baseline")]).rows[0]
+
+
+def test_metrics_zero_for_identical_maps(monkeypatch):
     _, target = _pair(0)
-    pred = DenseCostmap(target.grid, target.values.copy())
-    assert mae(pred, target) == 0.0
-    assert mse(pred, target) == 0.0
+    row = _scored(monkeypatch, DenseCostmap(target.grid, target.values.copy()), target)
+    assert row.mae == 0.0
+    assert row.mse == 0.0
 
 
-def test_metrics_constant_error():
+def test_metrics_constant_error(monkeypatch):
     grid = GridSpec((0.0, 0.0), 1.0, 3, 3)
     target = DenseCostmap(grid, np.full((3, 3), 0.2))
-    pred = DenseCostmap(grid, np.full((3, 3), 0.3))
-    assert mae(pred, target) == pytest.approx(0.1, abs=1e-15)
-    assert mse(pred, target) == pytest.approx(0.01, abs=1e-15)
+    row = _scored(monkeypatch, DenseCostmap(grid, np.full((3, 3), 0.3)), target)
+    assert row.mae == pytest.approx(0.1, abs=1e-15)
+    assert row.mse == pytest.approx(0.01, abs=1e-15)
 
 
-def test_metrics_match_scalar_loop_oracle():
+def test_metrics_match_scalar_loop_oracle(monkeypatch):
     pred, target = _pair(1)
     abs_sum = sq_sum = n = 0
     for i in range(8):
@@ -60,25 +67,26 @@ def test_metrics_match_scalar_loop_oracle():
                 abs_sum += abs(e)
                 sq_sum += e * e
                 n += 1
-    assert abs(mae(pred, target) - abs_sum / n) <= 1e-12
-    assert abs(mse(pred, target) - sq_sum / n) <= 1e-12
+    row = _scored(monkeypatch, pred, target)
+    assert abs(row.mae - abs_sum / n) <= 1e-12
+    assert abs(row.mse - sq_sum / n) <= 1e-12
 
 
-def test_metrics_symmetric_and_zero_iff_equal():
+def test_metrics_symmetric_and_zero_iff_equal(monkeypatch):
     pred, target = _pair(2)
     sym_target = DenseCostmap(pred.grid, pred.values.copy(), target.valid.copy())
     sym_pred = DenseCostmap(pred.grid, target.values.copy())
-    assert mae(sym_pred, DenseCostmap(pred.grid, pred.values, target.valid)) == pytest.approx(
-        mae(DenseCostmap(pred.grid, target.values.copy()), sym_target), abs=1e-15
-    )
-    assert mae(pred, target) > 0.0
+    forth = _scored(monkeypatch, sym_pred, DenseCostmap(pred.grid, pred.values, target.valid))
+    back = _scored(monkeypatch, DenseCostmap(pred.grid, target.values.copy()), sym_target)
+    assert forth.mae == pytest.approx(back.mae, abs=1e-15)
+    assert _scored(monkeypatch, pred, target).mae > 0.0
 
 
-def test_metrics_reject_no_valid_cells():
+def test_metrics_reject_no_valid_cells(monkeypatch):
     grid = GridSpec((0.0, 0.0), 1.0, 2, 2)
     target = DenseCostmap(grid, np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
-    with pytest.raises(ValueError):
-        mae(DenseCostmap(grid, np.zeros((2, 2))), target)
+    with pytest.raises(ValueError, match="no valid cells"):
+        _scored(monkeypatch, DenseCostmap(grid, np.zeros((2, 2))), target)
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,13 @@ from marscost.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from marscost.net import (
     ModelParams,
     NetConfig,
-    _huber_value_grad,
     forward,
     huber_loss,
     init_params,
     loss_and_grads,
     smoothness_loss,
 )
-from marscost.types import DenseCostmap, FormatError, GridSpec, Image, PointCloud
+from marscost.types import FormatError, GridSpec, Image, PointCloud
 
 DELTA = 0.1
 LAM = 0.1
@@ -97,91 +96,83 @@ def test_forward_odd_grid_sizes():
 # ---------------------------------------------------------------------------
 
 
-def _single_cell_maps(pred_value, target_value):
-    grid = GridSpec((0.0, 0.0), 1.0, 1, 1)
-    return (
-        DenseCostmap(grid, [[pred_value]]),
-        DenseCostmap(grid, [[target_value]]),
-    )
+ONE = np.ones((1, 1), dtype=bool)
 
 
 def test_huber_zero_when_equal():
     target = random_sample(1).target
-    pred = DenseCostmap(target.grid, target.values.copy(), np.ones_like(target.valid))
-    assert huber_loss(pred, target, DELTA) == 0.0
+    value, _ = huber_loss(target.values.copy(), target.values, target.valid, DELTA)
+    assert value == 0.0
 
 
 def test_huber_quadratic_branch():
-    pred, target = _single_cell_maps(0.15, 0.10)
-    assert huber_loss(pred, target, 0.1) == pytest.approx(0.00125, abs=1e-15)
+    value, _ = huber_loss(np.array([[0.15]]), np.array([[0.10]]), ONE, 0.1)
+    assert value == pytest.approx(0.00125, abs=1e-15)
 
 
 def test_huber_linear_branch():
-    pred, target = _single_cell_maps(0.4, 0.1)
-    assert huber_loss(pred, target, 0.1) == pytest.approx(0.025, abs=1e-15)
+    value, _ = huber_loss(np.array([[0.4]]), np.array([[0.1]]), ONE, 0.1)
+    assert value == pytest.approx(0.025, abs=1e-15)
 
 
 def test_huber_masked_cells_contribute_nothing():
     rng = np.random.default_rng(2)
     target = random_sample(2).target
     pred_values = rng.uniform(0, 1, target.values.shape)
-    base = huber_loss(DenseCostmap(target.grid, pred_values), target, DELTA)
+    base, base_grad = huber_loss(pred_values, target.values, target.valid, DELTA)
     tweaked = pred_values.copy()
     tweaked[~target.valid] = rng.uniform(-5, 5, (~target.valid).sum())
-    after = huber_loss(DenseCostmap(target.grid, tweaked), target, DELTA)
+    after, after_grad = huber_loss(tweaked, target.values, target.valid, DELTA)
     assert after == base
+    assert np.array_equal(after_grad, base_grad) and np.all(after_grad[~target.valid] == 0.0)
 
 
 def test_huber_rejects_no_valid_cells():
-    grid = GridSpec((0.0, 0.0), 1.0, 2, 2)
-    target = DenseCostmap(grid, np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
-    with pytest.raises(ValueError):
-        huber_loss(DenseCostmap(grid, np.zeros((2, 2))), target, DELTA)
+    with pytest.raises(ValueError, match="no valid target cells"):
+        huber_loss(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2), dtype=bool), DELTA)
+
+
+def test_huber_rejects_misaligned_maps():
+    with pytest.raises(ValueError, match="shapes differ"):
+        huber_loss(np.zeros((1, 5)), np.zeros((5, 5)), np.ones((5, 5), dtype=bool), DELTA)
 
 
 def test_huber_c1_at_threshold():
     # value tends to 0.5 delta^2 and slope to delta from both sides
     for e in (DELTA - 1e-9, DELTA + 1e-9):
-        pred, target = _single_cell_maps(e, 0.0)
-        assert huber_loss(pred, target, DELTA) == pytest.approx(0.5 * DELTA**2, abs=1e-9)
-        _, grad = _huber_value_grad(
-            np.array([[e]]), np.zeros((1, 1)), np.ones((1, 1), dtype=bool), DELTA
-        )
+        value, grad = huber_loss(np.array([[e]]), np.zeros((1, 1)), ONE, DELTA)
+        assert value == pytest.approx(0.5 * DELTA**2, abs=1e-9)
         assert grad[0, 0] == pytest.approx(DELTA, abs=1e-9)
 
 
 def test_smoothness_zero_iff_constant():
-    grid = GridSpec((0.0, 0.0), 1.0, 4, 4)
-    assert smoothness_loss(DenseCostmap(grid, np.full((4, 4), 0.7)), LAM) == 0.0
+    assert smoothness_loss(np.full((4, 4), 0.7), LAM)[0] == 0.0
     bumpy = np.full((4, 4), 0.7)
     bumpy[1, 2] += 1e-6
-    assert smoothness_loss(DenseCostmap(grid, bumpy), LAM) > 0.0
+    assert smoothness_loss(bumpy, LAM)[0] > 0.0
 
 
 def test_smoothness_2x2_example():
-    grid = GridSpec((0.0, 0.0), 1.0, 2, 2)
-    cmap = DenseCostmap(grid, [[0.0, 1.0], [0.0, 1.0]])
-    assert smoothness_loss(cmap, 0.1) == pytest.approx(0.1, abs=1e-15)
-    assert smoothness_loss(cmap, 0.2) == pytest.approx(0.2, abs=1e-15)
+    v = np.array([[0.0, 1.0], [0.0, 1.0]])
+    assert smoothness_loss(v, 0.1)[0] == pytest.approx(0.1, abs=1e-15)
+    assert smoothness_loss(v, 0.2)[0] == pytest.approx(0.2, abs=1e-15)
 
 
 def test_smoothness_degenerate_row():
-    grid = GridSpec((0.0, 0.0), 1.0, 1, 5)
-    cmap = DenseCostmap(grid, [[0.0, 1.0, 0.0, 1.0, 0.0]])
     # only the horizontal direction exists: mean |diff| = 1
-    assert smoothness_loss(cmap, 0.1) == pytest.approx(0.1, abs=1e-15)
+    assert smoothness_loss(np.array([[0.0, 1.0, 0.0, 1.0, 0.0]]), 0.1)[0] == pytest.approx(
+        0.1, abs=1e-15)
 
 
 def test_smoothness_matches_direct_formula():
     rng = np.random.default_rng(3)
     v = rng.uniform(0, 1, (6, 9))
-    grid = GridSpec((0.0, 0.0), 1.0, 6, 9)
     h, w = v.shape
     expected = LAM * (
         np.abs(v[1:, :] - v[:-1, :]).sum() / ((h - 1) * w)
         + np.abs(v[:, 1:] - v[:, :-1]).sum() / (h * (w - 1))
     )
-    assert smoothness_loss(DenseCostmap(grid, v), LAM) == pytest.approx(expected, abs=1e-15)
+    assert smoothness_loss(v, LAM)[0] == pytest.approx(expected, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +182,7 @@ def test_smoothness_matches_direct_formula():
 
 def test_huber_grads_zero_when_pred_equals_target():
     vals = np.random.default_rng(4).uniform(0, 1, (5, 5))
-    value, grad = _huber_value_grad(vals, vals.copy(), np.ones((5, 5), dtype=bool), DELTA)
+    value, grad = huber_loss(vals, vals.copy(), np.ones((5, 5), dtype=bool), DELTA)
     assert value == 0.0
     assert np.all(grad == 0.0)
 
@@ -202,7 +193,7 @@ def test_batch_mean_semantics():
     total_2, _, _, grads_2 = loss_and_grads(params, [sample, sample], DELTA, LAM)
     assert total_2 == pytest.approx(total_1, abs=1e-14)
     for name, grad_1 in grads_1.named_tensors():
-        assert np.allclose(grad_1, grads_2[name], atol=1e-13)
+        assert np.allclose(grad_1, getattr(grads_2, name), atol=1e-13)
 
 
 def test_batch_permutation_invariance():
@@ -222,7 +213,7 @@ def test_gradients_match_finite_differences_spot_check():
     worst = 0.0
     for name, tensor in params.named_tensors():
         flat = tensor.reshape(-1)
-        g = grads[name].reshape(-1)
+        g = getattr(grads, name).reshape(-1)
         for i in rng.choice(flat.size, size=min(12, flat.size), replace=False):
             old = flat[i]
             flat[i] = old + h
@@ -266,7 +257,7 @@ def test_params_are_views_of_one_vector_in_layout_order():
     params = init_params(TOY_NET, seed=2)
     at = 0
     for name, tensor in params.named_tensors():
-        assert params[name] is tensor and getattr(params, name) is tensor
+        assert getattr(params, name) is tensor
         assert np.array_equal(tensor.ravel(), params.theta[at : at + tensor.size])
         at += tensor.size
     assert at == params.n_parameters() == params.theta.size

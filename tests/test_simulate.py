@@ -371,7 +371,7 @@ def _bumps(seed: int) -> Heightfield:
     hf = generate_heightfield(seed, 40, 40, 0.25, 0.9)
     ii, jj = np.mgrid[0:40, 0:40]
     basin = 1.5 * np.exp(-((ii - 20) ** 2 + (jj - 20) ** 2) / 60.0)
-    return Heightfield(hf.elevations - basin, hf.cell_size, hf.origin, hf.colors)
+    return Heightfield(hf.elevations - basin, hf.cell_size, hf.colors)
 
 
 _FLAT = Heightfield(np.full((32, 32), 1.5), 0.25)
@@ -500,7 +500,7 @@ def _walk_reference(
 
     top = hf.elevations.max() + 1e-6 * (1.0 + np.abs(hf.elevations).max())  # above the surface
     # in grid units a ray is g0 + u * t; an axis with no finite t per unit crosses no grid line
-    g0 = (origin[:2] - hf.origin) / hf.cell_size
+    g0 = origin[:2] / hf.cell_size
     u = directions[:, :2] / hf.cell_size
     dz = directions[:, 2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -72,7 +72,7 @@ def test_adam_deterministic_with_cloned_state():
 def test_adam_rejects_non_finite_grads():
     params = init_params(TOY_NET, seed=1)
     grads = _zero_grads(params)
-    grads["conv2_w"][0, 0, 0, 0] = np.nan
+    grads.conv2_w[0, 0, 0, 0] = np.nan
     with pytest.raises(FloatingPointError, match="conv2_w"):
         adam_step(params, grads, AdamState.fresh(params), 1e-3)
 
@@ -274,7 +274,7 @@ def test_fit_records_the_global_gradient_norm_of_each_step():
     _, history = fit([sample], cfg, TOY_NET)
     params = init_params(TOY_NET, seed=6)
     _, _, _, grads = loss_and_grads(params, [sample], cfg.huber_delta, cfg.smooth_lambda)
-    flat = np.concatenate([grads[name].ravel() for name, _ in params.named_tensors()])
+    flat = np.concatenate([g.ravel() for _, g in grads.named_tensors()])
     assert history[0].grad_norm == np.linalg.norm(flat) > 0.0
 
 

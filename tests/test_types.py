@@ -41,7 +41,7 @@ CASES = {
                                                  DenseCostmap(GRID, v, m)),
                [_u(4, 3), _u(4, 3), _u(3, 2, 3), _u(2, 3), np.ones((2, 3), bool)],
                ["cloud.xyz", "cloud.rgb", "image.pixels", "target.values", "target.valid"]),
-    "Heightfield": (lambda z, c: Heightfield(z, 0.5, (0.0, 0.0), c), [_u(3, 3), _u(3, 3, 3)],
+    "Heightfield": (lambda z, c: Heightfield(z, 0.5, c), [_u(3, 3), _u(3, 3, 3)],
                     ["elevations", "colors"]),
 }
 
@@ -125,3 +125,23 @@ def test_producers_hand_their_fresh_arrays_over_uncopied(monkeypatch):
         for mode in ABLATION_MODES:
             apply_ablation(s, AblationSpec(mode))
     assert {name: copies[name] for name in PRODUCERS} == dict.fromkeys(PRODUCERS, 0), copies
+
+
+# an array of the wrong shape is an error, never reshaped into a plausible record
+MISSHAPED = {
+    "PointCloud.xyz": (lambda: PointCloud(np.arange(12.0).reshape(3, 4), np.full((4, 3), 0.5)),
+                       r"xyz has shape \(3, 4\), expected \(3, 3\)"),
+    "PointCloud.rgb": (lambda: PointCloud(np.zeros((4, 3)), np.full(12, 0.5)),
+                       r"rgb has shape \(12,\), expected \(4, 3\)"),
+    "SparseCostmap.xy": (lambda: SparseCostmap(np.zeros((2, 3)), np.zeros(3)),
+                         r"xy has shape \(2, 3\), expected \(2, 2\)"),
+    "SparseCostmap.tc": (lambda: SparseCostmap(np.zeros((3, 2)), np.zeros((3, 1))),
+                         r"tc has shape \(3, 1\), expected \(3,\)"),
+}
+
+
+@pytest.mark.parametrize("case", MISSHAPED)
+def test_misshaped_arrays_raise_naming_the_shape(case):
+    build, message = MISSHAPED[case]
+    with pytest.raises(ValueError, match=message):
+        build()
