@@ -178,7 +178,7 @@ def export_costmap(cmap: DenseCostmap, path, fmt: str):
 
 
 def import_costmap(path) -> DenseCostmap:
-    """Read a costmap previously written by :func:`export_costmap`."""
+    """Read a costmap previously written by :func:`export_costmap`; a CSV keeps its row order."""
     path_str = str(path)
     if path_str.endswith(".pgm"):
         return mio.read_costmap_pgm(path)

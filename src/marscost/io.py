@@ -15,9 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .types import (
-    DenseCostmap, FormatError, GridSpec, Image, ImuLog, PointCloud, SparseCostmap, Trajectory,
-)
+from .types import DenseCostmap, FormatError, GridSpec, Image, ImuLog, PointCloud, Trajectory
 
 COSTMAP_MAXVAL = 65535
 COSTMAP_HEADER = "i,j,value,valid"
@@ -246,6 +244,11 @@ def write_costmap_csv(cmap: DenseCostmap, path):
 
 
 def read_costmap_csv(path) -> DenseCostmap:
+    """The costmap of a table written by :func:`write_costmap_csv`.
+
+    Rows must come in the writer's row-major order, each cell once; any other
+    row, a missing one or one too many raises ``FormatError`` naming ``file:line``.
+    """
     lines = _read_lines(path)
     if not lines or not lines[0].startswith("# grid "):
         raise FormatError(f"{path}: missing grid header")
@@ -263,31 +266,27 @@ def read_costmap_csv(path) -> DenseCostmap:
         raise FormatError(f"{path}:1: {e}") from None
     numbers, rows = _table_rows(path, lines, 1, COSTMAP_HEADER)
     i, j, value, flag = rows.T
-    whole = (np.floor(i) == i) & (np.floor(j) == j)
-    in_grid = whole & (i >= 0) & (i < grid.rows) & (j >= 0) & (j < grid.cols)
-    for bad, what in ((~in_grid, f"not a cell of the {grid.rows}x{grid.cols} grid"),
-                      ((flag != 0.0) & (flag != 1.0), "valid must be 0 or 1")):
-        if bad.any():
-            raise FormatError(f"{path}:{numbers[int(np.argmax(bad))]}: {what}")
-    # every cell exactly once: a repeat or a table cut short is damage, not data
-    cell = i.astype(np.int64) * grid.cols + j.astype(np.int64)
-    repeat = np.ones(cell.size, dtype=bool)
-    repeat[np.unique(cell, return_index=True)[1]] = False
-    if repeat.any():
-        r = int(np.argmax(repeat))
-        raise FormatError(f"{path}:{numbers[r]}: cell ({int(i[r])}, {int(j[r])}) repeats line "
-                          f"{numbers[int(np.argmax(cell == cell[r]))]}")
-    if cell.size != grid.rows * grid.cols:  # sized by the file, not by the declared grid
-        missing = np.flatnonzero(np.sort(cell) != np.arange(cell.size))
-        gap = divmod(int(missing[0]) if missing.size else cell.size, grid.cols)
-        raise FormatError(f"{path}:{len(lines)}: table ends after {cell.size} of "
-                          f"{grid.rows * grid.cols} cells; cell {gap} is missing")
-    values = np.zeros(grid.rows * grid.cols)
-    valid = np.zeros(grid.rows * grid.cols, dtype=bool)
-    values[cell] = value
-    valid[cell] = flag == 1.0
-    return _build(path, DenseCostmap, grid, values.reshape(grid.rows, grid.cols),
-                  valid.reshape(grid.rows, grid.cols))
+    n_cells = grid.rows * grid.cols
+    n = min(len(rows), n_cells)
+    # each cell once, in write_costmap_csv's row-major order; arrays stay sized by the file
+    want_i, want_j = divmod(np.arange(n), grid.cols)
+    off = (i[:n] != want_i) | (j[:n] != want_j)
+    if off.any():
+        r = int(np.argmax(off))
+        raise FormatError(f"{path}:{numbers[r]}: expected cell ({want_i[r]}, {want_j[r]}) of the "
+                          f"{grid.rows}x{grid.cols} grid in row-major order, found "
+                          f"({_fmt(i[r])}, {_fmt(j[r])})")
+    bad = (flag != 0.0) & (flag != 1.0)
+    if bad.any():
+        raise FormatError(f"{path}:{numbers[int(np.argmax(bad))]}: valid must be 0 or 1")
+    if len(rows) > n_cells:
+        raise FormatError(f"{path}:{numbers[n_cells]}: row past the last cell of the "
+                          f"{grid.rows}x{grid.cols} grid")
+    if len(rows) < n_cells:
+        raise FormatError(f"{path}:{len(lines)}: table ends after {n} of {n_cells} cells; "
+                          f"cell {divmod(n, grid.cols)} is missing")
+    return _build(path, DenseCostmap, grid, value.reshape(grid.rows, grid.cols),
+                  (flag == 1.0).reshape(grid.rows, grid.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +379,6 @@ def _build(path, cls, *columns):
 
 def write_sparse_csv(xy: np.ndarray, tc: np.ndarray, path):
     _write_table(path, SPARSE_HEADER, xy, tc)
-
-
-def read_sparse_csv(path):
-    data = _read_table(path, SPARSE_HEADER)
-    labels = _build(path, SparseCostmap, data[:, :2], data[:, 2])
-    return labels.xy, labels.tc
 
 
 def write_trajectory_csv(traj: Trajectory, path):

@@ -1,10 +1,11 @@
 """IMU-derived traversability-cost labels.
 
-A driven trajectory is binned into BEV grid cells; each visited cell gets a
-scalar cost from the inertial samples recorded inside it (acceleration RMS,
-path-weighted angular rate, spatial-domain jerk RMS). The scattered per-cell
-costs are then densified with a compactly supported kernel and min-max
-normalized over the whole dataset.
+A driven trajectory, with the one IMU reading taken at each pose, is binned
+into BEV grid cells; each visited cell gets a scalar cost from the readings
+of the poses inside it (acceleration RMS, path-weighted angular rate,
+spatial-domain jerk RMS). The scattered per-cell costs are then densified
+with a compactly supported kernel and min-max normalized over the whole
+dataset.
 
 All distance-based quantities use path length instead of time, so the labels
 are insensitive to pure time reparameterization of the drive.
@@ -39,36 +40,31 @@ class LabelingConfig:
 
 
 def match_imu(traj: Trajectory, imu: ImuLog):
-    """The IMU sample nearest in time to each pose, as ``(accel, gyro)``, each ``(n, 3)``.
+    """The IMU reading of each pose, as ``(accel, gyro)``, each ``(n, 3)``.
 
-    Raises ``ValueError`` naming the first pose whose nearest sample is further
-    away than half the median pose spacing.
+    The log holds one reading per pose, taken at the pose's own time, as
+    :func:`marscost.simulate.synthesize_imu` records it and the ``%.17g``
+    tables keep it. Raises ``ValueError`` naming the pose count when the
+    lengths differ, else the first pose whose reading has another time.
     """
-    t_pose = traj.times
-    order = np.argsort(imu.times, kind="stable")
-    t_sorted = imu.times[order]
-
-    max_skew = float(np.median(np.diff(t_pose))) / 2.0
-    k = np.searchsorted(t_sorted, t_pose)
-    k = np.clip(k, 1, len(t_sorted) - 1) if len(t_sorted) > 1 else np.zeros(len(t_pose), int)
-    left = np.maximum(k - 1, 0)
-    pick = np.where(np.abs(t_sorted[left] - t_pose) <= np.abs(t_sorted[k] - t_pose), left, k)
-    skew = np.abs(t_sorted[pick] - t_pose)
-    if np.any(skew > max_skew + 1e-12):
-        bad = int(np.argmax(skew > max_skew + 1e-12))
-        raise ValueError(
-            f"pose {bad}: nearest IMU sample is {skew[bad]:.6g}s away (max skew {max_skew:.6g}s)"
-        )
-    return imu.accel[order[pick]], imu.gyro[order[pick]]
+    if len(imu) != len(traj):
+        raise ValueError(f"{len(imu)} IMU readings for a trajectory of {len(traj)} poses "
+                         "(one reading per pose)")
+    off = imu.times != traj.times
+    if off.any():
+        bad = int(np.argmax(off))
+        raise ValueError(f"pose {bad}: IMU reading at t={float(imu.times[bad])!r}, pose at "
+                         f"t={float(traj.times[bad])!r}")
+    return imu.accel, imu.gyro
 
 
 def bin_trajectory(traj: Trajectory, imu: ImuLog, grid: GridSpec):
     """Assign pose/IMU pairs to the grid cells containing their (x, y).
 
-    IMU samples are associated to poses by :func:`match_imu`. Returns
-    ``(index, cell, accel, gyro)``: the ``(m, 2)`` (row, col) of each visited
-    cell in first-visit order, the ``(n,)`` row of ``index`` each pose falls
-    in, and the ``(n, 3)`` IMU samples matched to the poses.
+    ``imu`` holds one reading per pose, at the pose's time (see
+    :func:`match_imu`). Returns ``(index, cell, accel, gyro)``: the ``(m, 2)``
+    (row, col) of each visited cell in first-visit order, the ``(n,)`` row of
+    ``index`` each pose falls in, and the ``(n, 3)`` readings of the poses.
     """
     pos = traj.positions
     accel, gyro = match_imu(traj, imu)

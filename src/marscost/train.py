@@ -132,7 +132,8 @@ def augment(sample: Sample, seed, cfg: AugmentConfig = AugmentConfig()) -> Sampl
     Rotation and translation move the cloud and the label raster together so
     supervision stays consistent; noise perturbs the image pixels (clamped to
     [0, 1]) and the point coordinates but never the label values. A draw
-    that changes nothing returns ``sample`` itself.
+    that changes nothing returns ``sample`` itself. Raises ``ValueError``
+    when the drawn shift moves every labelled cell out of the window.
     """
     rng = np.random.default_rng(seed)
     out = sample
@@ -144,6 +145,11 @@ def augment(sample: Sample, seed, cfg: AugmentConfig = AugmentConfig()) -> Sampl
         sc, sr = rng.integers(-cfg.max_shift_cells, cfg.max_shift_cells + 1, size=2)
         if sc or sr:
             out = translate_sample(out, int(sc), int(sr))
+            if not out.target.valid.any():  # the loss has nothing to fit; name the knob
+                g = out.target.grid
+                raise ValueError(f"a shift of ({sc}, {sr}) cells leaves no labelled cell in the "
+                                 f"{g.rows}x{g.cols}-cell window; lower "
+                                 f"train.augment.max_shift_cells (now {cfg.max_shift_cells})")
     if cfg.noise_sigma > 0:
         out = sensor_noise(out, rng, cfg.noise_sigma, cfg.noise_sigma)
     return out

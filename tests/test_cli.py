@@ -21,7 +21,7 @@ from marscost.io import COSTMAP_MAXVAL, read_run_dir
 from marscost.labeling import LabelingConfig
 from marscost.net import NetConfig, init_params
 from marscost.train import TrainConfig
-from marscost.types import DenseCostmap, ImuLog, Trajectory
+from marscost.types import DenseCostmap, GridSpec, ImuLog, Trajectory
 
 TINY = Path(__file__).resolve().parent.parent / "configs" / "tiny.json"
 
@@ -296,7 +296,22 @@ def test_label_imu_out_of_step_exits_2_naming_the_imu_file(tmp_path, capsys):
     capsys.readouterr()
     assert main(["label", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == (
-        f"error: {path}: pose 0: nearest IMU sample is 0.07s away (max skew 0.05s)\n")
+        f"error: {path}: pose 0: IMU reading at t=0.07, pose at t=0.0\n")
+    assert not (workdir / "labels").exists()
+
+
+def test_label_trajectory_cut_by_a_row_exits_2_naming_the_pose_count(tmp_path, capsys):
+    cfg, workdir = _tiny_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    run0 = workdir / "data" / "run_000"
+    path = run0 / "trajectory.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))
+    n = len(lines) - 1  # poses written, under the header row
+    capsys.readouterr()
+    assert main(["label", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (f"error: {run0 / 'imu.csv'}: {n} IMU readings for a "
+                                       f"trajectory of {n - 1} poses (one reading per pose)\n")
     assert not (workdir / "labels").exists()
 
 
@@ -333,6 +348,32 @@ def test_export_bad_costmap_csv_exits_2(tmp_path, capsys):
                    "i,j,value,valid\n5,0,1,1\n")
     assert main(["export", "--config", str(cfg), "--map", str(bad)]) == 2
     assert "bad.csv:3" in capsys.readouterr().err
+
+
+def test_export_costmap_csv_with_two_rows_swapped_exits_2(tmp_path, capsys):
+    cfg, _ = _tiny_config(tmp_path)
+    path = tmp_path / "swapped.csv"
+    grid = GridSpec((0.0, 0.0), 0.5, 2, 3)
+    mio.write_costmap_csv(DenseCostmap(grid, np.arange(6.0).reshape(2, 3)), path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[4], lines[6] = lines[6], lines[4]  # cells (0, 2) and (1, 1)
+    path.write_text("".join(lines))
+    assert main(["export", "--config", str(cfg), "--map", str(path)]) == 2
+    assert capsys.readouterr().err == (f"error: {path}:5: expected cell (0, 2) of the 2x3 grid "
+                                       "in row-major order, found (1, 1)\n")
+
+
+def test_train_shift_that_empties_the_window_exits_2_naming_the_knob(tmp_path, capsys):
+    cfg, workdir = _tiny_config(tmp_path, **{"train.augment.max_shift_cells": 30})
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert main(["label", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: a shift of \(-?\d+, -?\d+\) cells leaves no labelled cell in "
+                        r"the 24x24-cell window; lower train\.augment\.max_shift_cells "
+                        r"\(now 30\)\n", err), err
+    assert not (workdir / "model.ckpt").exists()
 
 
 def test_export_costmap_csv_declaring_a_huge_grid_exits_2(tmp_path, capsys):

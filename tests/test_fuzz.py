@@ -20,9 +20,10 @@ from marscost import io as mio
 from marscost.cli import main
 from marscost.heightfield import Heightfield, load_heightfield
 from marscost.types import (
-    DenseCostmap, FormatError, GridSpec, Image, ImuLog, PointCloud, Trajectory,
+    DenseCostmap, FormatError, GridSpec, Image, ImuLog, PointCloud, SparseCostmap, Trajectory,
 )
 from test_cli import _tiny_config
+from test_io import read_sparse_table
 
 SEED = 6
 FLIPS = 48  # seeded byte flips per file
@@ -68,7 +69,7 @@ def _artifacts(d):
         "heightmap": (lambda: load_heightfield(d / "h.pgm"), is_a(Heightfield),
                       ["h.pgm", "h.meta.json"]),
         "costmap_csv": (lambda: mio.read_costmap_csv(d / "c.csv"), is_a(DenseCostmap), ["c.csv"]),
-        "sparse": (lambda: mio.read_sparse_csv(d / "s.csv"), lambda out: len(out) == 2, ["s.csv"]),
+        "sparse": (lambda: read_sparse_table(d / "s.csv"), is_a(SparseCostmap), ["s.csv"]),
         "trajectory": (lambda: mio.read_trajectory_csv(d / "t.csv"), is_a(Trajectory), ["t.csv"]),
         "imu": (lambda: mio.read_imu_csv(d / "u.csv"), is_a(ImuLog), ["u.csv"]),
         "cloud": (lambda: mio.read_cloud_csv(d / "p.csv"), is_a(PointCloud), ["p.csv"]),

@@ -9,7 +9,7 @@ from marscost import io as mio
 from marscost.checkpoint import _WIDTHS, MAGIC, load_checkpoint
 from marscost.cli import main
 from marscost.heightfield import load_heightfield
-from marscost.types import DenseCostmap, FormatError, GridSpec, Image, Pose
+from marscost.types import DenseCostmap, FormatError, GridSpec, Image, Pose, SparseCostmap
 
 
 def test_pgm_ascii_round_trip(tmp_path):
@@ -124,19 +124,26 @@ def test_costmap_all_invalid_export(tmp_path):
     assert np.all(back.values == 0.0)
 
 
+def read_sparse_table(path) -> SparseCostmap:
+    """The labels of a ``run_NNN.sparse.csv``, through the shared table reader;
+    the pipeline writes this table and never reads it back."""
+    data = mio._read_table(path, mio.SPARSE_HEADER)
+    return mio._build(path, SparseCostmap, data[:, :2], data[:, 2])
+
+
 def test_sparse_csv_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     xy = rng.uniform(-5, 5, (12, 2))
     tc = rng.uniform(0, 30, 12)
     mio.write_sparse_csv(xy, tc, tmp_path / "s.csv")
-    bxy, btc = mio.read_sparse_csv(tmp_path / "s.csv")
-    assert np.array_equal(bxy, xy)
-    assert np.array_equal(btc, tc)
+    back = read_sparse_table(tmp_path / "s.csv")
+    assert np.array_equal(back.xy, xy)
+    assert np.array_equal(back.tc, tc)
 
 
 # reader, header and one valid row of each float table
 FLOAT_TABLES = {
-    "sparse": (mio.read_sparse_csv, "x_m,y_m,tc", "0.5,1.5,2"),
+    "sparse": (read_sparse_table, "x_m,y_m,tc", "0.5,1.5,2"),
     "trajectory": (mio.read_trajectory_csv, "t,x,y,z,qw,qx,qy,qz", "0,1,2,3,1,0,0,0"),
     "imu": (mio.read_imu_csv, "t,ax,ay,az,wx,wy,wz", "0,0,0,9.81,0,0,0"),
     "cloud": (mio.read_cloud_csv, "x,y,z,r,g,b", "1,2,3,0.5,0.5,0.5"),
@@ -162,8 +169,7 @@ def test_float_table_errors_name_the_file(tmp_path, table):
         with pytest.raises(FormatError, match=rf"{table}\.csv"):
             read(path)
     else:  # no labels, or a LiDAR sweep with no hits
-        out = read(path)
-        assert len(out[1] if table == "sparse" else out) == 0
+        assert len(read(path)) == 0
 
 
 def test_range_checks_reject_nan():
@@ -187,7 +193,11 @@ COSTMAP_CSV_HEADER = "# grid origin_x=0 origin_y=0 resolution=0.5 rows=2 cols=2\
     (COSTMAP_CSV_HEADER + "0,0,1,1\n0,1,1,1\n1,0,1,1\n", ":5: .*cell \\(1, 1\\) is missing"),
     (COSTMAP_CSV_HEADER, ":2: table ends after 0 of 4 cells"),
     (COSTMAP_CSV_HEADER + "0,0,1,1\n0,1,1,1\n0,0,7,1\n1,0,1,1\n1,1,1,1\n",
-     ":5: cell \\(0, 0\\) repeats line 3"),
+     ":5: expected cell \\(1, 0\\) of the 2x2 grid in row-major order, found \\(0, 0\\)$"),
+    (COSTMAP_CSV_HEADER + "0,0,1,1\n1,0,1,1\n0,1,1,1\n1,1,1,1\n",
+     ":4: expected cell \\(0, 1\\) of the 2x2 grid in row-major order, found \\(1, 0\\)$"),
+    (COSTMAP_CSV_HEADER + "0,0,1,1\n0,1,1,1\n1,0,1,1\n1,1,1,1\n0,0,7,1\n",
+     ":7: row past the last cell of the 2x2 grid$"),
     (COSTMAP_CSV_HEADER + "0,0,1_0,1\n0,1,1,1\n1,0,1,1\n1,1,1,1\n", ":3"),  # float() reads 1_0
     (COSTMAP_CSV_HEADER.replace("rows=2", "rows=1000000000"), ":1: a 1000000000x2 grid is too large"),
     (COSTMAP_CSV_HEADER.replace("cols=2", "cols=" + "9" * 20), ":1: a 2x9+ grid is too large"),
@@ -195,7 +205,8 @@ COSTMAP_CSV_HEADER = "# grid origin_x=0 origin_y=0 resolution=0.5 rows=2 cols=2\
      + "".join(f"{i},0,1,1\n" for i in range(10)),  # int() and float() read a 10x1 grid at 5 m
      ":1: '_' is not part of a number$"),
 ], ids=["row", "column", "fraction", "valid", "ragged", "text", "grid_key", "cut_at_row",
-        "no_rows", "repeated_cell", "underscore", "ten_digit_rows", "int64_cols", "header_underscore"])
+        "no_rows", "repeated_cell", "swapped_rows", "extra_row", "underscore", "ten_digit_rows",
+        "int64_cols", "header_underscore"])
 def test_costmap_csv_errors_name_the_file(tmp_path, text, where):
     path = tmp_path / "bad.csv"
     path.write_text(text)
@@ -208,20 +219,25 @@ HUGE_COSTMAP_CSV = ("# grid origin_x=0 origin_y=0 resolution=0.5 rows=10000000 c
 
 
 def test_costmap_csv_short_of_a_huge_grid_allocates_by_its_bytes(tmp_path):
-    """A table that declares 10**14 cells and holds 3 is named as short without
+    """A table that declares 10**14 cells and holds 3 is named as damaged without
     any array sized by the declared grid (that would be 91 TiB of mask)."""
     path = tmp_path / "huge.csv"
-    path.write_text(HUGE_COSTMAP_CSV)
-    assert path.stat().st_size < 1024
-    tracemalloc.start()
-    try:
-        with pytest.raises(FormatError, match=r"huge\.csv:5: table ends after 3 of "
-                           r"100000000000000 cells; cell \(0, 2\) is missing"):
-            mio.read_costmap_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    in_order = HUGE_COSTMAP_CSV.replace("\n1,0,0,0\n", "\n0,2,0,0\n")
+    for text, message in [
+        (HUGE_COSTMAP_CSV, r":5: expected cell \(0, 2\) of the 10000000x10000000 grid in "
+         r"row-major order, found \(1, 0\)$"),
+        (in_order, r":5: table ends after 3 of 100000000000000 cells; cell \(0, 3\) is missing$"),
+    ]:
+        path.write_text(text)
+        assert path.stat().st_size < 1024
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=r"huge\.csv" + message):
+                mio.read_costmap_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 def test_run_dir_round_trip(tmp_path, flat_field):
@@ -585,5 +601,6 @@ def test_table_reader_skips_blank_lines_and_keeps_line_numbers(tmp_path):
     # and so is a costmap cell that repeats across blank lines
     csv = tmp_path / "c.csv"
     csv.write_text(COSTMAP_CSV_HEADER + "0,0,1,1\n\n0,1,1,1\n  \n1,0,1,1\n0,1,5,1\n")
-    with pytest.raises(FormatError, match=r"c\.csv:8: cell \(0, 1\) repeats line 5"):
+    with pytest.raises(FormatError, match=r"c\.csv:8: expected cell \(1, 1\) of the 2x2 grid "
+                       r"in row-major order, found \(0, 1\)$"):
         mio.read_costmap_csv(csv)

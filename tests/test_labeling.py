@@ -13,6 +13,7 @@ from marscost.labeling import (
     cell_costs,
     interpolate_costmap,
     label_grids_for,
+    match_imu,
     normalize_labels,
     sparse_kernel,
 )
@@ -63,21 +64,25 @@ def test_bin_pose_outside_grid_names_index():
 
 def test_bin_rejects_misaligned_imu():
     traj, _ = _straight_traj_imu(n=10)
-    # IMU clock offset far beyond half the pose spacing
+    # an IMU clock offset
     imu = ImuLog(traj.times + 0.4, np.tile((0, 0, 1), (len(traj), 1)), np.zeros((len(traj), 3)))
     with pytest.raises(ValueError, match="IMU"):
         bin_trajectory(traj, imu, GridSpec((0.0, 0.0), 0.2, 8, 8))
 
 
-def test_bin_preserves_sample_order():
-    traj, _ = _straight_traj_imu(n=8, spacing=0.04)  # two 0.2-cells
-    shuffled = np.random.default_rng(3).permutation(8)
-    accel = np.column_stack([np.arange(8.0), np.zeros(8), np.ones(8)])
-    imu = ImuLog(traj.times[shuffled], accel[shuffled], np.zeros((8, 3)))
-    grid = GridSpec((0.0, 0.0), 0.2, 2, 4)
-    index, cell, acc, _ = bin_trajectory(traj, imu, grid)
-    assert np.array_equal(acc, accel)  # matched samples come back in pose order
-    assert index.tolist() == [[0, 0], [0, 1]] and cell.tolist() == [0] * 4 + [1] * 4
+def test_match_imu_takes_one_reading_per_pose_at_its_time():
+    traj, imu = _straight_traj_imu(n=10)
+    accel = np.column_stack([np.arange(10.0), np.zeros(10), np.ones(10)])
+    accel_back, gyro_back = match_imu(traj, ImuLog(imu.times, accel, imu.gyro))
+    assert np.array_equal(accel_back, accel) and np.array_equal(gyro_back, imu.gyro)
+    dropped = ImuLog(np.delete(imu.times, 4), np.delete(accel, 4, 0), np.delete(imu.gyro, 4, 0))
+    with pytest.raises(ValueError, match="^9 IMU readings for a trajectory of 10 poses"):
+        match_imu(traj, dropped)
+    times = imu.times.copy()
+    times[6] = np.nextafter(times[6], np.inf)  # one ulp late
+    with pytest.raises(ValueError, match=r"^pose 6: IMU reading at t=0\.6000000000000002, "
+                       r"pose at t=0\.6000000000000001$"):
+        match_imu(traj, ImuLog(times, accel, imu.gyro))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from marscost.train import (
     rotate_sample,
     translate_sample,
 )
+from marscost.types import DenseCostmap, Sample
 
 NO_AUG = AugmentConfig(rotate=False, translate=False, noise_sigma=0.0)
 
@@ -184,6 +185,30 @@ def test_translation_masks_shifted_in_cells():
     old_vals = np.where(sample.target.valid, sample.target.values, 0.0)
     assert np.array_equal(out.target.values[:-1, 2:][mask], old_vals[1:, :-2][mask])
     assert np.array_equal(out.target.valid[:-1, 2:], sample.target.valid[1:, :-2])
+
+
+def test_augment_raises_when_the_shift_moves_every_labelled_cell_away():
+    sample = random_sample(24)
+    valid = np.zeros_like(sample.target.valid)
+    valid[0, 0] = True  # one labelled corner: a negative shift on either axis moves it away
+    target = DenseCostmap(sample.target.grid, sample.target.values, valid)
+    corner = Sample(sample.cloud, sample.image, target)
+    cfg = AugmentConfig(rotate=False, translate=True, max_shift_cells=1)
+    kept = away = 0
+    for seed in range(12):
+        sc, sr = np.random.default_rng(seed).integers(-1, 2, size=2)  # augment's one draw
+        if sc < 0 or sr < 0:
+            with pytest.raises(ValueError, match=rf"^a shift of \({sc}, {sr}\) cells leaves no "
+                               r"labelled cell in the 12x12-cell window; lower "
+                               r"train\.augment\.max_shift_cells \(now 1\)$"):
+                augment(corner, seed, cfg)
+            away += 1
+        else:
+            out = augment(corner, seed, cfg)
+            assert np.argwhere(out.target.valid).tolist() == [[sr, sc]]
+            assert out.target.values[sr, sc] == sample.target.values[0, 0]
+            kept += 1
+    assert kept and away
 
 
 def test_gaussian_noise_zero_sigma_unchanged():
