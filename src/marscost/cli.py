@@ -126,10 +126,8 @@ def cmd_train(cfg) -> int:
         raise RuntimeError("training split is empty")
     params, history = fit(train_set, cfg.train, cfg.net)
     save_checkpoint(params, cfg.checkpoint_path)
-    lines = ["step,huber,smooth,total,grad_norm"]
-    for r in history:
-        lines.append(f"{r.step},{r.huber:.17g},{r.smooth:.17g},{r.total:.17g},{r.grad_norm:.17g}")
-    mio.atomic_write_text(cfg.train_log_path, "\n".join(lines) + "\n")
+    table = np.array([(r.step, r.huber, r.smooth, r.total, r.grad_norm) for r in history])
+    mio._write_table(cfg.train_log_path, "step,huber,smooth,total,grad_norm", table.reshape(-1, 5))
     last = history[-1].total if history else float("nan")
     print(f"trained on {len(train_set)} samples for {len(history)} steps "
           f"(final loss {last:.5f}) -> {cfg.checkpoint_path}")

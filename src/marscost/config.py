@@ -1,12 +1,15 @@
 """Run configuration: one JSON file drives the whole pipeline.
 
-The schema is validated strictly: unknown keys are rejected with their full
-path, types are checked, and defaults fill anything omitted. Every command
-reads the same file, so a run is reproducible from the config plus the seed.
+The file is checked and built in one walk. Each JSON object may hold the
+fields of the dataclasses that read it plus a few loose keys; an unknown key
+is rejected with its full path, and a given key must fit its field's type.
+Each dataclass is built from only the keys the file gives, so a key left out
+takes the dataclass's own default. Every command reads the same file, so a
+run is reproducible from the config plus the seed.
 """
 
 import json
-import math
+import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -23,110 +26,61 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent run configuration files."""
 
 
-_NUMBER = (int, float)
-_FIELD_TYPES = {int: int, float: _NUMBER, bool: bool, str | None: (str, type(None))}
-
-# schema: key -> (type, default) where default=_REQUIRED means the key must be present
-_REQUIRED = object()
+def _dotted(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def _fields_schema(cls, prefix: str = "") -> dict:
-    """Schema of a dataclass's defaulted fields; nested dataclasses become subsections."""
-    out = {}
-    for f in fields(cls):
-        if is_dataclass(f.type):
-            out[prefix + f.name] = _fields_schema(f.type)
-        elif f.default is not MISSING:
-            out[prefix + f.name] = (_FIELD_TYPES[f.type], f.default)
-    return out
+def _keys(cls, prefix: str = "") -> list:
+    """The config keys of ``cls``: ``prefix`` plus each field that has a default."""
+    return [prefix + f.name for f in fields(cls)
+            if f.default is not MISSING or f.default_factory is not MISSING]
 
 
-# RunConfig field -> (dataclass, config section, key prefix) it is built from
-_SECTIONS = {
-    "terrain": (TerrainConfig, "sim.terrain", ""),
-    "sim": (SimConfig, "sim", ""),
-    "labeling": (LabelingConfig, "labeling", ""),
-    "net": (NetConfig, "model", ""),
-    "layout": (BevLayout, "model", "bev_"),
-    "train": (TrainConfig, "train", ""),
-}
-_EVAL = (AblationSpec, "eval", "")
-
-_SCHEMA = {
-    "seed": (int, 7),
-    "workdir": (str, "runs/default"),
-    "sim": {"terrain": {}, "trajectories": (list, _REQUIRED)},
-    "labeling": {},
-    "model": {},
-    "train": {"holdout_fraction": (_NUMBER, 0.25)},
-    "eval": {"modes": (list, list(ABLATION_MODES))},
-}
-
-
-def _lookup(tree: dict, dotted: str):
-    """The entry of a nested dict at a dotted key path."""
-    for part in dotted.split("."):
-        tree = tree[part]
-    return tree
-
-
-# every other key and default comes from the dataclass the section builds
-for _cls, _name, _prefix in (*_SECTIONS.values(), _EVAL):
-    _lookup(_SCHEMA, _name).update(_fields_schema(_cls, _prefix))
-
-
-def _build_fields(cls, values: dict, prefix: str = "", **given):
-    kwargs = dict(given)
-    for f in fields(cls):
-        if f.name not in given:
-            value = values[prefix + f.name]
-            kwargs[f.name] = _build_fields(f.type, value) if is_dataclass(f.type) else value
-    return cls(**kwargs)
-
-
-def _build(values: dict, cls, section: str, prefix: str, **given):
-    """One section's dataclass from the validated values; ``given`` fills the rest."""
-    try:
-        return _build_fields(cls, _lookup(values, section), prefix, **given)
-    except ValueError as e:
-        raise ConfigError(f"{section} section: {e}") from e
-
-
-def _validate(node, schema, path=""):
+def _object(node, path: str, keys) -> dict:
+    """``node`` if it is a JSON object whose every key is one of ``keys``."""
     if not isinstance(node, dict):
         raise ConfigError(f"config section {path or '<root>'} must be an object")
-    out = {}
     for key in node:
-        if key not in schema:
-            raise ConfigError(f"unknown config key {path + key!r}")
-    for key, rule in schema.items():
-        full = f"{path}{key}"
-        if isinstance(rule, dict):
-            sub = node.get(key, {})
-            out[key] = _validate(sub, rule, full + ".")
-            continue
-        typ, default = rule
-        if key not in node:
-            if default is _REQUIRED:
-                raise ConfigError(f"missing required config key {full!r}")
-            out[key] = default
-            continue
-        val = node[key]
-        if typ is int:
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise ConfigError(f"config key {full!r} must be an integer")
-        elif typ is bool:
-            if not isinstance(val, bool):
-                raise ConfigError(f"config key {full!r} must be a boolean")
-        elif typ is _NUMBER:
-            if isinstance(val, bool) or not isinstance(val, _NUMBER):
-                raise ConfigError(f"config key {full!r} must be a number")
-            if isinstance(val, float) and not math.isfinite(val):
-                raise ConfigError(f"config key {full!r} must be finite")
-        elif not isinstance(val, typ):
-            raise ConfigError(f"config key {full!r} has the wrong type")
-        out[key] = val
-    return out
+        if key not in keys:
+            raise ConfigError(f"unknown config key {_dotted(path, key)!r}")
+    return node
+
+
+def _number_fault(val):
+    """What keeps ``val`` from being a finite JSON number (a bool is none), or None."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return "a number"
+    if not abs(val) <= sys.float_info.max:  # inf, NaN or an int past every float
+        return "finite"
+
+
+def _typed(val, typ, key: str):
+    """``val`` if it fits the annotation ``typ``; a ``float`` takes any finite number."""
+    if typ is float:
+        fault = _number_fault(val)
+        if fault:
+            raise ConfigError(f"config key {key!r} must be {fault}")
+    elif not isinstance(val, typ) or isinstance(val, bool) and typ is not bool:
+        what = {int: "must be an integer", bool: "must be a boolean"}.get(typ, "has the wrong type")
+        raise ConfigError(f"config key {key!r} {what}")
+    return val
+
+
+def _build(node: dict, path: str, cls, prefix: str = "", section: str = "", **given):
+    """``cls`` from the keys ``prefix + field`` of the object at ``path``: a field the file
+    leaves out keeps its default, and a dataclass field reads the object at its key.
+    A value the dataclass rejects names ``section``, by default ``path``."""
+    section = section or path
+    for f in fields(cls):
+        key = prefix + f.name
+        if key in node:
+            at, val = _dotted(path, key), node[key]
+            given[f.name] = (_build(_object(val, at, _keys(f.type)), at, f.type, section=section)
+                             if is_dataclass(f.type) else _typed(val, f.type, at))
+    try:
+        return cls(**given)
+    except ValueError as e:
+        raise ConfigError(f"{section} section: {e}") from e
 
 
 def _trajectories(paths: list) -> tuple:
@@ -135,12 +89,14 @@ def _trajectories(paths: list) -> tuple:
         raise ConfigError("sim.trajectories must list at least one waypoint path")
     out = []
     for t_idx, wp in enumerate(paths):
-        arr = _read_only(wp)
-        if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] != 2:
-            raise ConfigError(
-                f"sim.trajectories[{t_idx}] must be a list of >= 2 [x, y] waypoints"
-            )
-        out.append(arr)
+        if not isinstance(wp, list) or len(wp) < 2 or any(
+                not isinstance(point, list) or len(point) != 2 for point in wp):
+            raise ConfigError(f"sim.trajectories[{t_idx}] must be a list of >= 2 [x, y] waypoints")
+        for k, point in enumerate(wp):
+            if any(map(_number_fault, point)):
+                raise ConfigError(f"sim.trajectories[{t_idx}]: waypoint {k} must be two finite "
+                                  f"numbers [x, y], not {json.dumps(point)}")
+        out.append(_read_only(wp))
     return tuple(out)
 
 
@@ -184,24 +140,43 @@ class RunConfig:
 
 
 def validate_config(data: dict) -> RunConfig:
-    values = _validate(data, _SCHEMA)
-    for key in ("seed", "train.seed", "eval.seed"):
-        if _lookup(values, key) < 0:
+    root = _object(data, "", ("seed", "workdir", "sim", "labeling", "model", "train", "eval"))
+    sim = _object(root.get("sim", {}), "sim", ("terrain", "trajectories", *_keys(SimConfig)))
+    terrain = _object(sim.get("terrain", {}), "sim.terrain", _keys(TerrainConfig))
+    labeling = _object(root.get("labeling", {}), "labeling", _keys(LabelingConfig))
+    model = _object(root.get("model", {}), "model", _keys(NetConfig) + _keys(BevLayout, "bev_"))
+    train = _object(root.get("train", {}), "train", ("holdout_fraction", *_keys(TrainConfig)))
+    evals = _object(root.get("eval", {}), "eval", ("modes", *_keys(AblationSpec)))
+    if "trajectories" not in sim:
+        raise ConfigError("missing required config key 'sim.trajectories'")
+    seed = _typed(root.get("seed", 7), int, "seed")
+    workdir = _typed(root.get("workdir", "runs/default"), str, "workdir")
+    paths = _typed(sim["trajectories"], list, "sim.trajectories")
+    holdout_fraction = _typed(train.get("holdout_fraction", 0.25), float, "train.holdout_fraction")
+    modes = _typed(evals.get("modes", list(ABLATION_MODES)), list, "eval.modes")
+    sections = {
+        "terrain": _build(terrain, "sim.terrain", TerrainConfig),
+        "sim": _build(sim, "sim", SimConfig),
+        "labeling": _build(labeling, "labeling", LabelingConfig),
+        "net": _build(model, "model", NetConfig),
+        "layout": _build(model, "model", BevLayout, "bev_"),
+        "train": _build(train, "train", TrainConfig),
+    }
+    baseline = _build(evals, "eval", AblationSpec, mode="baseline")
+    ablations = tuple(_build(evals, "eval", AblationSpec, mode=mode) for mode in modes)
+    for key, value in (("seed", seed), ("train.seed", sections["train"].seed),
+                       ("eval.seed", baseline.seed)):
+        if value < 0:
             raise ConfigError(f"config key {key!r} must be nonnegative")
-    trajectories = _trajectories(values["sim"]["trajectories"])
-    sections = {name: _build(values, *rule) for name, rule in _SECTIONS.items()}
-    baseline = _build(values, *_EVAL, mode="baseline")
-    ablations = tuple(_build(values, *_EVAL, mode=mode) for mode in values["eval"]["modes"])
+    trajectories = _trajectories(paths)
     try:
         _cells_per_bev(sections["layout"], sections["labeling"].fine_res)
     except ValueError as e:
         raise ConfigError(f"model.bev_resolution: {e}") from e
-    holdout_fraction = values["train"]["holdout_fraction"]
     if not 0.0 <= holdout_fraction < 1.0:
         raise ConfigError("train.holdout_fraction: holdout_fraction must lie in [0, 1)")
-    return RunConfig(seed=values["seed"], workdir=Path(values["workdir"]),
-                     trajectories=trajectories, holdout_fraction=holdout_fraction,
-                     baseline=baseline, ablations=ablations, **sections)
+    return RunConfig(seed=seed, workdir=Path(workdir), trajectories=trajectories, baseline=baseline,
+                     holdout_fraction=holdout_fraction, ablations=ablations, **sections)
 
 
 def load_config(path, seed_override: int = None, workdir_override=None) -> RunConfig:

@@ -2,16 +2,17 @@ import hashlib
 import json
 import re
 import tracemalloc
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from marscost import cli, config
+from marscost import cli
 from marscost import io as mio
 from marscost.checkpoint import load_checkpoint, save_checkpoint
 from marscost.cli import main
-from marscost.config import load_config, validate_config
+from marscost.config import RunConfig, load_config, validate_config
 from marscost.dataset import (
     MIN_VALID_CELLS, BevLayout, SimConfig, build_samples, label_runs, simulate_run,
 )
@@ -20,7 +21,7 @@ from marscost.heightfield import TerrainConfig, build_terrain
 from marscost.io import COSTMAP_MAXVAL, read_run_dir
 from marscost.labeling import LabelingConfig
 from marscost.net import NetConfig, init_params
-from marscost.train import TrainConfig
+from marscost.train import AugmentConfig, TrainConfig
 from marscost.types import DenseCostmap, GridSpec, ImuLog, Trajectory
 
 TINY = Path(__file__).resolve().parent.parent / "configs" / "tiny.json"
@@ -421,10 +422,11 @@ def test_train_non_finite_config_literal_exits_2(tmp_path, capsys, literal):
 
 
 def test_overflowing_config_number_exits_2(tmp_path, capsys):
-    cfg, _ = _tiny_config(tmp_path, **{"sim.lidar_max_range": 0.125})
-    cfg.write_text(cfg.read_text().replace("0.125", "1e999"))  # parses as inf
-    assert main(["simulate", "--config", str(cfg)]) == 2
-    assert "'sim.lidar_max_range' must be finite" in capsys.readouterr().err
+    for literal in ("1e999", "1" + "0" * 400):  # parses as inf; an int that no float holds
+        cfg, _ = _tiny_config(tmp_path, **{"sim.lidar_max_range": 0.125})
+        cfg.write_text(cfg.read_text().replace("0.125", literal))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "'sim.lidar_max_range' must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -439,6 +441,7 @@ def test_overflowing_config_number_exits_2(tmp_path, capsys):
     ("sim.terrain.rows", 1, "sim.terrain section: rows and cols must be at least 2"),
     ("sim.terrain.cell_size", -0.2, "sim.terrain section: cell_size must be positive"),
     ("train.holdout_fraction", 1.5, "train.holdout_fraction: holdout_fraction must lie in"),
+    ("train.augment.max_shift_cells", -1, "train section: max_shift_cells must be nonnegative"),
 ])
 def test_simulate_rejects_out_of_range_values_before_any_work(tmp_path, capsys, key, value, message):
     cfg, workdir = _tiny_config(tmp_path, **{key: value})
@@ -577,13 +580,6 @@ def test_config_defaults_are_dataclass_defaults():
     assert cfg.ablations == tuple(AblationSpec(mode) for mode in ABLATION_MODES)
 
 
-def _leaf_keys(schema: dict, prefix: str = "") -> list:
-    out = []
-    for key, rule in schema.items():
-        out += _leaf_keys(rule, f"{prefix}{key}.") if isinstance(rule, dict) else [prefix + key]
-    return out
-
-
 def _readme_config_keys() -> list:
     """Dotted keys of the README's config table; ``a`` (``b``, ``c``) lists a.b and a.c."""
     text = (TINY.parent.parent / "README.md").read_text()
@@ -604,11 +600,70 @@ def _readme_config_keys() -> list:
     return [k for k in keys if not any(other.startswith(k + ".") for other in keys)]
 
 
+# each section dataclass under its key prefix (a library default instance of it), and the
+# config keys that no dataclass field reads, with their defaults
+_SECTION_DEFAULTS = {
+    "sim.terrain.": TerrainConfig(), "sim.": SimConfig(), "labeling.": LabelingConfig(),
+    "model.bev_": BevLayout(), "model.": NetConfig(), "train.augment.": AugmentConfig(),
+    "train.": TrainConfig(), "eval.": AblationSpec("baseline"),
+}
+_LOOSE_DEFAULTS = {"seed": 7, "workdir": "runs/default", "train.holdout_fraction": 0.25,
+                   "eval.modes": list(ABLATION_MODES),
+                   "sim.trajectories": [[[2.0, 2.0], [7.0, 7.0]]]}  # required: no default
+
+
+def _default_of(key: str):
+    if key in _LOOSE_DEFAULTS:
+        return _LOOSE_DEFAULTS[key]
+    prefix, section = next((p, obj) for p, obj in _SECTION_DEFAULTS.items() if key.startswith(p))
+    return getattr(section, key[len(prefix):])
+
+
 def test_readme_config_table_lists_exactly_the_schema_keys():
     readme = _readme_config_keys()
     assert len(readme) == len(set(readme))
-    assert sorted(readme) == sorted(_leaf_keys(config._SCHEMA))
+    # a dataclass field with a plain default is a key; a nested dataclass is a subsection,
+    # and AblationSpec.mode (no default) is given per mode
+    fielded = [prefix + f.name for prefix, section in _SECTION_DEFAULTS.items()
+               for f in fields(section) if f.default is not MISSING]
+    assert sorted(readme) == sorted(fielded + list(_LOOSE_DEFAULTS))
     assert len(readme) == 50
+
+    # every key set to its default builds what a config giving only the trajectories builds
+    data = {}
+    for key in readme:
+        *path, leaf = key.split(".")
+        node = data
+        for part in path:
+            node = node.setdefault(part, {})
+        node[leaf] = _default_of(key)
+    full = validate_config(data)
+    bare = validate_config({"sim": {"trajectories": _LOOSE_DEFAULTS["sim.trajectories"]}})
+    for f in fields(RunConfig):
+        if f.name != "trajectories":
+            assert getattr(full, f.name) == getattr(bare, f.name), f.name
+    assert [w.tolist() for w in full.trajectories] == [w.tolist() for w in bare.trajectories]
+
+
+@pytest.mark.parametrize("section", ["sim", "sim.terrain", "train.augment"])
+def test_a_section_that_is_no_object_exits_2_naming_it(tmp_path, capsys, section):
+    cfg, workdir = _tiny_config(tmp_path, **{section: 3})
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: config section {section} must be an object\n"
+    assert not workdir.exists()
+
+
+@pytest.mark.parametrize("waypoint, shown", [
+    ([7.2, "x"], '[7.2, "x"]'), ([7.2, None], "[7.2, null]"), ([True, 7.4], "[true, 7.4]"),
+])
+def test_a_waypoint_that_is_not_two_finite_numbers_exits_2_naming_it(
+        tmp_path, capsys, waypoint, shown):
+    cfg, workdir = _tiny_config(tmp_path, **{"sim.trajectories": [[[2.0, 2.0], [7.2, 7.4]],
+                                                                  [[2.0, 2.0], waypoint]]})
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == ("error: sim.trajectories[1]: waypoint 1 must be two finite "
+                                       f"numbers [x, y], not {shown}\n")
+    assert not workdir.exists()
 
 
 def test_heightmap_cell_size_comes_from_its_sidecar(tmp_path):
