@@ -21,6 +21,7 @@ from .dataset import MIN_VALID_CELLS, build_samples, label_runs, simulate_run, s
 from .evaluation import export_costmap, import_costmap, predict, run_ablation_suite
 from .heightfield import _require_inside, build_terrain
 from .labeling import label_grids_for, match_imu
+from .simulate import _drive_legs
 from .train import fit
 from .types import FormatError
 
@@ -45,7 +46,7 @@ def cmd_simulate(cfg) -> int:
     hf = build_terrain(cfg.terrain, cfg.seed)
     for i, wp in enumerate(cfg.trajectories):  # every path, before any run is written
         try:
-            _require_inside(hf, wp[:, 0], wp[:, 1], "waypoint")
+            _drive_legs(hf, wp, cfg.sim.speed * cfg.sim.dt)
         except ValueError as e:
             raise ConfigError(f"sim.trajectories[{i}]: {e}") from e
     n_clouds = 0

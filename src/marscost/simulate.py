@@ -22,6 +22,7 @@ from .heightfield import (
     Heightfield,
     _node_bilinear,
     _require_inside,
+    _walk_tables,
     slope_magnitudes,
     surface_colors,
     surface_heights,
@@ -61,22 +62,10 @@ def generate_trajectory(
     Poses are spaced ``speed * dt`` meters apart along the path (timestamps
     ``k * dt``), so a straight 10 m leg at speed 1 and dt 0.1 yields 101 poses.
     """
-    wp = np.asarray(waypoints, dtype=np.float64).reshape(-1, 2)
-    if wp.shape[0] < 2:
-        raise ValueError("need at least 2 waypoints")
     if not (speed > 0 and dt > 0):
         raise ValueError("speed and dt must be positive")
-    _require_inside(hf, wp[:, 0], wp[:, 1], "waypoint")
-
-    seg = np.diff(wp, axis=0)
-    seg_len = np.hypot(seg[:, 0], seg[:, 1])
-    if np.any(seg_len == 0):
-        raise ValueError("consecutive waypoints must be distinct")
-    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-    total = cum[-1]
-
     step = speed * dt
-    n = int(np.floor(total / step + 1e-9)) + 1
+    wp, seg, seg_len, cum, n = _drive_legs(hf, waypoints, step)
     s = np.arange(n) * step
     idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(seg_len) - 1)
     frac = (s - cum[idx]) / seg_len[idx]
@@ -97,6 +86,33 @@ def generate_trajectory(
     positions = np.column_stack([xy, z])
     t.flags.writeable = positions.flags.writeable = quats.flags.writeable = False  # held uncopied
     return Trajectory(t, positions, quats)
+
+
+def _drive_legs(hf: Heightfield, waypoints, step: float):
+    """The legs of a drive along ``waypoints`` with poses ``step`` meters apart.
+
+    Returns ``(wp, seg, seg_len, cum, n)``: the ``(k, 2)`` waypoints, their
+    legs, the legs' lengths, the path length at each waypoint and the pose
+    count. Raises ``ValueError`` naming the waypoint when one lies outside the
+    terrain or repeats the one before it, and when the path is shorter than
+    one step, since a trajectory needs at least 2 poses.
+    """
+    wp = np.asarray(waypoints, dtype=np.float64).reshape(-1, 2)
+    if wp.shape[0] < 2:
+        raise ValueError("need at least 2 waypoints")
+    _require_inside(hf, wp[:, 0], wp[:, 1], "waypoint")
+    seg = np.diff(wp, axis=0)
+    seg_len = np.hypot(seg[:, 0], seg[:, 1])
+    if np.any(seg_len == 0):
+        k = int(np.argmax(seg_len == 0)) + 1
+        raise ValueError(f"waypoint {k} at ({float(wp[k, 0])}, {float(wp[k, 1])}) repeats "
+                         f"waypoint {k - 1}")
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    n = int(np.floor(cum[-1] / step + 1e-9)) + 1
+    if n < 2:
+        raise ValueError(f"the path is {float(cum[-1])} m long, shorter than one pose step of "
+                         f"{step} m (speed * dt), and a trajectory needs at least 2 poses")
+    return wp, seg, seg_len, cum, n
 
 
 def synthesize_imu(
@@ -165,6 +181,15 @@ def march_rays(
     crosses, a growing block at a time: 4 crossings per ray in the first
     round, doubling up to 32. In each cell ``z - surface`` is a
     quadratic in t; the hit is the first root in the first cell that has one.
+
+    A rising ray's ceiling is the highest cell top in the box of cells its
+    path spans, rounded out to 2 x 2-cell blocks and read in O(1) from
+    ``hf``'s range-max table (Tevs, Ihrke and Seidel, 2008). A
+    ray that starts above its ceiling never walks, and one that rises past
+    it stops at the end of that round; the cells after that lie under the
+    ray, so no root is lost. The tables of :func:`_walk_tables` (cell tops,
+    patch coefficients and the range-max table over 2 x 2-cell blocks,
+    0.98 MiB at 96 x 96 nodes) are built on ``hf``'s first walk and kept.
     """
     directions = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
     n = directions.shape[0]
@@ -174,7 +199,8 @@ def march_rays(
     if not bool(np.all(hf.contains(origin[0], origin[1]))):
         raise ValueError("ray origin is outside the terrain extent")
 
-    top = hf.elevations.max() + 1e-6 * (1.0 + np.abs(hf.elevations).max())  # above the surface
+    tables = _walk_tables(hf)
+    top, tops = tables.top, tables.tops
     # in grid units a ray is g0 + u * t; an axis with no finite t per unit crosses no grid line
     g0 = origin[:2] / hf.cell_size
     u = directions[:, :2] / hf.cell_size
@@ -196,12 +222,10 @@ def march_rays(
     t_hit = np.full(n, np.inf)
     finite = np.isfinite(directions)
     rays = np.flatnonzero(finite[:, 0] & finite[:, 1] & finite[:, 2] & (t_cur < t_end))
-    flat = hf.elevations.reshape(-1)
+    # a rising ray meets no cell above its ceiling: one that starts above it never walks
+    ceiling = _ceilings(hf, tables, g0, u, t_end, rays[dz.take(rays) > 0], n)
+    rays = rays[origin[2] <= ceiling.take(rays)]
     cols = hf.cols
-    # tops[k]: the highest corner of the cell whose first corner is flat[k]
-    tops = np.maximum(flat[: -cols - 1], flat[1:-cols])
-    np.maximum(tops, flat[cols:-1], out=tops)
-    np.maximum(tops, flat[cols + 1 :], out=tops)
     u_x, u_y = u.T.copy()  # contiguous, for the per-cell work
     width = 4
     while rays.size:
@@ -242,13 +266,18 @@ def march_rays(
             lo_near, ux_near, uy_near = lo.take(near), ux.take(m), uy.take(m)
             fx = g0[0] + ux_near * lo_near - j0.take(near)  # the segment's start in its cell
             fy = g0[1] + uy_near * lo_near - i0.take(near)
-            root = _patch_root(flat, cols, k.take(near), fx, fy, ux_near, uy_near, dzr.take(m),
-                               z_lo.take(near), seg.take(near))
+            root = _patch_root(tables.patches, k.take(near), fx, fy, ux_near, uy_near,
+                               dzr.take(m), z_lo.take(near), seg.take(near))
             # segments follow each other along the ray, so the first root is the least t
             root += lo_near
             np.minimum.at(t_hit, r.take(m), root)
             t_cur.put(r, cuts[-1])
-        rays = rays[np.isinf(t_hit.take(rays)) & (t_cur.take(rays) < t_end.take(rays))]
+        # and one that has risen past it (z_lo only grows from here) stops
+        t_now = t_cur.take(rays)
+        z_now = dz.take(rays) * t_now  # as z_lo is found
+        z_now += origin[2]
+        rays = rays[np.isinf(t_hit.take(rays)) & (t_now < t_end.take(rays))
+                    & (z_now <= ceiling.take(rays))]
         width = min(2 * width, 32)
 
     found = np.flatnonzero(np.isfinite(t_hit))
@@ -265,17 +294,35 @@ def march_rays(
     return hit, points
 
 
-def _patch_root(flat, cols, k, fx, fy, ux, uy, dz, z0, seg):
+def _ceilings(hf, tables, g0, u, t_end, up, n):
+    """(n,) heights: for each ray in ``up``, the highest cell top of the 2 x 2-cell blocks
+    that cover the box of cells its path ``g0 + u * t``, ``t`` in ``[0, t_end]``, spans;
+    inf for the rest.
+
+    The box's corners are indexed as :func:`_cell_index` indexes the walk's
+    midpoints, so every cell the walk gives a ray lies in the ray's box.
+    """
+    ceiling = np.full(n, np.inf)
+    last = np.array([hf.cols - 2, hf.rows - 2])
+    ends = u.take(up, axis=0)
+    ends *= t_end.take(up)[:, None]
+    ends = _cell_index(ends, g0, last)
+    start = _cell_index(np.zeros(2), g0, last)
+    lo = np.minimum(ends, start)
+    hi = np.maximum(ends, start)
+    ceiling[up] = tables.ceilings(lo[:, 1], hi[:, 1], lo[:, 0], hi[:, 0])
+    return ceiling
+
+
+def _patch_root(patches, k, fx, fy, ux, uy, dz, z0, seg):
     """First ``s`` in ``[0, seg]`` where segments meet their cells' surface, else inf.
 
     A segment starts at ``(fx, fy)`` in cell ``k`` at height ``z0`` and moves
     ``(ux, uy)`` grid units and ``dz`` meters per unit ``s``, so ``z - surface`` is
-    a quadratic ``c0 + c1 s + c2 s^2`` over the patch ``a + b fx + c fy + d fx fy``.
+    a quadratic ``c0 + c1 s + c2 s^2`` over the patch ``a + b fx + c fy + d fx fy``
+    of ``patches[:, k]``.
     """
-    a = flat.take(k)
-    b = flat[1:].take(k) - a
-    c = flat[cols:].take(k) - a
-    d = flat[cols + 1 :].take(k) - a - b - c
+    a, b, c, d = patches.take(k, axis=1)
     slope_x = b + d * fy  # surface slopes per grid unit at the segment's start
     slope_y = c + d * fx
     c0 = z0 - (a + slope_x * fx + c * fy)

@@ -1,17 +1,25 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from marscost import heightfield
 from marscost.heightfield import (
+    MAX_TERRAIN_NODES,
     Heightfield,
     _node_bilinear,
+    _walk_tables,
     generate_heightfield,
     load_heightfield,
     surface_colors,
     surface_heights,
     surface_normals,
 )
+from marscost.simulate import march_rays
 from marscost.types import FormatError
 
 
@@ -47,6 +55,8 @@ def test_generation_validates_arguments():
 def test_heightfield_invariants():
     with pytest.raises(ValueError):
         Heightfield(np.zeros((1, 5)), 0.2)
+    with pytest.raises(ValueError, match="a 2x131073 grid has more than 262144 nodes"):
+        Heightfield(np.zeros((2, MAX_TERRAIN_NODES // 2 + 1)), 0.2)
     with pytest.raises(ValueError):
         Heightfield(np.full((4, 4), np.inf), 0.2)
     with pytest.raises(ValueError):
@@ -85,6 +95,14 @@ def test_load_missing_sidecar_rejected(tmp_path):
     p = tmp_path / "orphan.pgm"
     _write_pgm_ascii(p, [[1, 2], [3, 4]])
     with pytest.raises(FormatError):
+        load_heightfield(p)
+
+
+def test_load_heightmap_over_the_node_bound_rejected(tmp_path):
+    p = tmp_path / "huge.pgm"
+    p.write_bytes(b"P5\n513 512\n255\n" + bytes(513 * 512))
+    _write_meta(tmp_path / "huge.meta.json", 0.0, 1.0)
+    with pytest.raises(FormatError, match=f"{p}.* a 512x513 grid has more than 262144 nodes"):
         load_heightfield(p)
 
 
@@ -194,3 +212,60 @@ def test_node_bilinear_matches_four_gather_reference(shape, cell):
         for grid in (hf.elevations, hf.colors):
             got = np.asarray(_node_bilinear(hf, grid, x[k], y[k]))
             assert got.tobytes() == np.asarray(_four_gather_bilinear(hf, grid, x[k], y[k])).tobytes()
+
+
+def _covering_blocks(lo, hi, n_cells):
+    """The cells of the 2 x 2-cell blocks that cover cells ``lo..hi`` on one axis."""
+    return slice(lo - lo % 2, min(hi - hi % 2 + 2, n_cells))
+
+
+@pytest.mark.parametrize("shape", [(13, 17), (14, 18), (2, 9), (33, 3)])
+def test_walk_tables_bound_every_box_by_its_blocks(shape):
+    z = np.random.default_rng(shape[1]).normal(size=shape)
+    tables = _walk_tables(Heightfield(z, 0.5))
+    cell_tops = np.maximum.reduce([z[:-1, :-1], z[:-1, 1:], z[1:, :-1], z[1:, 1:]])
+    m, n = cell_tops.shape
+    tops = np.append(tables.tops, 0.0).reshape(m, n + 1)[:, :-1]  # a j = cols - 1 entry is no cell
+    assert tops.tobytes() == cell_tops.tobytes()
+    # every box of cells: one cell, the edges, the full extent and all in between
+    boxes = np.array([(i0, i1, j0, j1) for i0 in range(m) for i1 in range(i0, m)
+                      for j0 in range(n) for j1 in range(j0, n)])
+    got = tables.ceilings(*boxes.T)
+    for (i0, i1, j0, j1), ceiling in zip(boxes, got):
+        assert ceiling >= cell_tops[i0 : i1 + 1, j0 : j1 + 1].max()
+        # and no higher than the blocks the box lies in
+        assert ceiling == cell_tops[_covering_blocks(i0, i1, m), _covering_blocks(j0, j1, n)].max()
+    assert len(got) == m * (m + 1) * n * (n + 1) // 4
+
+
+def test_walk_tables_are_built_once_per_heightfield_and_read_only(monkeypatch):
+    builds = []
+    build = heightfield._build_walk_tables
+    monkeypatch.setattr(heightfield, "_build_walk_tables", lambda z: builds.append(z) or build(z))
+    hf = generate_heightfield(seed=2, rows=24, cols=20, cell_size=0.25, roughness=0.5)
+    assert hf._walk is None  # a heightfield no ray has walked holds no table
+    dirs = np.array([[0.6, 0.8, -0.1], [0.6, -0.8, 0.2]])
+    for _ in range(2):
+        march_rays(hf, [2.0, 2.0, 1.5], dirs, 5.0)
+    assert len(builds) == 1 and builds[0] is hf.elevations
+    tables = hf._walk
+    for table in (tables.tops, tables.patches, tables.ranges):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 0.0
+    twin = Heightfield(hf.elevations, hf.cell_size)
+    march_rays(twin, [2.0, 2.0, 1.5], dirs, 5.0)
+    assert len(builds) == 2 and twin._walk is not tables and hf._walk is tables
+
+
+def test_importing_marscost_builds_no_walk_table():
+    code = ("import sys\n"
+            "ran = set()\n"
+            "sys.setprofile(lambda frame, event, arg: ran.add(frame.f_code.co_name))\n"
+            "import marscost, marscost.cli\n"
+            "sys.setprofile(None)\n"
+            "print(sorted(ran & {'_walk_tables', '_build_walk_tables', 'march_rays'}))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"

@@ -73,8 +73,10 @@ def test_trajectory_waypoint_message_prints_plain_floats(flat_field):
 def test_trajectory_rejects_degenerate_input(flat_field):
     with pytest.raises(ValueError):
         generate_trajectory(flat_field, [(1.0, 1.0)], speed=1.0, dt=0.1)
-    with pytest.raises(ValueError):
-        generate_trajectory(flat_field, [(1.0, 1.0), (1.0, 1.0)], speed=1.0, dt=0.1)
+    with pytest.raises(ValueError, match=r"waypoint 2 at \(2\.0, 1\.0\) repeats waypoint 1"):
+        generate_trajectory(flat_field, [(1.0, 1.0), (2.0, 1.0), (2.0, 1.0)], speed=1.0, dt=0.1)
+    with pytest.raises(ValueError, match=r"shorter than one pose step of 0\.1 m \(speed \* dt\)"):
+        generate_trajectory(flat_field, [(1.0, 1.0), (1.05, 1.0)], speed=1.0, dt=0.1)
     with pytest.raises(ValueError):
         generate_trajectory(flat_field, [(1.0, 1.0), (2.0, 1.0)], speed=0.0, dt=0.1)
 
@@ -610,6 +612,59 @@ def test_walk_matches_the_reference_walk_on_a_synthesized_run(monkeypatch):
         assert points.tobytes() == ref_points.tobytes()
     # enough rays walk past the first rounds for the start width to matter
     assert sum(c[2].shape[0] for c in calls) > 50_000
+
+
+def _ceiling_checks(calls, ceilings):
+    """Per ``march_rays`` call and its rays' ceilings: every hit of the reference walk lies
+    at or before its ray's ceiling time. Returns the counts of rising rays retired before
+    the walk and of rising hits checked."""
+    retired = checked = 0
+    assert len(calls) == len(ceilings)
+    for (hf, origin, dirs, max_range, kwargs), ceiling in zip(calls, ceilings):
+        ref_hit, ref_points = _walk_reference(hf, origin, dirs, max_range, **kwargs)
+        rising = dirs[:, 2] > 0  # a ray that does not rise has no ceiling
+        assert np.all(np.isinf(ceiling[~rising]))
+        # a rising ray is at or before its ceiling time while its height is at or under the
+        # ceiling; a hit is on the surface, under its cell's highest corner, within rounding
+        up = ref_hit & rising
+        assert np.all(ref_points[up, 2] <= ceiling[up] + 1e-9)
+        retired += int(np.count_nonzero(rising & (origin[2] > ceiling)))
+        checked += int(np.count_nonzero(up))
+    return retired, checked
+
+
+def _record_ceilings(monkeypatch):
+    ceilings = []
+    ceil = simulate._ceilings
+
+    def record(*args):
+        ceilings.append(ceil(*args))
+        return ceilings[-1]
+
+    monkeypatch.setattr(simulate, "_ceilings", record)
+    return ceilings
+
+
+def test_rising_rays_meet_the_surface_only_under_their_ceiling(monkeypatch):
+    ceilings = _record_ceilings(monkeypatch)
+    calls = []
+    for case, (hf, (x, y), above, max_range, kwargs) in MARCH_CASES.items():
+        origin = np.array([x, y, surface_heights(hf, x, y) + above])
+        dirs = _ray_set(seed=list(MARCH_CASES).index(case))
+        march_rays(hf, origin, dirs, max_range, **kwargs)
+        calls.append((hf, origin, dirs, max_range, kwargs))
+    retired, checked = _ceiling_checks(calls, ceilings)
+    assert retired > 0 and checked > 0
+    basin = list(MARCH_CASES).index("basin_below_walls")  # walls above the origin stop no ray
+    assert _ceiling_checks(calls[basin : basin + 1], ceilings[basin : basin + 1])[1] > 0
+
+    calls.clear()
+    ceilings.clear()
+    recorded = []
+    monkeypatch.setattr(simulate, "march_rays", _recording(march_rays, recorded))
+    synthesize_dataset(seed=29, n_runs=1)
+    retired, checked = _ceiling_checks([c[:4] + ({},) for c in recorded], ceilings)
+    assert retired > 1000 and checked > 1000
 
 
 def _recording(cast, calls):
