@@ -26,15 +26,6 @@ from .train import fit
 from .types import FormatError
 
 
-def _run_seeds(seed: int, run: int):
-    """IMU seed and per-pose LiDAR seed function of run ``run`` under the config seed."""
-
-    def derive(*key):
-        return int(np.random.SeedSequence([seed, *key]).generate_state(1)[0])
-
-    return derive(1, run), lambda k: derive(2, run, k)
-
-
 def _run_dirs(cfg):
     runs = sorted(p for p in cfg.data_dir.glob("run_*") if p.is_dir())
     if not runs:
@@ -52,7 +43,7 @@ def cmd_simulate(cfg) -> int:
     n_clouds = 0
     n_images = 0
     for r, waypoints in enumerate(cfg.trajectories):
-        traj, imu, clouds, images = simulate_run(hf, waypoints, cfg.sim, *_run_seeds(cfg.seed, r))
+        traj, imu, clouds, images = simulate_run(hf, waypoints, cfg.sim, cfg.seed, r)
         mio.write_run_dir(cfg.data_dir / f"run_{r:03d}", traj, imu, clouds, images)
         n_clouds += len(clouds)
         n_images += len(images)

@@ -69,7 +69,8 @@ def _typed(val, typ, key: str):
 def _build(node: dict, path: str, cls, prefix: str = "", section: str = "", **given):
     """``cls`` from the keys ``prefix + field`` of the object at ``path``: a field the file
     leaves out keeps its default, and a dataclass field reads the object at its key.
-    A value the dataclass rejects names ``section``, by default ``path``."""
+    A value the dataclass rejects names ``section``, by default ``path``; a ``cls`` read
+    under a prefix begins each of its messages with the field, which becomes the key."""
     section = section or path
     for f in fields(cls):
         key = prefix + f.name
@@ -80,7 +81,7 @@ def _build(node: dict, path: str, cls, prefix: str = "", section: str = "", **gi
     try:
         return cls(**given)
     except ValueError as e:
-        raise ConfigError(f"{section} section: {e}") from e
+        raise ConfigError(f"{section} section: {prefix}{e}") from e
 
 
 def _trajectories(paths: list) -> tuple:

@@ -23,18 +23,25 @@ from .simulate import (CHASSIS_HEIGHT_M, GRAVITY_M_S2, generate_trajectory, rend
 from .types import DenseCostmap, GridSpec, PointCloud, Pose, Sample
 
 
+MAX_BEV_SIZE = 2**9  # cells per side of a BEV window; the regressor's maps grow as its square
+
+
 @dataclass
 class BevLayout:
-    """Geometry of the per-sample BEV window."""
+    """Geometry of the per-sample BEV window; each error message begins with its field."""
 
     size: int = 32  # cells per side (square)
     resolution: float = 0.2  # meters per cell
 
     def __post_init__(self):
-        if self.size < 4:
-            raise ValueError("BEV window needs at least 4 cells per side")
+        if not 4 <= self.size <= MAX_BEV_SIZE:
+            raise ValueError(f"size must lie in [4, {MAX_BEV_SIZE}] cells per side")
         if not self.resolution > 0:
             raise ValueError("resolution must be positive")
+
+
+MAX_LIDAR_RAYS = 2**20  # rays of one LiDAR sweep; its direction table takes 24 MiB at the bound
+MAX_CAMERA_PX = 2**10  # pixels per side of a camera image; 24 MiB an image at the bound
 
 
 @dataclass
@@ -57,6 +64,10 @@ class SimConfig:
                      "camera_h_px", "camera_w_px", "sensor_stride"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name, bound in (("lidar_rays", MAX_LIDAR_RAYS), ("camera_h_px", MAX_CAMERA_PX),
+                            ("camera_w_px", MAX_CAMERA_PX)):
+            if getattr(self, name) > bound:
+                raise ValueError(f"{name} must be at most {bound}")
         if not self.imu_noise_scale >= 0:
             raise ValueError("imu_noise_scale must be nonnegative")
 
@@ -153,23 +164,28 @@ def split_samples(samples, holdout_fraction: float, seed: int):
     return train, hold
 
 
-def simulate_run(hf, waypoints, sim: SimConfig, imu_seed: int, lidar_seed):
-    """One drive: trajectory, IMU, and LiDAR plus camera every ``sim.sensor_stride`` poses.
+def _derived_seed(seed: int, *key) -> int:
+    return int(np.random.SeedSequence([seed, *key]).generate_state(1)[0])
 
-    ``lidar_seed`` maps a pose index to the seed of its LiDAR sweep, so each
-    caller keeps its own seed scheme. Returns ``(traj, imu, clouds, images)``
-    with the frames keyed by pose index, as :func:`io.read_run_dir` does.
+
+def simulate_run(hf, waypoints, sim: SimConfig, seed: int, run: int):
+    """Drive ``run`` under ``seed``: trajectory, IMU, and LiDAR plus camera every
+    ``sim.sensor_stride`` poses.
+
+    The only seed scheme: the IMU noise draws from ``SeedSequence([seed, 1, run])``
+    and the LiDAR sweep at pose ``k`` from ``SeedSequence([seed, 2, run, k])``, one
+    key per stream, where additive offsets of ``seed`` would hand one dataset's seeds
+    to another's. Returns ``(traj, imu, clouds, images)`` with the frames keyed by
+    pose index, as :func:`io.read_run_dir` does.
     """
     traj = generate_trajectory(hf, waypoints, sim.speed, sim.dt, sim.chassis_height)
-    imu = synthesize_imu(
-        traj, hf, gravity=sim.gravity, noise_scale=sim.imu_noise_scale, seed=imu_seed
-    )
+    imu = synthesize_imu(traj, hf, gravity=sim.gravity, noise_scale=sim.imu_noise_scale,
+                         seed=_derived_seed(seed, 1, run))
     clouds = {}
     images = {}
     for k in range(0, len(traj), sim.sensor_stride):
-        clouds[k] = simulate_lidar(
-            hf, traj[k], sim.lidar_rays, sim.lidar_max_range, seed=lidar_seed(k)
-        )
+        clouds[k] = simulate_lidar(hf, traj[k], sim.lidar_rays, sim.lidar_max_range,
+                                   seed=_derived_seed(seed, 2, run, k))
         images[k] = render_camera(hf, traj[k], sim.camera_h_px, sim.camera_w_px)
     return traj, imu, clouds, images
 
@@ -222,9 +238,7 @@ def synthesize_dataset(
             corners = [[lo_x + 0.3 * r, hi_y - 0.2 * r], [hi_x - 0.3 * r, lo_y + 0.2 * r]]
         jitter = rng.uniform(-0.5, 0.5, (2, 2))
         waypoints = np.asarray(corners) + jitter
-        drives.append(
-            simulate_run(hf, waypoints, sim, seed + 101 * r, lambda k: seed + 7 * r + k)
-        )
+        drives.append(simulate_run(hf, waypoints, sim, seed, r))
     _, norm = label_runs(drives, LabelingConfig(fine_res=0.1))
 
     samples = []

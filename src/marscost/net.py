@@ -33,11 +33,13 @@ from .ops import (
 from .types import DenseCostmap, GridSpec, Image, PointCloud
 
 POINT_FEATURE_DIM = 9
+MAX_WIDTH = 2**9  # of every NetConfig field; widths all at the bound take 83 MiB of parameters
 
 
 @dataclass(frozen=True)
 class NetConfig:
-    """Channel widths of the regressor; the embedding size is fixed at 384."""
+    """Channel widths of the regressor, each in [1, ``MAX_WIDTH``]; the embedding size is
+    fixed at 384."""
 
     channels: int = 12  # pillar pseudo-image channels
     stage2_channels: int = 16  # first downsampled scale
@@ -50,6 +52,8 @@ class NetConfig:
         for f in fields(self):
             if getattr(self, f.name) < 1:
                 raise ValueError(f"{f.name} must be positive")
+            if getattr(self, f.name) > MAX_WIDTH:
+                raise ValueError(f"{f.name} must be at most {MAX_WIDTH}")
 
     def n_parameters(self) -> int:
         """Length of ``ModelParams.theta`` at these widths."""

@@ -202,7 +202,7 @@ ACCEPT_NET = NetConfig(
 
 
 # sha256 over every array of synthesize_dataset(seed=11, n_runs=4), see _dataset_sha256
-ACCEPT_DATASET_SHA256 = "ebad11cffd32a391bd05838f787b133c1254d5e462fab420e0b6d1391efb82bd"
+ACCEPT_DATASET_SHA256 = "8be12f520365dc3d59e4ee0295ba516b919453c59bafbe0f748b7221c88828c7"
 
 
 def _dataset_sha256(samples) -> str:
@@ -433,8 +433,8 @@ GOLDEN_TRAIN_EVAL = {
         "report/target_0.pgm": "6cc0200b2b0559751299d079d6afb6fe15faf347f3d352c1c17fc23101ccdc33",
         "report/target_0.mask.pbm": "9613aa464659ac6519a08e847a4d615aec37845d63ad81f215cea194f7d8bab6",
         "report/target_0.meta.json": "0eceed0e6c1b89d0462b54fd7dae873484adda5037ae2a202bdc15d4a4dcd5f1",
-        "criterion_5/theta": "fdee626aa4ee407e793d5b087e48cc83d506ca957dd8f5d0f4bdc8f736992371",
-        "criterion_5/history": "94d99bc4b295436f27b7d71f9915e9e418ff0802f0dd20db42c74ef168236c85",
+        "criterion_5/theta": "07fc4052f0b6e71031e94fb16d806984a502776856d6ae8abc5c64226e989397",
+        "criterion_5/history": "68873c328ac2f5bfa8cc0c0e833ed77ff543fc1808714fc85ac9abdb4f195516",
     },
 }
 

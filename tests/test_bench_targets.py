@@ -156,7 +156,7 @@ def test_simulate_run_senses_each_frame_once(monkeypatch):
     lidar, camera = [], []
     monkeypatch.setattr(marscost.dataset, "simulate_lidar", _counting(lidar, marscost.dataset.simulate_lidar))
     monkeypatch.setattr(marscost.dataset, "render_camera", _counting(camera, marscost.dataset.render_camera))
-    traj, _, clouds, images = marscost.dataset.simulate_run(hf, [(1.0, 1.0), (4.5, 3.0)], sim, 0, lambda k: k)
+    traj, _, clouds, images = marscost.dataset.simulate_run(hf, [(1.0, 1.0), (4.5, 3.0)], sim, 0, 0)
     frames = list(range(0, len(traj), 3))
     assert len(frames) > 3 and sorted(clouds) == sorted(images) == frames
     times = [traj.times[k] for k in frames]
@@ -166,7 +166,7 @@ def test_simulate_run_senses_each_frame_once(monkeypatch):
 def _sensed_run():
     hf = marscost.heightfield.generate_heightfield(seed=2, rows=24, cols=24, cell_size=0.25, roughness=0.5)
     sim = marscost.dataset.SimConfig(lidar_rays=32, camera_h_px=4, camera_w_px=6, sensor_stride=3)
-    return marscost.dataset.simulate_run(hf, [(1.0, 1.0), (4.5, 3.0)], sim, 0, lambda k: k)
+    return marscost.dataset.simulate_run(hf, [(1.0, 1.0), (4.5, 3.0)], sim, 0, 0)
 
 
 # ``dataset.frames_sensed`` counts the frames of the ``clouds`` and ``images`` of

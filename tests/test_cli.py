@@ -14,13 +14,14 @@ from marscost.checkpoint import load_checkpoint, save_checkpoint
 from marscost.cli import main
 from marscost.config import RunConfig, load_config, validate_config
 from marscost.dataset import (
-    MIN_VALID_CELLS, BevLayout, SimConfig, build_samples, label_runs, simulate_run,
+    MAX_BEV_SIZE, MAX_CAMERA_PX, MAX_LIDAR_RAYS, MIN_VALID_CELLS, BevLayout, SimConfig,
+    build_samples, label_runs, simulate_run,
 )
 from marscost.evaluation import ABLATION_MODES, AblationSpec, run_ablation_suite
 from marscost.heightfield import TerrainConfig, build_terrain
 from marscost.io import COSTMAP_MAXVAL, read_run_dir
 from marscost.labeling import LabelingConfig
-from marscost.net import NetConfig, init_params
+from marscost.net import MAX_WIDTH, NetConfig, init_params
 from marscost.train import AugmentConfig, TrainConfig
 from marscost.types import DenseCostmap, GridSpec, ImuLog, Trajectory
 
@@ -429,6 +430,18 @@ def test_overflowing_config_number_exits_2(tmp_path, capsys):
         assert "'sim.lidar_max_range' must be finite" in capsys.readouterr().err
 
 
+# every integer key that sizes an array, its bound, and how the error names it
+_BOUNDED_KEYS = [
+    ("sim.lidar_rays", MAX_LIDAR_RAYS, f"sim section: lidar_rays must be at most {MAX_LIDAR_RAYS}"),
+    ("sim.camera_h_px", MAX_CAMERA_PX, f"sim section: camera_h_px must be at most {MAX_CAMERA_PX}"),
+    ("sim.camera_w_px", MAX_CAMERA_PX, f"sim section: camera_w_px must be at most {MAX_CAMERA_PX}"),
+    ("model.bev_size", MAX_BEV_SIZE,
+     f"model section: bev_size must lie in [4, {MAX_BEV_SIZE}] cells per side"),
+    *[(f"model.{f.name}", MAX_WIDTH, f"model section: {f.name} must be at most {MAX_WIDTH}")
+      for f in fields(NetConfig)],
+]
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("sim.sensor_stride", 0, "sensor_stride must be positive"),
     ("sim.dt", -0.1, "dt must be positive"),
@@ -443,11 +456,20 @@ def test_overflowing_config_number_exits_2(tmp_path, capsys):
     ("sim.terrain.cell_size", -0.2, "sim.terrain section: cell_size must be positive"),
     ("train.holdout_fraction", 1.5, "train.holdout_fraction: holdout_fraction must lie in"),
     ("train.augment.max_shift_cells", -1, "train section: max_shift_cells must be nonnegative"),
+    *[pytest.param(key, value, message, id=f"{key}-{digits}") for key, bound, message in _BOUNDED_KEYS
+      for digits, value in (("past_the_bound", bound + 1), ("400_digits", int("9" * 400)))],
 ])
 def test_simulate_rejects_out_of_range_values_before_any_work(tmp_path, capsys, key, value, message):
     cfg, workdir = _tiny_config(tmp_path, **{key: value})
-    assert main(["simulate", "--config", str(cfg)]) == 2
-    assert message in capsys.readouterr().err
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the config stops it before anything is sized
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
     assert not workdir.exists()
 
 
@@ -552,7 +574,7 @@ def test_cli_dataset_matches_in_memory_stages(tmp_path):
 
     hf = build_terrain(cfg.terrain, cfg.seed)
     drives = [
-        simulate_run(hf, waypoints, cfg.sim, *cli._run_seeds(cfg.seed, r))
+        simulate_run(hf, waypoints, cfg.sim, cfg.seed, r)
         for r, waypoints in enumerate(cfg.trajectories)
     ]
     _, norm = label_runs(drives, cfg.labeling)

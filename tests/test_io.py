@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from marscost import io as mio
 from marscost.checkpoint import _WIDTHS, MAGIC, load_checkpoint
 from marscost.cli import main
 from marscost.heightfield import load_heightfield
+from marscost.net import MAX_WIDTH, NetConfig
 from marscost.types import DenseCostmap, FormatError, GridSpec, Image, Pose, SparseCostmap
 
 
@@ -407,12 +409,15 @@ def test_heightmap_sidecar_with_its_range_reversed_names_the_sidecar(tmp_path, c
     assert np.all(load_heightfield(tmp_path / "h.pgm").elevations == 0.5)  # flat terrain
 
 
+WIDEST = NetConfig(*[MAX_WIDTH] * len(fields(NetConfig)))  # the most parameters a header holds
+
+
 def _huge_checkpoint(path):
-    """Magic and widths asking for about 10**14 parameters, with 24 bytes of them."""
-    path.write_bytes(MAGIC + _WIDTHS.pack(4_000_000, 4_000_000, 1, 1, 1, 1) + bytes(24))
+    """Magic and the widths of ``WIDEST`` (83 MiB of parameters), with 24 bytes of them."""
+    path.write_bytes(MAGIC + _WIDTHS.pack(*astuple(WIDEST)) + bytes(24))
 
 
-# files under 1 KiB whose headers declare about 10**14 pixels or parameters
+# files under 1 KiB whose headers declare about 10**14 pixels, or the most parameters
 HUGE_DECLARATIONS = {
     "pgm_p2": ("huge.pgm", lambda p: p.write_bytes(b"P2\n10000000 10000000\n255\n0 1 2\n"),
                mio.read_pgm, "P2 raster must be exactly 100000000000000 decimal"),
@@ -423,7 +428,7 @@ HUGE_DECLARATIONS = {
     "ppm": ("huge.ppm", lambda p: p.write_bytes(b"P6\n10000000 10000000\n255\n" + bytes(6)),
             mio.read_ppm, "P6 raster must be 300000000000000 bytes"),
     "checkpoint": ("huge.ckpt", _huge_checkpoint, load_checkpoint,
-                   "24 bytes of parameters, but the widths in its header take 1152001056006296"),
+                   f"24 bytes of parameters, but the widths in its header take {8 * WIDEST.n_parameters()}"),
 }
 
 

@@ -8,6 +8,7 @@ from conftest import TOY_NET, make_toy_instance, random_sample, sample_loss
 from marscost import net
 from marscost.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from marscost.net import (
+    MAX_WIDTH,
     ModelParams,
     NetConfig,
     forward,
@@ -333,15 +334,28 @@ def test_checkpoint_trailing_byte_and_wrong_shape_name_the_file(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(NetConfig)])
-def test_checkpoint_zero_width_names_the_file(tmp_path, field):
-    path = tmp_path / "model.ckpt"
+def _checkpoint_with_width(path, field, width):
+    """A toy checkpoint whose header gives ``field`` the width ``width``."""
     save_checkpoint(init_params(TOY_NET, seed=0), path)
     data = bytearray(path.read_bytes())
     at = len(MAGIC) + 4 * [f.name for f in dataclasses.fields(NetConfig)].index(field)
-    data[at : at + 4] = bytes(4)
+    data[at : at + 4] = struct.pack("<I", width)
     path.write_bytes(data)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(NetConfig)])
+def test_checkpoint_zero_width_names_the_file(tmp_path, field):
+    path = tmp_path / "model.ckpt"
+    _checkpoint_with_width(path, field, 0)
     with pytest.raises(FormatError, match=rf"model\.ckpt: {field} must be positive"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(NetConfig)])
+def test_checkpoint_width_past_the_bound_names_the_file(tmp_path, field):
+    path = tmp_path / "model.ckpt"
+    _checkpoint_with_width(path, field, MAX_WIDTH + 1)
+    with pytest.raises(FormatError, match=rf"model\.ckpt: {field} must be at most {MAX_WIDTH}"):
         load_checkpoint(path)
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from marscost import simulate
+from marscost import dataset, simulate
 from marscost.dataset import synthesize_dataset
 from marscost.geometry import quat_to_matrix
 from marscost.heightfield import (
@@ -26,7 +26,7 @@ from marscost.simulate import (
     simulate_lidar,
     synthesize_imu,
 )
-from marscost.types import ImuLog, Pose, Trajectory
+from marscost.types import Image, ImuLog, PointCloud, Pose, Trajectory
 from test_geometry import (
     conjugate_one,
     matrix_to_quat_one,
@@ -665,6 +665,30 @@ def test_rising_rays_meet_the_surface_only_under_their_ceiling(monkeypatch):
     synthesize_dataset(seed=29, n_runs=1)
     retired, checked = _ceiling_checks([c[:4] + ({},) for c in recorded], ceilings)
     assert retired > 1000 and checked > 1000
+
+
+def test_no_two_noise_streams_of_two_datasets_share_a_seed(monkeypatch):
+    """The IMU seed of every run and the LiDAR seed of every sensed pose that
+    ``simulate_run`` draws for ``synthesize_dataset`` at seeds 11 and 29 (4 runs
+    each) are pairwise distinct. The ray casts are stubbed: only their seeds count."""
+    imu_seeds, sweep_seeds = [], []
+
+    def imu(traj, hf, seed, **kwargs):
+        imu_seeds.append(seed)
+        return synthesize_imu(traj, hf, seed=seed, **kwargs)
+
+    def lidar(hf, pose, rays, max_range, seed):
+        sweep_seeds.append(seed)
+        return PointCloud(np.zeros((0, 3)), np.zeros((0, 3)))
+
+    monkeypatch.setattr(dataset, "synthesize_imu", imu)
+    monkeypatch.setattr(dataset, "simulate_lidar", lidar)
+    monkeypatch.setattr(dataset, "render_camera", lambda hf, pose, h, w: Image(np.zeros((h, w, 3))))
+    for seed in (11, 29):
+        synthesize_dataset(seed=seed, n_runs=4)
+    assert len(imu_seeds) == 8 and len(sweep_seeds) > 200
+    seeds = imu_seeds + sweep_seeds
+    assert len(set(seeds)) == len(seeds)
 
 
 def _recording(cast, calls):
