@@ -72,7 +72,9 @@ def conv2d_backward(cache, dy: np.ndarray):
 
     At stride 1, ``dx`` on the padded input is ``dy`` zero-padded by the kernel size
     less one and correlated with the kernel flipped in space, its channel axes
-    swapped; a strided conv scatters each tap's product instead."""
+    swapped. A strided conv gathers instead: each input pixel sums the rows of
+    ``dy @ w.T`` that its taps put there (:func:`_col2im_rows`), in (ki, kj)
+    order from +0.0, the sum a per-tap scatter onto ``np.zeros`` makes."""
     w = cache["w"]
     kh, kw, cin, cout = w.shape
     ho, wo = cache["out_hw"]
@@ -84,16 +86,55 @@ def conv2d_backward(cache, dy: np.ndarray):
     if stride == 1:
         w_adj = w[::-1, ::-1].transpose(0, 1, 3, 2)
         _, dxp = _correlate(dy.reshape(ho, wo, cout), w_adj, 1, kh - 1, kw - 1)
-    else:
-        dcol = (dy_flat @ w.reshape(kh * kw * cin, cout).T).reshape(ho, wo, kh, kw, cin)
-        dxp = np.zeros((h + 2 * pad, wid + 2 * pad, cin))
-        for ki in range(kh):
-            for kj in range(kw):
-                dxp[ki : ki + stride * ho : stride, kj : kj + stride * wo : stride] += dcol[
-                    :, :, ki, kj
-                ]
-    dx = dxp[pad : pad + h, pad : pad + wid] if pad else dxp
-    return dx, dw, db
+        return (dxp[pad : pad + h, pad : pad + wid] if pad else dxp), dw, db
+    n = ho * wo * kh * kw
+    dcol = np.empty((n + 1, cin))  # one row per (output pixel, tap), then the zero row
+    np.matmul(dy_flat, w.reshape(kh * kw * cin, cout).T, out=dcol[:n].reshape(ho * wo, kh * kw * cin))
+    dcol[n] = 0.0
+    return _col2im(dcol, h, wid, kh, kw, stride, pad), dw, db
+
+
+def _col2im(dcol: np.ndarray, h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """``(h, w, cin)`` sums of the rows of ``dcol`` that each unpadded input pixel's
+    taps land on; ``dcol`` holds a row per (output pixel, tap) pair in im2col
+    order and a zero row after them. Each sum starts from +0.0, so a lone -0.0
+    tap reads as +0.0, and adds its taps in (ki, kj) order."""
+    rows = _col2im_rows(h, w, kh, kw, stride, pad)
+    dx = 0.0 + dcol.take(rows[0], axis=0)
+    # a slab at a time: one gather of all slots (256 KiB for conv1) had malloc fault in fresh pages every call
+    for slot in rows[1:]:
+        dx += dcol.take(slot, axis=0)
+    return dx.reshape(h, w, dcol.shape[1])
+
+
+@lru_cache(maxsize=None)
+def _col2im_rows(h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """``(ceil(kh / stride) * ceil(kw / stride), h * w)`` rows of ``dcol`` to sum per pixel.
+
+    Column ``y * w + x`` lists the im2col rows (see :func:`_im2col_rows`) of the
+    (output pixel, tap) pairs whose tap lands on unpadded input pixel ``(y, x)``,
+    taps in (ki, kj) order; a slot with no such pair holds ``ho * wo * kh * kw``,
+    the zero row after them.
+    """
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+
+    def taps(n, k, n_out):
+        # per pixel and slot: the tap index along this axis, its output index, and whether both exist
+        p = np.arange(pad, pad + n)[:, None]
+        tap = p % stride + stride * np.arange(-(-k // stride))[None, :]
+        out = (p - tap) // stride
+        return tap, out, (tap < k) & (out >= 0) & (out < n_out)
+
+    ki, oy, ok_y = taps(h, kh, ho)
+    kj, ox, ok_x = taps(w, kw, wo)
+    rows = (oy[:, None, :, None] * wo + ox[None, :, None, :]) * (kh * kw) + (
+        ki[:, None, :, None] * kw + kj[None, :, None, :]
+    )
+    ok = ok_y[:, None, :, None] & ok_x[None, :, None, :]
+    rows = np.where(ok, rows, ho * wo * kh * kw).reshape(h * w, -1).T.copy()
+    rows.setflags(write=False)
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -130,9 +171,8 @@ def resize_bilinear_backward(dy: np.ndarray, in_h: int, in_w: int) -> np.ndarray
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function, ``1 / (1 + exp(-x))`` where ``x >= 0`` and
+    ``exp(x) / (1 + exp(x))`` elsewhere, from the one ``exp(-|x|)``; neither
+    side overflows, and the bits are those of the two sides computed apart."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))

@@ -132,16 +132,22 @@ def augment(sample: Sample, seed, cfg: AugmentConfig = AugmentConfig()) -> Sampl
     Rotation and translation move the cloud and the label raster together so
     supervision stays consistent; noise perturbs the image pixels (clamped to
     [0, 1]) and the point coordinates but never the label values. A draw
-    that changes nothing returns ``sample`` itself. Raises ``ValueError``
-    when the drawn shift moves every labelled cell out of the window.
+    that changes nothing returns ``sample`` itself, and with every transform
+    off (no rotation or none the grid allows, no shift, no noise) no
+    generator is built from ``seed``. Raises ``ValueError`` when the drawn
+    shift moves every labelled cell out of the window.
     """
+    rotate = cfg.rotate and sample.target.grid.rows == sample.target.grid.cols
+    shift = cfg.translate and cfg.max_shift_cells > 0
+    if not (rotate or shift or cfg.noise_sigma > 0):
+        return sample
     rng = np.random.default_rng(seed)
     out = sample
-    if cfg.rotate and sample.target.grid.rows == sample.target.grid.cols:
+    if rotate:
         k = int(rng.integers(0, 4))
         if k:
             out = rotate_sample(out, k)
-    if cfg.translate and cfg.max_shift_cells > 0:
+    if shift:
         sc, sr = rng.integers(-cfg.max_shift_cells, cfg.max_shift_cells + 1, size=2)
         if sc or sr:
             out = translate_sample(out, int(sc), int(sr))
@@ -207,8 +213,8 @@ def fit(dataset, cfg: TrainConfig, net: NetConfig = NetConfig()):
     """Seeded mini-batch training; returns final params and per-step loss history.
 
     Each epoch reshuffles the dataset, splits it into batches of
-    ``cfg.batch_size``, augments every sample with a seed derived from
-    (seed, step, position), and applies one Adam update per batch. Bit
+    ``cfg.batch_size``, augments every sample seeded by the entropy list
+    ``[cfg.seed, step, position]``, and applies one Adam update per batch. Bit
     reproducible for a fixed seed and dataset.
     """
     dataset = list(dataset)
@@ -224,11 +230,7 @@ def fit(dataset, cfg: TrainConfig, net: NetConfig = NetConfig()):
         for lo in range(0, len(dataset), cfg.batch_size):
             batch_idx = order[lo : lo + cfg.batch_size]
             batch = [
-                augment(
-                    dataset[i],
-                    seed=np.random.SeedSequence([cfg.seed, step, int(pos)]),
-                    cfg=cfg.augment,
-                )
+                augment(dataset[i], seed=[cfg.seed, step, pos], cfg=cfg.augment)
                 for pos, i in enumerate(batch_idx)
             ]
             total, hub, smo, grads = loss_and_grads(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import TOY_NET, make_toy_instance, random_sample
+from marscost import train
 from marscost.bev import embed_image
 from marscost.checkpoint import load_checkpoint, save_checkpoint
 from marscost.net import init_params, loss_and_grads
@@ -145,6 +146,17 @@ def test_augment_identity_draw():
     assert np.array_equal(out.image.pixels, sample.image.pixels)
     assert np.array_equal(out.target.values, sample.target.values)
     assert np.array_equal(out.target.valid, sample.target.valid)
+
+
+def test_augment_with_every_transform_off_builds_no_generator(monkeypatch):
+    def no_generator(seed):
+        raise AssertionError(f"augment built a generator from {seed!r}")
+
+    sample = random_sample(20)
+    monkeypatch.setattr(train.np.random, "default_rng", no_generator)
+    no_shift = AugmentConfig(rotate=False, translate=True, max_shift_cells=0, noise_sigma=0.0)
+    for cfg in (NO_AUG, no_shift):
+        assert augment(sample, seed=[1, 2, 3], cfg=cfg) is sample
 
 
 def test_rotation_composition():
